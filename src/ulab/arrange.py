@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ulab.core import GroupParams
-from ulab.galg import DistFn, grid_inner_dist, mixed_conv_dist
-from ulab.grid import MORSE8, MORSE32, GridFn, arr_functional, sample_arrangement_points
+from ulab.core import GroupParams, _json_fields, _json_index, _json_params
+from ulab.galg import DistFn, respected_density
+from ulab.grid import MORSE8, MORSE32, GridFn, arr_functional, sample_blocks
 
 __all__ = [
     "PartialMap",
@@ -31,7 +31,6 @@ __all__ = [
     "partial_map_from_json",
 ]
 
-_MC_BLOCK = 8192
 _EXACT_CAP = 9
 
 
@@ -113,17 +112,11 @@ def _mc_respect(
     phi: PartialMap, order: int, samples: int, seed: int
 ) -> tuple[float, float, float]:
     """Returns (total_ratio, respected_ratio, stderr of respected_ratio)."""
-    params = phi.params
     signs = MORSE8 if order == 1 else MORSE32
-    done = 0
     tot_sum = 0.0
     resp_sum = 0.0
     resp_sq = 0.0
-    block = 0
-    while done < samples:
-        m = min(_MC_BLOCK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        pts = sample_arrangement_points(params, order, m, rng)
+    for pts in sample_blocks(phi.params, order, samples, seed):
         px, py = pts[:, :, 0], pts[:, :, 1]
         inside = phi.domain[px, py].all(axis=1)
         zero = _signed_value_sum(phi, px, py, signs) == 0
@@ -131,8 +124,6 @@ def _mc_respect(
         tot_sum += float(inside.sum())
         resp_sum += float(resp.sum())
         resp_sq += float((resp**2).sum())
-        done += m
-        block += 1
     tot_ratio = tot_sum / samples
     resp_ratio = resp_sum / samples
     var = max(resp_sq / samples - resp_ratio**2, 0.0)
@@ -149,8 +140,13 @@ def respect_stats(
     """Count (or estimate) the 4-arrangements inside the domain and the
     respected ones among them.
 
-    Exact mode evaluates respected / |G|^8 = |mixed_conv(1_A phi)|_2^2 with
-    algebra-valued convolutions, so it is limited to order 1 and |G| <= 9.
+    Exact mode (order 1 only) evaluates total / |G|^8 = arr_functional(1_A)
+    and respected / |G|^8 as the mean over characters s of the value group
+    of arr_functional(1_A omega^{-s.phi}) (galg.respected_density), then
+    rounds both to integers.  Both are float ratios scaled by |G|^8, so the
+    mode is limited to |G| <= 9 and raises if either does not round cleanly.
+    Monte Carlo mode draws seeded blocks of arrangements (grid.sample_blocks)
+    at either order.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -162,9 +158,7 @@ def respect_stats(
         if N > _EXACT_CAP:
             raise ValueError("exact mode limited to |G| <= %d" % _EXACT_CAP)
         total_ratio = arr_functional(phi.indicator())
-        F = phi.to_dist_fn()
-        M = mixed_conv_dist(F, F, F, F)
-        resp_ratio = grid_inner_dist(M, M)
+        resp_ratio = respected_density(phi.to_dist_fn())
         scale = float(N) ** 8
         total = round(total_ratio * scale)
         resp = round(resp_ratio * scale)
@@ -250,15 +244,10 @@ def rare_zero_fraction(
     if np.array_equal(e, MORSE32) or np.array_equal(e, -MORSE32):
         raise ValueError("Morse multiples vanish identically; excluded")
     p, n = params.p, params.n
-    done = 0
     zero_sum = 0.0
     zero_sq = 0.0
-    block = 0
-    while done < samples:
-        m = min(_MC_BLOCK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        pts = sample_arrangement_points(params, 2, m, rng)
-        acc = np.zeros((m, n, n), dtype=np.int64)
+    for pts in sample_blocks(params, 2, samples, seed):
+        acc = np.zeros((pts.shape[0], n, n), dtype=np.int64)
         for j in range(32):
             if e[j] == 0:
                 continue
@@ -268,8 +257,6 @@ def rare_zero_fraction(
         hit = (acc % p == 0).all(axis=(1, 2)).astype(np.float64)
         zero_sum += float(hit.sum())
         zero_sq += float((hit**2).sum())
-        done += m
-        block += 1
     frac = zero_sum / samples
     var = max(zero_sq / samples - frac**2, 0.0)
     return frac, float(np.sqrt(var / samples))
@@ -447,7 +434,18 @@ def partial_map_to_json(phi: PartialMap) -> dict:
 
 
 def partial_map_from_json(data: dict) -> PartialMap:
-    params = GroupParams(int(data["p"]), int(data["n"]))
-    vp = GroupParams(int(data.get("value_p", data["p"])), int(data.get("value_n", data["n"])))
-    pts = {(int(e["x"]), int(e["y"])): int(e["v"]) for e in data["points"]}
+    params = _json_params(data, "partial map")
+    vp = _json_params(
+        {"p": data.get("value_p", params.p), "n": data.get("value_n", params.n)},
+        "partial map value group",
+    )
+    (points,) = _json_fields(data, "partial map", "points")
+    if not isinstance(points, list):
+        raise ValueError("partial map 'points' must be a list")
+    N = params.size
+    pts = {}
+    for e in points:
+        x, y, v = _json_fields(e, "partial-map point", "x", "y", "v")
+        key = (_json_index(x, N, "point x"), _json_index(y, N, "point y"))
+        pts[key] = _json_index(v, vp.size, "point value v")
     return PartialMap.from_points(params, vp, pts)

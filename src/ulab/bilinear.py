@@ -23,6 +23,9 @@ from ulab.core import (
     GroupFn,
     GroupParams,
     Subspace,
+    _gf_matinv,
+    _json_fields,
+    _json_params,
     dft,
     gf_nullspace,
     gf_rank,
@@ -194,16 +197,17 @@ def biaffine_to_json(beta: BiAffineMap) -> dict:
 
 
 def biaffine_from_json(obj) -> BiAffineMap:
-    params = GroupParams(int(obj["p"]), int(obj["n"]))
-    coords = obj["coords"]
+    params = _json_params(obj, "bi-affine map")
+    (coords,) = _json_fields(obj, "bi-affine map", "coords")
     k = int(obj.get("k", len(coords)))
     if k != len(coords):
         raise ValueError("declared k disagrees with the coordinate list")
     n = params.n
-    T = np.array([c["T"] for c in coords], dtype=np.int64).reshape(k, n, n)
-    a = np.array([c["a"] for c in coords], dtype=np.int64).reshape(k, n)
-    b = np.array([c["b"] for c in coords], dtype=np.int64).reshape(k, n)
-    lam = np.array([c["lambda"] for c in coords], dtype=np.int64).reshape(k)
+    parts = [_json_fields(c, "bi-affine coordinate", "T", "a", "b", "lambda") for c in coords]
+    T = np.array([c[0] for c in parts], dtype=np.int64).reshape(k, n, n)
+    a = np.array([c[1] for c in parts], dtype=np.int64).reshape(k, n)
+    b = np.array([c[2] for c in parts], dtype=np.int64).reshape(k, n)
+    lam = np.array([c[3] for c in parts], dtype=np.int64).reshape(k)
     return BiAffineMap(params, T, a, b, lam)
 
 
@@ -462,17 +466,6 @@ class BohrDecomposition:
                     )
                 checked += int(zs.size)
         return checked
-
-
-def _gf_matinv(p: int, mat: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix over F_p."""
-    m = np.asarray(mat, dtype=np.int64) % p
-    n = m.shape[0]
-    aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = gf_rowreduce(p, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular over F_p")
-    return red[:, n:]
 
 
 def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:

@@ -74,6 +74,8 @@ from .core import (
     GroupFn,
     GroupParams,
     PolyPhase,
+    _is_prime,
+    _json_fields,
     correlation,
     dft,
     gf_rowreduce,
@@ -119,17 +121,6 @@ REPORT_SCHEMA = "ulab.pipeline-report/1"
 # desk-scale run can be compared against the regime the bounds target
 REFERENCE_ETA = 1.0 / 1_728_000
 STABILITY_LOSS_FACTOR = 27_000
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ============================================================
@@ -621,13 +612,18 @@ def run_inverse_pipeline(f: GroupFn, cfg: PipelineConfig) -> PipelineReport:
         result=None,
     )
 
+    last_end = time.perf_counter()
+
     def record(name: str, t0: float, data: dict) -> None:
-        stages.append(StageRecord(name, time.perf_counter() - t0, data))
+        nonlocal last_end
+        last_end = time.perf_counter()
+        stages.append(StageRecord(name, last_end - t0, data))
 
     try:
         _pipeline_stages(f, cfg, record)
     except PipelineHalt as halt:
-        stages.append(StageRecord(halt.stage, 0.0, halt.data))
+        # the halting stage started where the last recorded one ended
+        stages.append(StageRecord(halt.stage, time.perf_counter() - last_end, halt.data))
         report.halted = True
         report.halt_stage = halt.stage
         report.halt_category = halt.category
@@ -1340,11 +1336,8 @@ def _cmd_trirank(args) -> int:
 def _load_affine_pair(path: str | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     if path is None:
         return np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)
-    obj = _load_json(path)
-    return (
-        np.asarray(obj["matrix"], dtype=np.int64),
-        np.asarray(obj["shift"], dtype=np.int64),
-    )
+    matrix, shift = _json_fields(_load_json(path), "affine map", "matrix", "shift")
+    return np.asarray(matrix, dtype=np.int64), np.asarray(shift, dtype=np.int64)
 
 
 def _cmd_symmetrize(args) -> int:

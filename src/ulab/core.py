@@ -106,12 +106,14 @@ class GroupParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError("p = %r is not prime" % (self.p,))
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.p**self.n > SIZE_CAP:
-            raise ValueError("p^n = %d exceeds the size cap %d" % (self.p**self.n, SIZE_CAP))
+        # bound p^n before the trial-division primality test and without
+        # forming a huge power, so an oversized p or n is rejected at once
+        if self.p >= 2 and (self.n >= SIZE_CAP.bit_length() or self.p**self.n > SIZE_CAP):
+            raise ValueError("p^n for p = %d, n = %d exceeds the size cap %d" % (self.p, self.n, SIZE_CAP))
+        if not _is_prime(self.p):
+            raise ValueError("p = %r is not prime" % (self.p,))
 
     @property
     def size(self) -> int:
@@ -209,6 +211,16 @@ def gf_rowreduce(p: int, mat) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a[:r], pivots
+
+
+def _gf_matinv(p: int, mat) -> np.ndarray:
+    """Inverse of a square matrix over F_p; raises ValueError if singular."""
+    m = np.asarray(mat, dtype=np.int64) % p
+    n = m.shape[0]
+    red, pivots = gf_rowreduce(p, np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1))
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular over F_p")
+    return red[:, n:]
 
 
 def gf_rank(p: int, mat) -> int:
@@ -551,12 +563,40 @@ def group_fn_to_json(f: GroupFn) -> dict:
     }
 
 
+def _json_fields(obj, what: str, *keys: str) -> list:
+    """The values of `keys` in a JSON object; ValueError if obj is not an
+    object or lacks one of them."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (what, type(obj).__name__))
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError("%s lacks %s" % (what, ", ".join(repr(k) for k in missing)))
+    return [obj[k] for k in keys]
+
+
+def _json_index(v, bound: int, what: str) -> int:
+    """A JSON integer in [0, bound); ValueError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < bound:
+        raise ValueError("%s must be an integer in [0, %d), got %r" % (what, bound, v))
+    return v
+
+
+def _json_params(obj, what: str) -> GroupParams:
+    """GroupParams from the integer fields 'p' and 'n' of a JSON object."""
+    p, n = _json_fields(obj, what, "p", "n")
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (p, n)):
+        raise ValueError("%s: p and n must be integers, got %r and %r" % (what, p, n))
+    return GroupParams(p, n)
+
+
 def group_fn_from_json(obj) -> GroupFn:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    params = GroupParams(int(obj["p"]), int(obj["n"]))
+    params = _json_params(obj, "function")
     if "phases" in obj:
         return GroupFn.from_phases(params, np.asarray(obj["phases"], dtype=np.int64))
+    if "values" not in obj:
+        raise ValueError("function needs 'values' or 'phases'")
     vals = np.asarray(obj["values"], dtype=np.float64)
     if vals.shape != (params.size, 2):
         raise ValueError("values must be a list of [re, im] pairs of length p^n")

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ulab.core import GroupElem, GroupFn, GroupParams, tensor_transform
+from ulab.core import (
+    GroupElem,
+    GroupFn,
+    GroupParams,
+    _json_fields,
+    _json_params,
+    tensor_transform,
+)
 
 __all__ = [
     "GridFn",
@@ -29,6 +36,7 @@ __all__ = [
     "arr2_exact",
     "arr2_estimate",
     "sample_arrangement_points",
+    "sample_blocks",
     "MORSE8",
     "MORSE32",
     "grid_fn_to_json",
@@ -165,7 +173,9 @@ def mixed_conv(f1: GridFn, f2: GridFn, f3: GridFn, f4: GridFn) -> GridFn:
 
 
 def mixed_self(f: GridFn) -> GridFn:
-    return mixed_conv(f, f, f, f)
+    """mixed_conv(f, f, f, f), with its two equal column passes computed once."""
+    v = vert_conv(f, f)
+    return horiz_conv(v, v)
 
 
 def arr_functional(f: GridFn) -> float:
@@ -243,33 +253,38 @@ def sample_arrangement_points(
 _MC_BLOCK = 8192
 
 
-def arr2_estimate(f: GridFn, samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of arr2_exact over the 32 free parameters.
+def sample_blocks(params: GroupParams, order: int, samples: int, seed: int):
+    """Yield `samples` uniform arrangements (see sample_arrangement_points)
+    in blocks of at most _MC_BLOCK.
 
-    Deterministic for a fixed seed: sampling runs in fixed-size blocks with
-    one child stream per block index, so the result does not depend on how
-    blocks might be distributed over workers.  Returns (estimate, stderr).
+    Block b draws from its own child stream SeedSequence([seed, b]), so the
+    samples depend only on (seed, samples) and not on how blocks might be
+    distributed over workers.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    for block, start in enumerate(range(0, samples, _MC_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+        yield sample_arrangement_points(params, order, min(_MC_BLOCK, samples - start), rng)
+
+
+def arr2_estimate(f: GridFn, samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo estimate of arr2_exact over the 32 free parameters.
+
+    Deterministic for a fixed seed (see sample_blocks).  Returns
+    (estimate, stderr).
+    """
     N = f.params.size
     flat = f.values.reshape(-1)
     conj_mask = MORSE32 < 0
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block_idx = 0
-    while done < samples:
-        m = min(_MC_BLOCK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block_idx]))
-        pts = sample_arrangement_points(f.params, 2, m, rng)
+    for pts in sample_blocks(f.params, 2, samples, seed):
         vals = flat[pts[:, :, 0] * N + pts[:, :, 1]]
         vals[:, conj_mask] = vals[:, conj_mask].conj()
         prod = vals.prod(axis=1).real
         total += float(prod.sum())
         total_sq += float((prod**2).sum())
-        done += m
-        block_idx += 1
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     stderr = float(np.sqrt(var / samples))
@@ -288,9 +303,10 @@ def grid_fn_to_json(f: GridFn) -> dict:
 def grid_fn_from_json(obj) -> GridFn:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    params = GroupParams(int(obj["p"]), int(obj["n"]))
+    params = _json_params(obj, "grid function")
     N = params.size
-    vals = np.asarray(obj["values"], dtype=np.float64)
+    (values,) = _json_fields(obj, "grid function", "values")
+    vals = np.asarray(values, dtype=np.float64)
     if vals.shape != (N * N, 2):
         raise ValueError("values must be a row-major list of [re, im] pairs of length p^{2n}")
     return GridFn(params, (vals[:, 0] + 1j * vals[:, 1]).reshape(N, N))

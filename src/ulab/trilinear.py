@@ -19,6 +19,10 @@ from ulab.core import (
     GroupParams,
     PolyPhase,
     Subspace,
+    _gf_matinv,
+    _json_fields,
+    _json_index,
+    _json_params,
     gf_nullspace,
     gf_rank,
     gf_rowreduce,
@@ -278,15 +282,6 @@ def box3_criterion(tau: TrilinearForm, u: GridFn, v: GridFn, w: GridFn) -> bool:
 # ============================================================
 # structure of low-rank slice families
 # ============================================================
-
-
-def _gf_matinv(p: int, mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = gf_rowreduce(p, aug)
-    if pivots[:n] != list(range(n)) or red.shape[0] != n:
-        raise ValueError("matrix is singular")
-    return red[:, n:]
 
 
 def _full_space(params: GroupParams) -> Subspace:
@@ -774,8 +769,13 @@ def trilinear_to_json(tau: TrilinearForm) -> dict:
 
 
 def trilinear_from_json(obj) -> TrilinearForm:
-    params = GroupParams(int(obj["p"]), int(obj["n"]))
-    c = np.zeros((params.n,) * 3, dtype=np.int64)
-    for i, j, k, v in obj["coeffs"]:
-        c[int(i), int(j), int(k)] = int(v)
+    params = _json_params(obj, "trilinear form")
+    (coeffs,) = _json_fields(obj, "trilinear form", "coeffs")
+    n = params.n
+    c = np.zeros((n,) * 3, dtype=np.int64)
+    for entry in coeffs:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ValueError("trilinear coefficient must be [i, j, k, value], got %r" % (entry,))
+        i, j, k = (_json_index(a, n, "trilinear index") for a in entry[:3])
+        c[i, j, k] = int(entry[3])
     return TrilinearForm(params, c)

@@ -298,11 +298,15 @@ def test_pipeline_survives_corrupted_cubic():
 def test_pipeline_gate_halts_below_threshold():
     rng = np.random.default_rng(77)
     f = GroupFn(P52, np.exp(2j * np.pi * rng.random(25)))
-    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=2, u4_threshold=0.95))
+    cfg = PipelineConfig(p=5, n=2, u4_threshold=0.95)
+    report = run_inverse_pipeline(f, cfg)
     assert report.halted
     assert report.halt_stage == "gate"
     assert report.halt_category == "precondition"
     assert report.stages[-1].data["u4"] < 0.95
+    # the halting stage is timed too, and timing stays out of the canonical bytes
+    assert report.stages[-1].seconds > 0
+    assert report.canonical_bytes() == run_inverse_pipeline(f, cfg).canonical_bytes()
 
 
 def test_pipeline_rejects_unbounded_input():
@@ -490,6 +494,23 @@ def test_cmd_pipeline_bad_config_exit_code(files, tmp_path, capsys):
 
 def test_cmd_pipeline_missing_file_exit_code(tmp_path, capsys):
     assert main(["pipeline", "--input", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (["norms", "--k", "2", "--input"], {"p": 5, "n": 2}, "'values' or 'phases'"),
+        (["arrange", "--phi"], {"p": 5, "n": 1, "points": [{"x": 9, "y": 0, "v": 1}]}, "point x"),
+        (["trirank", "--form"], {"p": 5, "n": 1, "coeffs": [[3, 0, 0, 1]]}, "trilinear index"),
+    ],
+    ids=["norms-no-values", "arrange-x-out-of-range", "trirank-index-out-of-range"],
+)
+def test_cmd_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 def test_cmd_verify_exit_codes(capsys):

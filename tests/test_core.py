@@ -132,6 +132,11 @@ def test_params_validation():
         GroupParams(2, 0)
     with pytest.raises(ValueError):
         GroupParams(2, 21)  # 2^21 > 10^6
+    # rejected by the size bound, before a primality test or a power this large
+    with pytest.raises(ValueError, match="size cap"):
+        GroupParams(2**61 - 1, 1)
+    with pytest.raises(ValueError, match="size cap"):
+        GroupParams(2, 10**9)
 
 
 # ============================================================
