@@ -383,33 +383,33 @@ def row_freiman_filter(phi: PartialMap) -> PartialMap:
     homomorphism.
 
     Points are visited in index order; a point joins the row if none of the
-    pair sums it creates conflicts with an existing pair-sum value.
+    pair sums it creates conflicts with an existing pair-sum value.  The
+    pair sums y + y' of one candidate y are distinct, so its new entries
+    never conflict with each other and one vectorised check per point
+    decides it.
     """
     params, vp = phi.params, phi.value_params
     N = params.size
-    add_d = params.add
-    add_v = vp.add
+    idx = np.arange(N, dtype=np.int64)
+    add_d = params.add(idx[:, None], idx[None, :])
+    vidx = np.arange(vp.size, dtype=np.int64)
+    add_v = vp.add(vidx[:, None], vidx[None, :])
     keep = np.zeros_like(phi.domain)
     for x in range(N):
-        ys = np.nonzero(phi.domain[x])[0]
-        chosen: list[int] = []
-        sums: dict[int, int] = {}
-        for y in ys:
-            v = int(phi.values[x, y])
-            ok = True
-            new_entries = []
-            for y2 in chosen + [int(y)]:
-                key = int(add_d(np.int64(y), np.int64(y2)))
-                val = int(add_v(np.int64(v), np.int64(phi.values[x, y2])))
-                if key in sums and sums[key] != val:
-                    ok = False
-                    break
-                new_entries.append((key, val))
-            if ok:
-                chosen.append(int(y))
-                for key, val in new_entries:
-                    sums[key] = val
-                keep[x, y] = True
+        row_vals = phi.values[x]
+        sums = np.full(N, -1, dtype=np.int64)  # pair-sum value, -1 where unset
+        chosen = np.zeros(N, dtype=bool)
+        for y in np.nonzero(phi.domain[x])[0]:
+            chosen[y] = True
+            ys = np.nonzero(chosen)[0]
+            keys = add_d[y, ys]
+            vals = add_v[row_vals[y], row_vals[ys]]
+            seen = sums[keys]
+            if ((seen < 0) | (seen == vals)).all():
+                sums[keys] = vals
+            else:
+                chosen[y] = False
+        keep[x] = chosen
     return phi.restrict(keep)
 
 

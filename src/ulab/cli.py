@@ -8,6 +8,9 @@ polynomial it correlates with:
 2.  peaks       - for every (a, b), locate the dominant frequency of the
                   second multiplicative derivative, keeping pairs whose peak
                   clears the spectrum floor; this yields a partial map on G^2.
+                  Both stages read the same spectra |(d_{a,b} f)^(r)|, so
+                  they share one pass over them, made and timed in the gate;
+                  a gate halt still comes before peaks is recorded.
 3.  densify     - restrict rows to their largest affinely-consistent piece,
                   then prune to a quantitatively dense sub-map.
 4.  defect      - measure how far the map is from a bi-homomorphism via the
@@ -38,14 +41,17 @@ polynomial it correlates with:
 
 Every stage records its measurements; any measured quantity falling below
 its configured floor halts the run with diagnostics rather than continuing
-on meaningless data.  Reports are deterministic for a fixed configuration,
-excluding wall-clock fields.
+on meaningless data, and a kernel that refuses its size budget halts the
+run in the "budget" category at the running stage.  Each recorded or
+halted stage logs one INFO line on the "ulab" logger.  Reports are
+deterministic for a fixed configuration, excluding wall-clock fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -71,6 +77,7 @@ from .bilinear import (
     bohr_decompose,
 )
 from .core import (
+    BudgetError,
     GroupFn,
     GroupParams,
     PolyPhase,
@@ -85,7 +92,15 @@ from .core import (
     poly_phase_fn,
 )
 from .galg import Dist, DistFn, bihom_defect, ddist, dist_product, gen_inner
-from .gowers import derivative2, uk_norm
+# derivative2 is not called here; it stays importable from ulab.cli because
+# bench/tests/test_tracer.py checks that the tracer wraps this copied binding
+from .gowers import (  # noqa: F401
+    derivative2,
+    derivative2_spectra,
+    norm_from_power,
+    u4_row_power,
+    uk_norm,
+)
 from .grid import GridFn, arr_functional, mixed_conv, mixed_self
 from .trilinear import (
     TrilinearForm,
@@ -116,6 +131,15 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "ulab.pipeline-report/1"
+STAGES = (
+    "gate", "peaks", "densify", "defect", "cover", "cells",
+    "rounding", "extend", "backfit", "symmetry", "cubic", "quadratic",
+)
+# a spectrum's peak is the lowest frequency within this of its maximum, so
+# exact ties (common on corrupted inputs) do not depend on rounding
+PEAK_TIE_TOL = 1e-9
+
+_log = logging.getLogger("ulab")
 
 # reference constants from the quantitative analysis, echoed in reports so a
 # desk-scale run can be compared against the regime the bounds target
@@ -249,8 +273,9 @@ class StageRecord:
 
 class PipelineHalt(Exception):
     """A measured quantity fell below its configured floor (category
-    "precondition") or an exhaustive verification failed (category
-    "verification")."""
+    "precondition"), an exhaustive verification failed (category
+    "verification") or a kernel refused its size budget (category
+    "budget")."""
 
     def __init__(self, category: str, stage: str, reason: str, data: dict | None = None):
         super().__init__("%s halt at stage %r: %s" % (category, stage, reason))
@@ -303,29 +328,41 @@ class PipelineReport:
 # ============================================================
 
 
-def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict]:
+def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict, float]:
     """For each (a, b), the dominant frequency of the second multiplicative
-    derivative, kept when its transform magnitude reaches c1."""
+    derivative, kept when its transform magnitude reaches c1; also returns
+    the fourth uniformity norm, read off the same spectra.
+
+    One pass over `derivative2_spectra` serves both: each row a gives the
+    peaks of its N spectra and its term of |f|_{U^4}^16, accumulated in the
+    order `uk_norm(f, 4)` uses, so the norm equals `uk_norm(f, 4).value` bit
+    for bit.  The peak of a spectrum is the lowest r whose magnitude is
+    within PEAK_TIE_TOL of the spectrum's maximum.  The pipeline's gate
+    makes this one call, so the gate's seconds include the whole pass.
+    """
     params = f.params
     N = params.size
     dom = np.zeros((N, N), dtype=bool)
     vals = np.zeros((N, N), dtype=np.int64)
-    kept_peaks = []
-    for a in range(N):
-        for b in range(N):
-            spec = np.abs(dft(derivative2(f, a, b)).values)
-            r = int(np.argmax(spec))
-            if spec[r] >= c1:
-                dom[a, b] = True
-                vals[a, b] = r
-                kept_peaks.append(float(spec[r]))
+    rows = np.arange(N)
+    kept = []
+    acc = 0.0
+    for a, spec in enumerate(derivative2_spectra(f)):
+        acc += u4_row_power(spec)
+        r = np.argmax(spec >= spec.max(axis=1, keepdims=True) - PEAK_TIE_TOL, axis=1)
+        mag = spec[rows, r]
+        dom[a] = mag >= c1
+        vals[a] = np.where(dom[a], r, 0)
+        kept.append(mag[dom[a]])
+    kept_peaks = np.concatenate(kept)
     stats = {
         "density": float(dom.mean()),
         "kept": int(dom.sum()),
-        "min_kept_peak": min(kept_peaks) if kept_peaks else None,
-        "mean_kept_peak": float(np.mean(kept_peaks)) if kept_peaks else None,
+        "min_kept_peak": float(kept_peaks.min()) if kept_peaks.size else None,
+        "mean_kept_peak": float(np.mean(kept_peaks)) if kept_peaks.size else None,
     }
-    return PartialMap(params, params, dom, vals), stats
+    u4 = norm_from_power(acc / N, 4).value
+    return PartialMap(params, params, dom, vals), stats, u4
 
 
 def consensus_rounding(phi: PartialMap) -> tuple[PartialMap, dict]:
@@ -618,18 +655,26 @@ def run_inverse_pipeline(f: GroupFn, cfg: PipelineConfig) -> PipelineReport:
         nonlocal last_end
         last_end = time.perf_counter()
         stages.append(StageRecord(name, last_end - t0, data))
+        _log.info("stage %s done in %.3fs", name, last_end - t0)
 
     try:
         _pipeline_stages(f, cfg, record)
-    except PipelineHalt as halt:
-        # the halting stage started where the last recorded one ended
-        stages.append(StageRecord(halt.stage, time.perf_counter() - last_end, halt.data))
-        report.halted = True
-        report.halt_stage = halt.stage
-        report.halt_category = halt.category
-        report.halt_reason = halt.reason
+    except PipelineHalt as err:
+        halt = err
+    except BudgetError as err:
+        # stages are recorded in order, so the running one is the next
+        halt = PipelineHalt("budget", STAGES[len(stages)], str(err))
+    else:
+        report.result = stages[-1].data["result"]
         return report
-    report.result = stages[-1].data["result"]
+    # the halting stage started where the last recorded one ended
+    seconds = time.perf_counter() - last_end
+    stages.append(StageRecord(halt.stage, seconds, halt.data))
+    _log.info("stage %s halted (%s) in %.3fs: %s", halt.stage, halt.category, seconds, halt.reason)
+    report.halted = True
+    report.halt_stage = halt.stage
+    report.halt_category = halt.category
+    report.halt_reason = halt.reason
     return report
 
 
@@ -648,9 +693,9 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
             "precondition", "gate", "input is not bounded: sup norm %.6f > 1" % sup, {"sup": sup}
         )
 
-    # -------- gate --------
+    # -------- gate (and the peaks' pass over the same spectra) --------
     t0 = time.perf_counter()
-    u4 = uk_norm(f, 4).value
+    phi, peak_stats, u4 = derivative_peak_map(f, cfg.c1)
     gate_data = {"u4": u4, "threshold": cfg.u4_threshold, "sup": sup}
     if u4 < cfg.u4_threshold:
         raise PipelineHalt(
@@ -663,7 +708,6 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
 
     # -------- peaks --------
     t0 = time.perf_counter()
-    phi, peak_stats = derivative_peak_map(f, cfg.c1)
     peak_stats["c1"] = cfg.c1
     if peak_stats["density"] < cfg.density_floor:
         raise PipelineHalt(

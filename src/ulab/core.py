@@ -27,6 +27,7 @@ SIZE_CAP = 10**6
 
 __all__ = [
     "SIZE_CAP",
+    "BudgetError",
     "GroupParams",
     "GroupElem",
     "Subspace",
@@ -48,6 +49,12 @@ __all__ = [
     "group_fn_to_json",
     "group_fn_from_json",
 ]
+
+
+class BudgetError(ValueError):
+    """A computation would exceed a fixed size budget (such as `SIZE_CAP`)
+    and was refused before allocating; the pipeline reports it as a
+    "budget" halt."""
 
 
 def _is_prime(m: int) -> bool:

@@ -14,6 +14,7 @@ import numpy as np
 
 from ulab.core import (
     SIZE_CAP,
+    BudgetError,
     CharacterSum,
     GroupFn,
     GroupParams,
@@ -166,7 +167,7 @@ class SliceFamily:
 
 def _tri_budget(params: GroupParams) -> None:
     if params.size**3 > SIZE_CAP:
-        raise ValueError("p^{3n} = %d exceeds the size cap %d" % (params.size**3, SIZE_CAP))
+        raise BudgetError("p^{3n} = %d exceeds the size cap %d" % (params.size**3, SIZE_CAP))
 
 
 def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
@@ -481,7 +482,7 @@ def tri_correlation(
         raise ValueError("mismatched group parameters")
     idx = space.member_indices() if space is not None else np.arange(params.size)
     if len(idx) ** 3 > SIZE_CAP:
-        raise ValueError("correlation over %d points exceeds the size cap" % len(idx) ** 3)
+        raise BudgetError("correlation over %d points exceeds the size cap" % len(idx) ** 3)
     a0, b0, c0 = shifts
     N = params.size
     om = np.exp(-2j * np.pi / params.p)
@@ -631,7 +632,7 @@ def kappa_from_sigma(sigma: TrilinearForm) -> tuple[PolyPhase, int]:
     if not sigma.is_symmetric():
         raise ValueError("cubic extraction needs a symmetric form")
     if N**4 > SIZE_CAP:
-        raise ValueError("p^{4n} = %d exceeds the verification budget" % N**4)
+        raise BudgetError("p^{4n} = %d exceeds the verification budget %d" % (N**4, SIZE_CAP))
     terms: dict[tuple[int, ...], int] = {}
     it = np.nditer(sigma.coeffs, flags=["multi_index"])
     for val in it:
@@ -729,7 +730,7 @@ def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     monos = [(i, j) for i in range(n) for j in range(i, n)]
     dim = len(monos) + n + 1
     if p**dim > SIZE_CAP:
-        raise ValueError("p^%d quadratic candidates exceed the size cap" % dim)
+        raise BudgetError("p^%d quadratic candidates exceed the size cap" % dim)
     dig = params.digits(np.arange(N, dtype=np.int64))
     cols = [dig[:, i] * dig[:, j] for (i, j) in monos]
     cols += [dig[:, i] for i in range(n)]

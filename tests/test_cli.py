@@ -3,13 +3,18 @@ phase recovery pipeline with its halt paths, the invariant verification
 suite, and the subcommands."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ulab.trilinear
 from ulab.arrange import PartialMap, partial_map_to_json
 from ulab.bilinear import BiAffineMap, biaffine_to_json
 from ulab.cli import (
+    PEAK_TIE_TOL,
     REPORT_SCHEMA,
     PipelineConfig,
     affine_in_each_variable,
@@ -27,9 +32,11 @@ from ulab.core import (
     GroupFn,
     GroupParams,
     PolyPhase,
+    dft,
     group_fn_to_json,
     poly_phase_fn,
 )
+from ulab.gowers import derivative2, uk_norm
 from ulab.trilinear import TrilinearForm, trilinear_to_json
 
 P5 = GroupParams(5, 1)
@@ -133,7 +140,7 @@ def test_config_json_roundtrip():
 
 def test_peak_map_of_exact_cubic_is_total_and_bilinear():
     _, f = _cubic_plane()
-    phi, stats = derivative_peak_map(f, 0.35)
+    phi, stats, _ = derivative_peak_map(f, 0.35)
     assert stats["density"] == 1.0
     assert stats["min_kept_peak"] > 1 - 1e-9
     fit = fit_biaffine(phi)
@@ -144,8 +151,90 @@ def test_peak_map_of_exact_cubic_is_total_and_bilinear():
 def test_peak_map_of_noise_is_sparse_at_high_floor():
     rng = np.random.default_rng(77)
     f = GroupFn(P52, np.exp(2j * np.pi * rng.random(25)))
-    _, stats = derivative_peak_map(f, 0.99)
+    _, stats, _ = derivative_peak_map(f, 0.99)
     assert stats["density"] < 0.3
+
+
+def _peak_map_oracle(f: GroupFn, c1: float):
+    """The peak map one (a, b) pair at a time, under the same tie rule:
+    domain, values and the kept peak magnitudes in row-major order."""
+    N = f.params.size
+    dom = np.zeros((N, N), dtype=bool)
+    vals = np.zeros((N, N), dtype=np.int64)
+    kept = []
+    for a in range(N):
+        for b in range(N):
+            spec = np.abs(dft(derivative2(f, a, b)).values)
+            r = int(np.nonzero(spec >= spec.max() - PEAK_TIE_TOL)[0][0])
+            if spec[r] >= c1:
+                dom[a, b], vals[a, b] = True, r
+                kept.append(spec[r])
+    return dom, vals, kept
+
+
+def _assert_peak_map_matches_oracle(f: GroupFn, c1: float = 0.35) -> None:
+    phi, stats, u4 = derivative_peak_map(f, c1)
+    dom, vals, kept = _peak_map_oracle(f, c1)
+    assert np.array_equal(phi.domain, dom)
+    assert np.array_equal(phi.values, vals)
+    assert stats["kept"] == len(kept) and stats["density"] == dom.mean()
+    if kept:
+        assert abs(stats["min_kept_peak"] - min(kept)) < 1e-12
+        assert abs(stats["mean_kept_peak"] - np.mean(kept)) < 1e-12
+    # same accumulation order and realness guard as the gate's old route
+    assert u4 == uk_norm(f, 4).value
+    if f.params.size <= 32:
+        assert abs(u4 - uk_norm(f, 4, "direct").value) < 1e-12
+
+
+@st.composite
+def _peak_inputs(draw) -> GroupFn:
+    """Random unit-modulus noise, a planted cubic, or a planted cubic with a
+    share of its points replaced by random unit values, on F_p^n with
+    p in {5, 7} and n in {1, 2}."""
+    params = GroupParams(draw(st.sampled_from([5, 7])), draw(st.sampled_from([1, 2])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "cubic", "corrupted"]))
+    N, n = params.size, params.n
+    if kind == "noise":
+        return GroupFn(params, np.exp(2j * np.pi * rng.random(N)))
+    monos = [(i,) for i in range(n)]
+    monos += [(i, j) for i in range(n) for j in range(i, n)]
+    monos += [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
+    coeffs = {m: int(rng.integers(params.p)) for m in monos}
+    coeffs[(0, 0, 0)] = int(rng.integers(1, params.p))
+    f = poly_phase_fn(PolyPhase.from_coeffs(params, coeffs))
+    if kind == "cubic":
+        return f
+    share = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    hit = rng.choice(N, size=max(1, int(share * N)), replace=False)
+    vals = f.values.copy()
+    vals[hit] = np.exp(2j * np.pi * rng.random(len(hit)))
+    return GroupFn(params, vals)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_peak_inputs())
+def test_peak_map_and_u4_match_the_per_pair_oracle(f):
+    _assert_peak_map_matches_oracle(f)
+
+
+def test_peak_map_ties_on_the_corrupted_plane():
+    _, f = _corrupted_plane()
+    # the fixture has exact ties, so the lowest-r rule is exercised
+    ties = 0
+    for a in range(25):
+        for b in range(25):
+            spec = np.abs(dft(derivative2(f, a, b)).values)
+            ties += int((spec >= spec.max() - PEAK_TIE_TOL).sum() > 1)
+    assert ties > 0
+    _assert_peak_map_matches_oracle(f)
 
 
 def test_consensus_rounding_repairs_planted_errors():
@@ -303,7 +392,9 @@ def test_pipeline_gate_halts_below_threshold():
     assert report.halted
     assert report.halt_stage == "gate"
     assert report.halt_category == "precondition"
-    assert report.stages[-1].data["u4"] < 0.95
+    # the gate reads the norm off the peaks' pass, and halts before peaks
+    assert [s.name for s in report.stages] == ["gate"]
+    assert report.stages[-1].data["u4"] == uk_norm(f, 4).value < 0.95
     # the halting stage is timed too, and timing stays out of the canonical bytes
     assert report.stages[-1].seconds > 0
     assert report.canonical_bytes() == run_inverse_pipeline(f, cfg).canonical_bytes()
@@ -328,6 +419,32 @@ def test_pipeline_budget_checked_before_allocation():
             GroupFn(GroupParams(5, 3), np.ones(125, dtype=np.complex128)),
             PipelineConfig(p=5, n=3),
         )
+
+
+def test_pipeline_budget_halts_at_the_running_stage(monkeypatch):
+    # cubic extraction checks every one of the p^{4n} = 625 quadruples
+    monkeypatch.setattr(ulab.trilinear, "SIZE_CAP", 200)
+    _, f = _cubic_line()
+    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
+    assert report.halted
+    assert (report.halt_category, report.halt_stage) == ("budget", "cubic")
+    assert [s.name for s in report.stages] == STAGE_NAMES[:11]
+    assert report.stages[-1].seconds > 0
+
+
+def test_pipeline_logs_one_info_line_per_stage(caplog, capsys):
+    _, f = _cubic_line()
+    cfg = PipelineConfig(p=5, n=1)
+    quiet = run_inverse_pipeline(f, cfg)
+    assert capsys.readouterr() == ("", "")
+    with caplog.at_level(logging.INFO, logger="ulab"):
+        report = run_inverse_pipeline(f, cfg)
+        noise = GroupFn(P52, np.exp(2j * np.pi * np.random.default_rng(77).random(25)))
+        halted = run_inverse_pipeline(noise, PipelineConfig(p=5, n=2, u4_threshold=0.95))
+    lines = [r.getMessage() for r in caplog.records if r.name == "ulab"]
+    assert [line.split()[1] for line in lines] == STAGE_NAMES + ["gate"]
+    assert halted.halt_stage == "gate" and "halted (precondition)" in lines[-1]
+    assert report.canonical_bytes() == quiet.canonical_bytes()
 
 
 def test_pipeline_reports_are_deterministic():
