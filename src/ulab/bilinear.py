@@ -610,15 +610,36 @@ def _greedy_cover(
     return chosen, int(uncovered.sum())
 
 
-def _exact_candidates(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
-    """All p^(n^2+n) affine maps h -> Mh + c, in lexicographic order."""
-    p, n = params.p, params.n
-    mp = GroupParams(p, n * n)
-    mats = mp.digits(np.arange(mp.size, dtype=np.int64)).reshape(-1, n, n)
-    cs = params.digits(np.arange(params.size, dtype=np.int64))
-    M = np.repeat(mats, params.size, axis=0)
-    C = np.tile(cs, (mp.size, 1))
-    return M, C
+def _exact_cover(
+    params: GroupParams, points: list[tuple[int, int]], eps_count: float, max_maps: int
+) -> tuple[list[int], int]:
+    """`_greedy_cover` over all p^(n^2+n) affine maps h -> Mh + c, counted per matrix.
+
+    A map covers the point (h, u) exactly when c = u - Mh, so each matrix M
+    covers each point with one shift; row_of[M, j] = M * N + index(u_j - M h_j)
+    names that map in the lexicographic row order (M major, c minor), and a
+    bincount of the uncovered columns gives every map's gain at once.  Rows
+    are returned as those flat ids; ties go to the earliest, as in
+    `_greedy_cover`, so the chosen maps are the same.
+    """
+    p, n, N = params.p, params.n, params.size
+    n_mats = p ** (n * n)
+    mats = GroupParams(p, n * n).digits(np.arange(n_mats, dtype=np.int64)).reshape(-1, n, n)
+    dh = params.digits(np.array([h for h, _ in points], dtype=np.int64))
+    du = params.digits(np.array([u for _, u in points], dtype=np.int64))
+    row_of = np.repeat(np.arange(n_mats, dtype=np.int64)[:, None] * N, len(points), axis=1)
+    for s, weight in enumerate(p ** np.arange(n)):
+        row_of += (du[:, s] - mats[:, s, :] @ dh.T) % p * weight
+    uncovered = np.ones(len(points), dtype=bool)
+    chosen: list[int] = []
+    while uncovered.sum() > eps_count and len(chosen) < max_maps:
+        gain = np.bincount(row_of[:, uncovered].ravel(), minlength=n_mats * N)
+        best = int(np.argmax(gain))
+        if gain[best] == 0:
+            break
+        chosen.append(best)
+        uncovered &= row_of[best // N] != best
+    return chosen, int(uncovered.sum())
 
 
 def _fitted_candidates(params: GroupParams, points: list[tuple[int, int]], cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -675,12 +696,19 @@ def bogolyubov_bilinear(
     """L2-approximate the mixed self-convolution of f by a level-set average.
 
     Computes F as the mixed self-convolution, covers the gamma-large column
-    spectrum of the vertical self-convolution by affine maps (gamma =
-    zeta^2/8, exhaustively enumerated for n <= 2, greedily fitted above),
-    truncates the transforms of the per-map coefficient functions at
-    (zeta/2)^2 / m^2, and concatenates the surviving bilinear phases into a
-    single map beta.  The measured error of the averaging projection is
+    spectrum of the vertical self-convolution by affine maps h -> Mh + c
+    (gamma = zeta^2/8), truncates the transforms of the per-map coefficient
+    functions at (zeta/2)^2 / m^2, and concatenates the surviving bilinear
+    phases into a single map beta.  The measured error of the averaging projection is
     returned and flagged when it misses the target.
+
+    The cover is greedy.  With cover_method "exact" (the default for
+    n <= 2) it picks among all p^(n^2+n) maps, counted per matrix: each M
+    covers each spectrum point (h, u) with the one shift c = u - Mh, so one
+    bincount per step gives every map's gain, and ties go to the
+    lexicographically earliest map (M first, then c).  With "greedy" (the
+    default above) the candidates are maps fitted through single spectrum
+    points and pairs of them, at most candidate_cap.
     """
     if zeta <= 0:
         raise ValueError("the approximation target must be positive")
@@ -712,11 +740,14 @@ def bogolyubov_bilinear(
     if method not in ("exact", "greedy"):
         raise ValueError("cover_method must be auto, exact, or greedy")
 
-    if points:
-        if method == "exact":
-            mats, shifts = _exact_candidates(params)
-        else:
-            mats, shifts = _fitted_candidates(params, points, candidate_cap)
+    if points and method == "exact":
+        rows, uncovered = _exact_cover(params, points, gamma * N, max_maps)
+        rows = np.array(rows, dtype=np.int64)
+        cover_mats = GroupParams(p, n * n).digits(rows // N).reshape(-1, n, n)
+        cover_shifts = params.digits(rows % N).reshape(-1, n)
+        cover_tables = _affine_map_tables(params, cover_mats, cover_shifts)
+    elif points:
+        mats, shifts = _fitted_candidates(params, points, candidate_cap)
         tables = _affine_map_tables(params, mats, shifts)
         chosen, uncovered = _greedy_cover(tables, points, gamma * N, max_maps)
         cover_mats = mats[chosen]

@@ -87,21 +87,34 @@ def _first_derivatives(f: GroupFn) -> tuple[np.ndarray, np.ndarray]:
     return f.values[None, :] * f.values[sub_t].conj(), sub_t
 
 
+def _derivative2_rows(d1_a: np.ndarray, sub_b: np.ndarray) -> np.ndarray:
+    """The second derivatives d_{a,b} f of one first shift a, one row per b:
+    D2[j, x] = d1_a[x] conj(d1_a[x - b_j]), where d1_a = (d_a f).values and
+    sub_b[j, x] = x - b_j.
+
+    The rows are one gather of d1_a, conjugated and multiplied in that
+    buffer, and equal `derivative2(f, a, b_j).values` bit for bit.  Its users
+    are `derivative2_spectra` (every b) and `trilinear.tri_correlation` (b
+    over a subspace coset).
+    """
+    d2 = d1_a[sub_b]
+    np.conjugate(d2, out=d2)
+    np.multiply(d1_a[None, :], d2, out=d2)
+    return d2
+
+
 def derivative2_spectra(f: GroupFn) -> Iterator[np.ndarray]:
     """Yield, for a = 0, 1, ..., N - 1 in turn, the (N, N) array
     S[b, r] = |(d_{a,b} f)^(r)|.
 
     The first-derivative table is built once; row a's N second derivatives
-    come from one gather of it and go through one batched transform.  Only
-    one row is alive at a time, so memory is O(N^2), never O(N^3).
+    come from one gather of it (`_derivative2_rows`) and go through one
+    batched transform.  Only one row is alive at a time, so memory is
+    O(N^2), never O(N^3).
     """
     d1, sub_t = _first_derivatives(f)
     for a in range(f.params.size):
-        # d2[b, x] = d1[a, x] conj(d1[a, x - b]), built in the gathered buffer
-        d2 = d1[a][sub_t]
-        np.conjugate(d2, out=d2)
-        np.multiply(d1[a][None, :], d2, out=d2)
-        yield _batch_hat_abs(d2, f.params)
+        yield _batch_hat_abs(_derivative2_rows(d1[a], sub_t), f.params)
 
 
 def u4_row_power(spec: np.ndarray) -> float:

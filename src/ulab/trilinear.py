@@ -28,7 +28,7 @@ from ulab.core import (
     gf_rank,
     gf_rowreduce,
 )
-from ulab.gowers import derivative2, uk_norm
+from ulab.gowers import _derivative2_rows, derivative, uk_norm
 from ulab.grid import GridFn
 
 __all__ = [
@@ -460,11 +460,6 @@ def _tau_cross_phase(tau: TrilinearForm, a0: int, b0: int, c0: int) -> PhaseProd
     return PhaseProduct(params, -ab, -bc, -ac, -la, -lb, -lc, -const)
 
 
-def _autocorr(values: np.ndarray, sub_rows: np.ndarray) -> np.ndarray:
-    """E_x g(x) conj(g(x - c)) for each row of shifted indices."""
-    return (values[None, :] * np.conj(values[sub_rows])).mean(axis=1)
-
-
 def tri_correlation(
     f: GroupFn,
     h: PhaseProduct,
@@ -476,30 +471,45 @@ def tri_correlation(
 
     D denotes the third multiplicative difference; space defaults to the whole
     group and shifts to zero, giving the plain correlation functional.
+
+    Evaluated one row a at a time: the second derivatives d_{a+s1,b+s2} f of
+    every b come from one gather of d_{a+s1} f (`gowers._derivative2_rows`),
+    their autocorrelations E_x g(x) conj(g(x - c - s3)) at every c from one
+    more gather, and h and tau once over the (b, c) grid.  A row of
+    k = |space| points holds k^2 N products, so it is split into blocks of b
+    of at most max(kN, SIZE_CAP) products; other tables are O(kN).
     """
     params = f.params
     if h.params != params or tau.params != params:
         raise ValueError("mismatched group parameters")
-    idx = space.member_indices() if space is not None else np.arange(params.size)
-    if len(idx) ** 3 > SIZE_CAP:
-        raise BudgetError("correlation over %d points exceeds the size cap" % len(idx) ** 3)
+    idx = space.member_indices() if space is not None else np.arange(params.size, dtype=np.int64)
+    k = len(idx)
+    if k**3 > SIZE_CAP:
+        raise BudgetError("correlation over %d points exceeds the size cap" % k**3)
     a0, b0, c0 = shifts
     N = params.size
     om = np.exp(-2j * np.pi / params.p)
     all_x = np.arange(N, dtype=np.int64)
-    shifted_c = params.add(np.asarray(idx, dtype=np.int64), c0)
-    sub_rows = params.sub(all_x[None, :], shifted_c[:, None])
+    sub_b = params.sub(all_x[None, :], params.add(idx, b0)[:, None])
+    sub_c = params.sub(all_x[None, :], params.add(idx, c0)[:, None])
+    block = max(1, SIZE_CAP // (k * N))
     total = 0.0 + 0.0j
     for a in idx:
-        aa = int(params.add(np.asarray([a]), a0)[0])
-        for b in idx:
-            bb = int(params.add(np.asarray([b]), b0)[0])
-            g = derivative2(f, aa, bb).values
-            ac = _autocorr(g, sub_rows)
-            ph = h.exponent(np.full(len(idx), a), np.full(len(idx), b), idx)
-            te = tau.evaluate(np.full(len(idx), a), np.full(len(idx), b), idx)
-            total += (np.exp(2j * np.pi * ph / params.p) * (om**te) * ac).sum()
-    return complex(total / len(idx) ** 3)
+        d1_a = derivative(f, int(params.add(a, a0))).values
+        for lo in range(0, k, block):
+            d2 = _derivative2_rows(d1_a, sub_b[lo : lo + block])
+            # prod[j, i, x] = d2[j, x] conj(d2[j, x - c_i]), built in the gathered buffer
+            prod = d2[:, sub_c]
+            np.conjugate(prod, out=prod)
+            np.multiply(d2[:, None, :], prod, out=prod)
+            ac = prod.mean(axis=2)
+            bs = np.repeat(idx[lo : lo + block], k)
+            cs = np.tile(idx, len(ac))
+            a_rep = np.full(len(bs), a)
+            ph = h.exponent(a_rep, bs, cs)
+            te = tau.evaluate(a_rep, bs, cs)
+            total += (np.exp(2j * np.pi * ph / params.p) * (om**te) * ac.ravel()).sum()
+    return complex(total / k**3)
 
 
 # ============================================================
