@@ -744,7 +744,7 @@ def bogolyubov_bilinear(
         rows, uncovered = _exact_cover(params, points, gamma * N, max_maps)
         rows = np.array(rows, dtype=np.int64)
         cover_mats = GroupParams(p, n * n).digits(rows // N).reshape(-1, n, n)
-        cover_shifts = params.digits(rows % N).reshape(-1, n)
+        cover_shifts = params.digits(rows % N)
         cover_tables = _affine_map_tables(params, cover_mats, cover_shifts)
     elif points:
         mats, shifts = _fitted_candidates(params, points, candidate_cap)
