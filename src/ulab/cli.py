@@ -21,10 +21,15 @@ polynomial it correlates with:
                   decomposition with certified-rank cells; restrict the map
                   to its best-populated cell.
 7.  rounding    - consensus-round each value from the affine line votes of
-                  its row and column, measuring the vote stability.
+                  its row and column, measuring the vote stability.  The
+                  vote histograms of all rows and columns are exact counts
+                  made through characters of G x H, one batched FFT per
+                  block of lines; ties go to the lowest value.
 8.  extend      - fit an exact bi-affine model on the rounded data and
                   verify, exhaustively in both variables, that the extension
-                  to all of G^2 is affine in each argument.
+                  to all of G^2 is affine in each argument.  Each of the
+                  fit's row selections is one elimination pass over the
+                  design rows, and one row reduction solves every digit.
 9.  backfit     - split the fitted model into its bilinear part and
                   per-variable corrections, linearize the corrections by
                   exhaustive affine search, and measure how much of the
@@ -37,7 +42,9 @@ polynomial it correlates with:
                   the box lower bound.
 12. quadratic   - exhaustively locate the best quadratic phase for the
                   remainder and report the full cubic polynomial together
-                  with its correlation against the input.
+                  with its correlation against the input.  One FFT per
+                  quadratic part scores every linear part; ties within
+                  1e-12 go to the lexicographically first candidate.
 
 Every stage records its measurements; any measured quantity falling below
 its configured floor halts the run with diagnostics rather than continuing
@@ -77,6 +84,7 @@ from .bilinear import (
     bohr_decompose,
 )
 from .core import (
+    SIZE_CAP,
     BudgetError,
     GroupFn,
     GroupParams,
@@ -86,9 +94,9 @@ from .core import (
     correlation,
     dft,
     gf_rowreduce,
-    gf_solve,
     group_fn_from_json,
     idft,
+    inv_mod,
     poly_phase_fn,
 )
 from .galg import Dist, DistFn, bihom_defect, ddist, dist_product, gen_inner
@@ -365,40 +373,52 @@ def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict, float]
     return PartialMap(params, params, dom, vals), stats, u4
 
 
+def _line_vote_histograms(params: GroupParams, vp: GroupParams, graphs: np.ndarray) -> np.ndarray:
+    """hist[l, b, v] = #{(b1, b2, b3) on line l's graph : b1 + b2 - b3 = b,
+    v1 + v2 - v3 = v}, for a stack of (L, N, q) graph indicators.
+
+    The count is F * F * F~ on G x H (F~(x) = F(-x)), so one FFT over the
+    (p,)*n and (p_v,)*m digit axes gives it as F^ F^ conj(F^).  The counts
+    are at most N^2, so rounding the inverse transform is exact.  Lines go
+    through the transform in blocks of at most SIZE_CAP elements.
+    """
+    L, N, q = graphs.shape
+    axes = tuple(range(1, 1 + params.n + vp.n))
+    shape = (params.p,) * params.n + (vp.p,) * vp.n
+    hist = np.empty((L, N, q), dtype=np.int64)
+    block = max(1, SIZE_CAP // (N * q))
+    for lo in range(0, L, block):
+        F = graphs[lo : lo + block]
+        hat = np.fft.fftn(F.reshape((len(F),) + shape), axes=axes)
+        counts = np.fft.ifftn(hat * hat * hat.conj(), axes=axes).real
+        hist[lo : lo + block] = np.rint(counts).reshape(len(F), N, q)
+    return hist
+
+
+def _vote_histogram(phi: PartialMap) -> np.ndarray:
+    """(N, N, q) integer vote histogram: the row line votes plus the column
+    line votes at every (a, b)."""
+    params, vp = phi.params, phi.value_params
+    graph = phi.domain[:, :, None] & (phi.values[:, :, None] == np.arange(vp.size))
+    hist = _line_vote_histograms(params, vp, graph)
+    hist += _line_vote_histograms(params, vp, graph.transpose(1, 0, 2)).transpose(1, 0, 2)
+    return hist
+
+
 def consensus_rounding(phi: PartialMap) -> tuple[PartialMap, dict]:
     """Replace each value by the winner of its row and column line votes.
 
-    Rows and columns of a bi-affine map are affine, so for domain points in a
-    common row, V[b1] + V[b2] - V[b1 + b2 - b] votes for the value at b.  The
-    vote histogram's top share is the rounding stability at that point.
+    Rows and columns of a bi-affine map are affine, so for domain points
+    b1, b2, b3 of a common row with b1 + b2 - b3 = b, V[b1] + V[b2] - V[b3]
+    votes for the value at b; columns vote the same way.  The histograms of
+    every row and column are counted at once through characters of G x H
+    (`_line_vote_histograms`).  The winner is the most-voted value, the
+    lowest one on ties, and its share of the votes is the rounding stability
+    at that point.
     """
     params, vp = phi.params, phi.value_params
-    N, q = params.size, vp.size
     dom, vmap = phi.domain, phi.values
-    idx = np.arange(N, dtype=np.int64)
-    add = params.add(idx[:, None], idx[None, :])
-    sub = params.sub(idx[:, None], idx[None, :])
-    vidx = np.arange(q, dtype=np.int64)
-    vadd = vp.add(vidx[:, None], vidx[None, :])
-    vsub = vp.sub(vidx[:, None], vidx[None, :])
-    hist = np.zeros((N, N, q), dtype=np.int64)
-
-    def line_votes(dom_line: np.ndarray, val_line: np.ndarray) -> np.ndarray:
-        out = np.zeros((N, q), dtype=np.int64)
-        pair_val = vadd[val_line[:, None], val_line[None, :]]
-        pair_dom = dom_line[:, None] & dom_line[None, :]
-        for b in range(N):
-            b3 = sub[add, b]
-            ok = pair_dom & dom_line[b3]
-            if ok.any():
-                out[b] = np.bincount(vsub[pair_val, val_line[b3]][ok], minlength=q)
-        return out
-
-    for a in range(N):
-        hist[a] += line_votes(dom[a], vmap[a])
-    for b in range(N):
-        hist[:, b, :] += line_votes(dom[:, b], vmap[:, b])
-
+    hist = _vote_histogram(phi)
     rounded = hist.argmax(axis=2).astype(np.int64)  # first max: lowest value wins ties
     tot = hist.sum(axis=2)
     top = hist.max(axis=2)
@@ -429,22 +449,28 @@ class BiAffineFit:
 
 def _first_independent_rows(p: int, rows: np.ndarray, start: int) -> list[int]:
     """Indices of a maximal independent subset, scanning cyclically from
-    `start` and keeping each row that raises the rank."""
+    `start` and keeping each row outside the span of the rows before it.
+
+    One elimination pass: the residuals of the rows in scan order start as
+    the rows themselves; the first non-zero residual is kept, its pivot is
+    normalised, and that pivot column is eliminated from the residuals after
+    it.  A residual is zero exactly when its row lies in the span of the
+    rows kept before it, so at most d = rows.shape[1] steps are taken.
+    """
     m, d = rows.shape
+    order = (start + np.arange(m)) % m
+    resid = rows[order] % p
     keep: list[int] = []
-    cur = np.zeros((0, d), dtype=np.int64)
-    rank = 0
-    for off in range(m):
-        i = (start + off) % m
-        trial = np.concatenate([cur, rows[i : i + 1]], axis=0)
-        red, _ = gf_rowreduce(p, trial)
-        rr = int(red.any(axis=1).sum())
-        if rr > rank:
-            keep.append(i)
-            cur = red[red.any(axis=1)]
-            rank = rr
-        if rank == d:
+    for _ in range(d):
+        live = np.flatnonzero(resid.any(axis=1))
+        if live.size == 0:
             break
+        i = int(live[0])
+        c = int(np.flatnonzero(resid[i])[0])
+        pivot = resid[i] * inv_mod(int(resid[i, c]), p) % p
+        keep.append(int(order[i]))
+        order, resid = order[i + 1 :], resid[i + 1 :]
+        resid = (resid - resid[:, c : c + 1] * pivot) % p
     return keep
 
 
@@ -452,11 +478,14 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
     """Exact bi-affine fit of a partial map by consensus over several
     deterministic row selections.
 
-    Each attempt solves the model on a maximal independent subset of design
-    rows (scanned cyclically from a different offset) and is scored by its
-    agreement on the whole domain; the best-agreeing solution wins, earliest
-    offset first.  With localized corruption most offsets hit clean rows, so
-    the consensus tracks the majority structure.
+    Each attempt keeps a maximal independent subset of design rows, scanned
+    cyclically from a different offset (`_first_independent_rows`).  The
+    kept rows are independent, so the model is always solvable on them: one
+    row reduction of [rows | target digits] solves every output digit.
+    Each attempt is scored by its agreement on the whole domain; the
+    best-agreeing solution wins, earliest offset first.  With localized
+    corruption most offsets hit clean rows, so the consensus tracks the
+    majority structure.
     """
     params, vp = phi.params, phi.value_params
     if vp.p != params.p:
@@ -487,17 +516,10 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
     for j in range(max(1, offsets)):
         start = (j * m) // max(1, offsets)
         keep = _first_independent_rows(p, rows, start)
-        A = rows[keep]
+        red, pivots = gf_rowreduce(p, np.concatenate([rows[keep], targets[keep]], axis=1))
+        # the kept rows are independent, so every pivot is a model column
         sol = np.zeros((vn, d), dtype=np.int64)
-        ok = True
-        for c in range(vn):
-            x = gf_solve(p, A, targets[keep][:, c])
-            if x is None:
-                ok = False
-                break
-            sol[c] = x
-        if not ok:
-            continue
+        sol[:, pivots] = red[:, d:].T
         T = sol[:, : n * n].reshape(vn, n, n)
         s = sol[:, n * n : n * n + n]
         t = sol[:, n * n + n : n * n + 2 * n]
@@ -507,8 +529,7 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
         cand = BiAffineFit(T, s, t, e, agreement, j)
         if best is None or cand.agreement > best.agreement + 1e-12:
             best = cand
-    if best is None:
-        raise ValueError("no consistent bi-affine model on any row selection")
+    assert best is not None
     return best
 
 
@@ -1236,12 +1257,21 @@ def _check_trilinear_box(seed: int) -> tuple[bool, str]:
 
 
 def _check_trilinear_quadsearch(seed: int) -> tuple[bool, str]:
-    params = GroupParams(5, 1)
-    q = PolyPhase.from_coeffs(params, {(0, 0): 3, (0,): 2})
-    g = poly_phase_fn(q)
-    found, corr = quad_phase_search(g)
-    ok = dict(found.terms) == dict(q.terms) and abs(corr - 1.0) < 1e-9
-    return ok, "recovered the planted quadratic with correlation %.6f" % corr
+    # the F_3^2 phase has a cross term and different coefficients on x_0 and
+    # x_1, so a slip in the digit order of either part is caught
+    planted = [
+        PolyPhase.from_coeffs(GroupParams(5, 1), {(0, 0): 3, (0,): 2}),
+        PolyPhase.from_coeffs(GroupParams(3, 2), {(0, 0): 1, (0, 1): 2, (0,): 1, (1,): 2}),
+    ]
+    corrs = []
+    ok = True
+    for q in planted:
+        found, corr = quad_phase_search(poly_phase_fn(q))
+        ok = ok and dict(found.terms) == dict(q.terms) and abs(corr - 1.0) < 1e-9
+        corrs.append(corr)
+    return ok, "recovered the planted quadratics on F_5 and F_3^2 with correlations %s" % (
+        ", ".join("%.6f" % c for c in corrs)
+    )
 
 
 _CHECKS = [

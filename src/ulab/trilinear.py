@@ -28,7 +28,7 @@ from ulab.core import (
     gf_rank,
     gf_rowreduce,
 )
-from ulab.gowers import _derivative2_rows, derivative, uk_norm
+from ulab.gowers import _derivative2_rows, _first_derivatives, derivative, uk_norm
 from ulab.grid import GridFn
 
 __all__ = [
@@ -613,7 +613,8 @@ def symmetry_pipeline(
     residual_rank = analytic_rank_tri(residual)
     swap_rank = dict(perm_ranks)[(0, 2, 1)]
     if alpha > _TIE_TOL:
-        bound = math.log(1 / alpha) / math.log(p)
+        # alpha <= 1 for a bounded f; rounding can put it a few ulps above
+        bound = math.log(1 / min(alpha, 1.0)) / math.log(p)
         if swap_rank > bound + 1e-9:
             raise RuntimeError(
                 "swap-difference rank %.6f exceeds the correlation bound %.6f"
@@ -696,7 +697,13 @@ def kappa_from_sigma(sigma: TrilinearForm) -> tuple[PolyPhase, int]:
 
 
 def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]:
-    """(correlation alpha, third uniformity norm), asserting norm >= alpha."""
+    """(correlation alpha, third uniformity norm), asserting norm >= alpha.
+
+    alpha = |E_{a,b,c} u(a,b) v(b,c) w(a,c) E_x D_{a,b,c} g(x)|.  Row a's
+    second derivatives come from the shared gather `_derivative2_rows`, as
+    in `tri_correlation`, and their autocorrelations at every c from one
+    more gather; memory is O(N^3) per row, within the p^{3n} budget.
+    """
     params = g.params
     if float(np.abs(g.values).max(initial=0.0)) > 1 + 1e-9:
         raise ValueError("u3_lower needs a bounded input (sup norm at most 1)")
@@ -706,15 +713,15 @@ def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]
         _check_bounded_grid(grid, "u3_lower")
     _tri_budget(params)
     N = params.size
-    all_x = np.arange(N, dtype=np.int64)
-    sub_rows = params.sub(all_x[None, :], all_x[:, None])
-    gv = g.values
-    cgv = np.conj(gv)
+    d1, sub_t = _first_derivatives(g)
     total = 0.0 + 0.0j
     for a in range(N):
-        da = gv[None, :] * cgv[sub_rows[a]][None, :] * cgv[sub_rows] * gv[sub_rows[:, sub_rows[a]]]
-        ac = (da[:, None, :] * np.conj(da[:, sub_rows])).mean(axis=-1)
-        total += u.values[a] @ ((v.values * ac) @ w.values[a])
+        d2 = _derivative2_rows(d1[a], sub_t)
+        # prod[b, c, x] = d2[b, x] conj(d2[b, x - c]), built in the gathered buffer
+        prod = d2[:, sub_t]
+        np.conjugate(prod, out=prod)
+        np.multiply(d2[:, None, :], prod, out=prod)
+        total += u.values[a] @ ((v.values * prod.mean(axis=2)) @ w.values[a])
     alpha = abs(complex(total / N**3))
     norm = uk_norm(g, 3).value
     if norm < alpha - 1e-9:
@@ -730,10 +737,17 @@ def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]
 def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     """Argmax of |E g(x) omega^{-q(x)}| over all quadratics q.
 
-    Candidates are enumerated in lexicographic coefficient order (monomials
-    x_i x_j with i <= j, then linear terms, then the constant); ties within
-    1e-12 resolve to the earliest candidate, so the result is deterministic
-    and the constant term of the winner is always 0.
+    Candidates are ordered lexicographically by coefficient (monomials
+    x_i x_j with i <= j, then the linear terms r_0, ..., r_{n-1}); ties
+    within 1e-12 resolve to the earliest candidate, so the result is
+    deterministic.  The constant term does not change |.|, so it is left
+    out and the winner's constant is always 0.
+
+    For each quadratic part Q, one FFT of g omega^{-Q} over the (p,)*n
+    digit axes scores every linear part at once; all Q go through one
+    batched transform.  The FFT indexes r by `params.index` (r_0 least
+    significant), so its columns are gathered into the candidate order
+    (r_0 most significant) before the tie rule is applied.
     """
     params = g.params
     p, n, N = params.p, params.n, params.size
@@ -742,26 +756,22 @@ def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     if p**dim > SIZE_CAP:
         raise BudgetError("p^%d quadratic candidates exceed the size cap" % dim)
     dig = params.digits(np.arange(N, dtype=np.int64))
-    cols = [dig[:, i] * dig[:, j] for (i, j) in monos]
-    cols += [dig[:, i] for i in range(n)]
-    cols += [np.ones(N, dtype=np.int64)]
-    basis = np.stack(cols, axis=1)
-    cand = np.asarray(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
-    tables = (basis @ cand.T) % p
-    phases = np.exp(-2j * np.pi * tables / p)
-    corrs = np.abs(g.values @ phases) / N
+    quad_basis = np.stack([dig[:, i] * dig[:, j] for (i, j) in monos], axis=1)
+    quads = np.asarray(list(itertools.product(range(p), repeat=len(monos))), dtype=np.int64)
+    lins = np.asarray(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    twisted = g.values[None, :] * np.exp(-2j * np.pi * ((quads @ quad_basis.T) % p) / p)
+    hat = np.fft.fftn(twisted.reshape((len(quads),) + (p,) * n), axes=tuple(range(1, n + 1)))
+    corrs = np.abs(hat.reshape(len(quads), N)[:, params.index(lins)]).ravel() / N
     top = float(corrs.max())
     winner = int(np.flatnonzero(corrs >= top - _TIE_TOL)[0])
+    qi, ri = divmod(winner, N)
     coeffs: dict[tuple[int, ...], int] = {}
-    row = cand[winner]
-    for t, (i, j) in enumerate(monos):
-        if row[t]:
-            coeffs[(i, j)] = int(row[t])
-    for i in range(n):
-        if row[len(monos) + i]:
-            coeffs[(i,)] = int(row[len(monos) + i])
-    if row[-1]:
-        coeffs[()] = int(row[-1])
+    for (i, j), c in zip(monos, quads[qi]):
+        if c:
+            coeffs[(i, j)] = int(c)
+    for i, c in enumerate(lins[ri]):
+        if c:
+            coeffs[(i,)] = int(c)
     return PolyPhase.from_coeffs(params, coeffs), float(corrs[winner])
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ulab.trilinear
 from ulab.core import GroupFn, GroupParams, PolyPhase, Subspace, gf_rank, poly_phase_fn
 from ulab.grid import GridFn
 from ulab.trilinear import (
@@ -567,6 +568,17 @@ def test_pipeline_rejects_unbounded():
     f = GroupFn(P52, 3.0 * np.ones(25, dtype=complex))
     with pytest.raises(ValueError):
         symmetry_pipeline(f, tau, ZLIN2, ZLIN2)
+
+
+def test_pipeline_bound_is_zero_when_alpha_rounds_above_one(monkeypatch):
+    # alpha <= 1 for a bounded f, but the float sum can land a few ulps above
+    monkeypatch.setattr(ulab.trilinear, "tri_correlation", lambda *args: 1.0000000000000002)
+    f = poly_phase_fn(PolyPhase.from_coeffs(P5, {(0, 0, 0): 1}))
+    tau = TrilinearForm(P5, np.full((1, 1, 1), 1, dtype=np.int64))
+    _, report = symmetry_pipeline(f, tau, ZLIN1, ZLIN1)
+    assert report.alpha == 1.0000000000000002
+    assert report.asserted
+    assert report.bound == 0.0
 
 
 # ------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Property tests: the per-row evaluation of `tri_correlation` against the
-per-(a, b) loop in `trilinear_oracle`.
+"""Property tests: `tri_correlation`, `u3_lower` and `quad_phase_search`
+against the loops and tables in `trilinear_oracle`.
 
-The two sum the same terms in a different order, so they must agree within
-1e-12 on random bounded f, random phase products and forms, over the whole
-group and over proper subspaces with non-zero shifts.
+The correlation's per-row evaluation sums the same terms as the per-(a, b)
+loop in a different order, so the two must agree within 1e-12 on random
+bounded f, random phase products and forms, over the whole group and over
+proper subspaces with non-zero shifts.  `u3_lower` multiplies the same
+factors in another association, within 1e-12.  The quadratic search scores
+by FFT what the oracle scores by a candidate table: the chosen terms must
+be identical and the correlations within 1e-12, exact ties included.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from hypothesis import strategies as st
 
 import trilinear_oracle as oracle
 from ulab import trilinear
-from ulab.core import GroupFn, GroupParams, Subspace
-from ulab.trilinear import PhaseProduct, TrilinearForm, tri_correlation
+from ulab.core import GroupFn, GroupParams, PolyPhase, Subspace, poly_phase_fn
+from ulab.grid import GridFn
+from ulab.trilinear import PhaseProduct, TrilinearForm, quad_phase_search, tri_correlation, u3_lower
 
 TOL = 1e-12
 GROUPS = [(3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (2, 3)]
@@ -75,3 +80,59 @@ def test_tri_correlation_blocks_match_the_pair_loop(monkeypatch):
     got = tri_correlation(f, h, tau, space, (1, 4, 7))
     assert len(calls) == 25
     assert abs(got - want) < TOL
+
+
+@SETTINGS
+@given(st.sampled_from(GROUPS), st.integers(0, 2**32 - 1))
+def test_u3_lower_matches_the_four_way_gather(group, seed):
+    params = GroupParams(*group)
+    rng = np.random.default_rng(seed)
+    N = params.size
+    g = GroupFn(params, rng.random(N) * np.exp(2j * np.pi * rng.random(N)))
+    grids = [GridFn(params, rng.random((N, N)) * np.exp(2j * np.pi * rng.random((N, N)))) for _ in range(3)]
+    alpha, _ = u3_lower(g, *grids)
+    assert abs(alpha - oracle.u3_lower_alpha(g, *grids)) < TOL
+
+
+# every group whose candidate table p^(dim) x N stays under 10^6 entries
+QUAD_GROUPS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (31, 1), (2, 2), (3, 2), (5, 2), (2, 3), (2, 4)]
+
+
+def _random_quadratic(params: GroupParams, rng: np.random.Generator) -> PolyPhase:
+    n, p = params.n, params.p
+    terms = {(i, j): int(rng.integers(p)) for i in range(n) for j in range(i, n)}
+    terms.update({(i,): int(rng.integers(p)) for i in range(n)})
+    return PolyPhase.from_coeffs(params, {m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def search_inputs(draw) -> GroupFn:
+    """Random bounded functions, planted quadratic phases with and without
+    noise, and inputs with exact ties: the zero and constant functions and
+    averages of two quadratic phases."""
+    params = GroupParams(*draw(st.sampled_from(QUAD_GROUPS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = params.size
+    kind = draw(st.sampled_from(["random", "planted", "noisy", "pair", "zero", "constant"]))
+    if kind == "random":
+        return GroupFn(params, rng.random(N) * np.exp(2j * np.pi * rng.random(N)))
+    if kind == "zero":
+        return GroupFn(params, np.zeros(N, dtype=complex))
+    if kind == "constant":
+        return GroupFn(params, np.ones(N, dtype=complex))
+    q1 = poly_phase_fn(_random_quadratic(params, rng)).values
+    if kind == "planted":
+        return GroupFn(params, q1)
+    if kind == "noisy":
+        return GroupFn(params, 0.8 * q1 + 0.2 * np.exp(2j * np.pi * rng.random(N)))
+    q2 = poly_phase_fn(_random_quadratic(params, rng)).values
+    return GroupFn(params, (q1 + q2) / 2)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(search_inputs())
+def test_quad_phase_search_matches_the_candidate_table(g):
+    found, corr = quad_phase_search(g)
+    want, want_corr = oracle.quad_phase_search(g)
+    assert found.terms == want.terms
+    assert abs(corr - want_corr) < TOL

@@ -1,17 +1,25 @@
-"""Reference implementation of the symmetry correlation.
+"""Reference implementations of the symmetry correlation, the box lower
+bound and the quadratic search.
 
 `tri_correlation` is the per-(a, b) loop that `ulab.trilinear.tri_correlation`
 replaced with one evaluation per row a: one `derivative2` call, one
-autocorrelation and one phase evaluation per pair.  Tests compare the
-library against it; nothing in the package imports this module.
+autocorrelation and one phase evaluation per pair.  `u3_lower_alpha` is the
+four-way gather that `ulab.trilinear.u3_lower` replaced with the shared
+second-derivative gather, and `quad_phase_search` the candidate table that
+`ulab.trilinear.quad_phase_search` replaced with one FFT per quadratic part.
+Tests compare the library against them; nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from ulab.core import GroupFn, Subspace
+from ulab.core import GroupFn, PolyPhase, Subspace
 from ulab.gowers import derivative2
+from ulab.grid import GridFn
 from ulab.trilinear import PhaseProduct, TrilinearForm
 
 
@@ -42,3 +50,52 @@ def tri_correlation(
             te = tau.evaluate(np.full(len(idx), a), np.full(len(idx), b), idx)
             total += (np.exp(2j * np.pi * ph / params.p) * (om**te) * ac).sum()
     return complex(total / len(idx) ** 3)
+
+
+def u3_lower_alpha(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> float:
+    """u3_lower's correlation alpha, with its own four-way gather of the
+    second derivatives of each row a."""
+    params = g.params
+    N = params.size
+    all_x = np.arange(N, dtype=np.int64)
+    sub_rows = params.sub(all_x[None, :], all_x[:, None])
+    gv = g.values
+    cgv = np.conj(gv)
+    total = 0.0 + 0.0j
+    for a in range(N):
+        da = gv[None, :] * cgv[sub_rows[a]][None, :] * cgv[sub_rows] * gv[sub_rows[:, sub_rows[a]]]
+        ac = (da[:, None, :] * np.conj(da[:, sub_rows])).mean(axis=-1)
+        total += u.values[a] @ ((v.values * ac) @ w.values[a])
+    return abs(complex(total / N**3))
+
+
+def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
+    """The quadratic search by a table of every candidate (quadratic part,
+    linear part, constant) in lexicographic order; ties within 1e-12 go to
+    the earliest candidate."""
+    params = g.params
+    p, n, N = params.p, params.n, params.size
+    monos = [(i, j) for i in range(n) for j in range(i, n)]
+    dim = len(monos) + n + 1
+    dig = params.digits(np.arange(N, dtype=np.int64))
+    cols = [dig[:, i] * dig[:, j] for (i, j) in monos]
+    cols += [dig[:, i] for i in range(n)]
+    cols += [np.ones(N, dtype=np.int64)]
+    basis = np.stack(cols, axis=1)
+    cand = np.asarray(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+    tables = (basis @ cand.T) % p
+    phases = np.exp(-2j * np.pi * tables / p)
+    corrs = np.abs(g.values @ phases) / N
+    top = float(corrs.max())
+    winner = int(np.flatnonzero(corrs >= top - 1e-12)[0])
+    coeffs: dict[tuple[int, ...], int] = {}
+    row = cand[winner]
+    for t, (i, j) in enumerate(monos):
+        if row[t]:
+            coeffs[(i, j)] = int(row[t])
+    for i in range(n):
+        if row[len(monos) + i]:
+            coeffs[(i,)] = int(row[len(monos) + i])
+    if row[-1]:
+        coeffs[()] = int(row[-1])
+    return PolyPhase.from_coeffs(params, coeffs), float(corrs[winner])
