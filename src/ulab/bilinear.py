@@ -26,13 +26,14 @@ from ulab.core import (
     _gf_matinv,
     _json_fields,
     _json_params,
+    char_transform,
     dft,
     gf_nullspace,
     gf_rank,
     gf_rowreduce,
     gf_solve,
 )
-from ulab.grid import GridFn, _transform_cols, _transform_rows, mixed_self, vert_conv
+from ulab.grid import GridFn, horiz_conv, vert_conv
 
 __all__ = [
     "BiAffineMap",
@@ -716,14 +717,14 @@ def bogolyubov_bilinear(
         raise ValueError("needs a bounded input (sup norm at most 1)")
     params = f.params
     p, n, N = params.p, params.n, params.size
-    F = mixed_self(f)
     g = vert_conv(f, f)
+    F = horiz_conv(g, g)  # mixed_self(f), sharing its column pass with g
 
-    Gc = _transform_cols(g.values, p, n, -1, True)
-    Fc = _transform_cols(F.values, p, n, -1, True)
+    Gc = char_transform(g.values, params, axis=0)
+    Fc = char_transform(F.values, params, axis=0)
     if not np.allclose(Fc, np.abs(Gc) ** 2, atol=1e-9):
         raise RuntimeError("column transforms of the mixed convolution lost the square law")
-    row_l1 = np.abs(_transform_rows(F.values, p, n, -1, True)).sum(axis=1).max()
+    row_l1 = np.abs(char_transform(F.values, params, axis=1)).sum(axis=1).max()
     if row_l1 > 1 + 1e-9:
         raise RuntimeError("row transform l1 bound violated: %g" % row_l1)
 

@@ -23,8 +23,9 @@ polynomial it correlates with:
 7.  rounding    - consensus-round each value from the affine line votes of
                   its row and column, measuring the vote stability.  The
                   vote histograms of all rows and columns are exact counts
-                  made through characters of G x H, one batched FFT per
-                  block of lines; ties go to the lowest value.
+                  made through characters of G x H, one batched
+                  `core.char_transform` per block of lines; ties go to the
+                  lowest value.
 8.  extend      - fit an exact bi-affine model on the rounded data and
                   verify, exhaustively in both variables, that the extension
                   to all of G^2 is affine in each argument.  Each of the
@@ -42,9 +43,10 @@ polynomial it correlates with:
                   the box lower bound.
 12. quadratic   - exhaustively locate the best quadratic phase for the
                   remainder and report the full cubic polynomial together
-                  with its correlation against the input.  One FFT per
-                  quadratic part scores every linear part; ties within
-                  1e-12 go to the lexicographically first candidate.
+                  with its correlation against the input.  One character
+                  transform per quadratic part scores every linear part;
+                  ties within 1e-12 go to the lexicographically first
+                  candidate.
 
 Every stage records its measurements; any measured quantity falling below
 its configured floor halts the run with diagnostics rather than continuing
@@ -91,6 +93,7 @@ from .core import (
     PolyPhase,
     _is_prime,
     _json_fields,
+    char_transform,
     correlation,
     dft,
     gf_rowreduce,
@@ -377,21 +380,21 @@ def _line_vote_histograms(params: GroupParams, vp: GroupParams, graphs: np.ndarr
     """hist[l, b, v] = #{(b1, b2, b3) on line l's graph : b1 + b2 - b3 = b,
     v1 + v2 - v3 = v}, for a stack of (L, N, q) graph indicators.
 
-    The count is F * F * F~ on G x H (F~(x) = F(-x)), so one FFT over the
-    (p,)*n and (p_v,)*m digit axes gives it as F^ F^ conj(F^).  The counts
-    are at most N^2, so rounding the inverse transform is exact.  Lines go
-    through the transform in blocks of at most SIZE_CAP elements.
+    The count is F * F * F~ on G x H (F~(x) = F(-x)), so `char_transform`
+    over G (axis 1) and over H (axis 2) gives it as F^ F^ conj(F^).  Both
+    transforms average, so the inverse of that product is the count divided
+    by (N q)^2, and it is multiplied back by that scalar.  The counts are at
+    most N^2, so rounding is exact.  Lines go through the transform in
+    blocks of at most SIZE_CAP elements.
     """
     L, N, q = graphs.shape
-    axes = tuple(range(1, 1 + params.n + vp.n))
-    shape = (params.p,) * params.n + (vp.p,) * vp.n
     hist = np.empty((L, N, q), dtype=np.int64)
     block = max(1, SIZE_CAP // (N * q))
     for lo in range(0, L, block):
-        F = graphs[lo : lo + block]
-        hat = np.fft.fftn(F.reshape((len(F),) + shape), axes=axes)
-        counts = np.fft.ifftn(hat * hat * hat.conj(), axes=axes).real
-        hist[lo : lo + block] = np.rint(counts).reshape(len(F), N, q)
+        hat = char_transform(char_transform(graphs[lo : lo + block], params, axis=1), vp, axis=2)
+        counts = char_transform(hat * hat * hat.conj(), vp, axis=2, inverse=True)
+        counts = char_transform(counts, params, axis=1, inverse=True)
+        hist[lo : lo + block] = np.rint(counts.real * (N * q) ** 2)
     return hist
 
 

@@ -1,5 +1,6 @@
 """Arithmetic over F_p^n: elements, subspaces, phase polynomials, exact
 character sums, and the Fourier transform with its convolution laws.
+Every character transform in the package is `char_transform`.
 
 Conventions used throughout the package:
 
@@ -40,6 +41,7 @@ __all__ = [
     "gf_solve",
     "inv_mod",
     "omega",
+    "char_transform",
     "dft",
     "idft",
     "barconv",
@@ -95,14 +97,6 @@ def _digit_table(p: int, n: int) -> np.ndarray:
         out[:, j] = (idx // p**j) % p
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def _char_matrix(p: int, sign: int) -> np.ndarray:
-    r = np.arange(p)
-    m = np.exp(sign * 2j * np.pi * np.outer(r, r) / p)
-    m.setflags(write=False)
-    return m
 
 
 @dataclass(frozen=True)
@@ -501,32 +495,30 @@ class GroupFn:
         return GroupFn(self.params, self.values * other.values, ph)
 
 
-def tensor_transform(arr: np.ndarray, p: int, n: int, sign: int, normalize: bool, start_axis: int = 0) -> np.ndarray:
-    """Radix-p character transform along n consecutive axes of length p.
+def char_transform(values: np.ndarray, params: GroupParams, axis: int = -1, inverse: bool = False) -> np.ndarray:
+    """The character transform of F_p^n along one axis of length p^n.
 
-    sign -1 with normalize=True is the forward (averaged) transform; sign +1
-    with normalize=False is its exact inverse (summed).
+    Forward, it is the averaged f_hat(r) = E_x f(x) omega^{-x.r}; with
+    inverse=True it is the summed f(x) = Sigma_r f_hat(r) omega^{x.r}, the
+    exact inverse.  The other axes are a batch.  The axis splits into its
+    (p,)*n digit axes, on which the character transform is an n-dimensional
+    DFT; this is the package's one route to numpy's FFT.
     """
-    m = _char_matrix(p, sign)
-    for ax in range(start_axis, start_axis + n):
-        arr = np.moveaxis(np.tensordot(m, np.moveaxis(arr, ax, 0), axes=(1, 0)), 0, ax)
-        if normalize:
-            arr = arr / p
-    return arr
-
-
-def _axis_transform(values: np.ndarray, p: int, n: int, sign: int, normalize: bool) -> np.ndarray:
-    return tensor_transform(values.reshape((p,) * n), p, n, sign, normalize).reshape(p**n)
+    axis %= values.ndim
+    shape = values.shape[:axis] + (params.p,) * params.n + values.shape[axis + 1 :]
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    out = fft(values.reshape(shape), axes=tuple(range(axis, axis + params.n)), norm="forward")
+    return out.reshape(values.shape)
 
 
 def dft(f: GroupFn) -> GroupFn:
-    """f_hat(r) = E_x f(x) omega^{-x.r}, as n radix-p passes."""
-    return GroupFn(f.params, _axis_transform(f.values, f.params.p, f.params.n, -1, True))
+    """f_hat(r) = E_x f(x) omega^{-x.r}, by `char_transform`."""
+    return GroupFn(f.params, char_transform(f.values, f.params))
 
 
 def idft(fh: GroupFn) -> GroupFn:
-    """f(x) = Sigma_r fh(r) omega^{x.r}; exact inverse of dft."""
-    return GroupFn(fh.params, _axis_transform(fh.values, fh.params.p, fh.params.n, +1, False))
+    """f(x) = Sigma_r fh(r) omega^{x.r}; exact inverse of dft, by `char_transform`."""
+    return GroupFn(fh.params, char_transform(fh.values, fh.params, inverse=True))
 
 
 def barconv(f: GroupFn, g: GroupFn) -> GroupFn:

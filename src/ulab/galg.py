@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ulab.core import GroupParams
+from ulab.core import GroupParams, char_transform
 from ulab.grid import GridFn, arr_functional, horiz_conv, mixed_conv, vert_conv
 
 __all__ = [
@@ -183,17 +183,13 @@ class DistFn:
         return all(u.is_distribution() for u in self.table.values())
 
 
-def _value_axes(vp: GroupParams) -> tuple[int, ...]:
-    return tuple(range(2, 2 + vp.n))
-
-
 def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:
     """hat[x, y, s] = sum_g mu(x, y) phi(x, y)(g) omega^{-s.g}, shape (N, N, |H|).
 
-    The value index splits into its (p,)*m digit axes, so an FFT over those
-    axes is the character transform of H = F_p^m.  Slice s is a scalar grid
-    function; the algebra product becomes the pointwise product of slices
-    and the adjoint becomes conjugation.
+    This is `char_transform` over H = F_p^m on the value axis, times |H|,
+    since that transform averages and this one sums.  Slice s is a scalar
+    grid function; the algebra product becomes the pointwise product of
+    slices and the adjoint becomes conjugation.
     """
     N, vp = phi.params.size, phi.value_params
     dense = np.zeros((N, N, vp.size))
@@ -202,15 +198,13 @@ def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:
             dense[x, y, g] = w
     if mu is not None:
         dense *= np.maximum(mu.values.real, 0.0)[:, :, None]
-    digits = dense.reshape((N, N) + (vp.p,) * vp.n)
-    return np.fft.fftn(digits, axes=_value_axes(vp)).reshape(N, N, vp.size)
+    return char_transform(dense, vp, axis=2) * vp.size
 
 
 def _from_char_stack(params: GroupParams, vp: GroupParams, hat: np.ndarray) -> DistFn:
-    """Inverse of _char_stack: back to weights, dropping cells with none left."""
-    N = params.size
-    digits = hat.reshape((N, N) + (vp.p,) * vp.n)
-    dense = np.fft.ifftn(digits, axes=_value_axes(vp)).real.reshape(N, N, vp.size)
+    """Inverse of _char_stack (`char_transform` inverse on the value axis,
+    divided by |H|): back to weights, dropping cells with none left."""
+    dense = char_transform(hat, vp, axis=2, inverse=True).real / vp.size
     cells = zip(*np.nonzero((dense >= _TRUNC).any(axis=2)))
     return DistFn(
         params, vp, {(int(x), int(y)): Dist.from_dense(vp, dense[x, y]) for x, y in cells}

@@ -2,11 +2,12 @@
 
 The U^4 norm is always evaluated through the nested identity
 |f|_{U^4}^{16} = E_{a,b} Sigma_r |(d_{a,b} f)^(r)|^4.  Its p^{2n} spectra
-come from `derivative2_spectra`, one batched transform of p^n rows per
-first shift a, so memory stays O(p^{2n}); the pipeline reads its gate and
-its peak map off the same pass.  The direct 5-fold sum exists only as an
-oracle for |G| <= 32.  The defining averages are provably real, so any
-imaginary residue above 1e-9 raises instead of being dropped silently.
+come from `derivative2_spectra`, one batched `core.char_transform` of p^n
+rows per first shift a, so memory stays O(p^{2n}); the pipeline reads its
+gate and its peak map off the same pass.  The direct 5-fold sum exists
+only as an oracle for |G| <= 32.  The defining averages are provably real,
+so any imaginary residue above 1e-9 raises instead of being dropped
+silently.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, BudgetError, GroupFn, GroupParams, tensor_transform
+from ulab.core import SIZE_CAP, BudgetError, GroupFn, GroupParams, char_transform
 from ulab.grid import GridFn
 
 __all__ = [
@@ -75,10 +76,7 @@ def _u2_pow4(fhat_sq_abs: np.ndarray) -> float:
 
 def _batch_hat_abs(rows: np.ndarray, params: GroupParams) -> np.ndarray:
     """|f_hat| per row of a (M, N) batch of functions."""
-    p, n = params.p, params.n
-    M = rows.shape[0]
-    arr = rows.reshape((M,) + (p,) * n)
-    return np.abs(tensor_transform(arr, p, n, -1, True, start_axis=1).reshape(M, params.size))
+    return np.abs(char_transform(rows, params, axis=1))
 
 
 def _first_derivatives(f: GroupFn) -> tuple[np.ndarray, np.ndarray]:
@@ -209,11 +207,8 @@ def _box2_pow4(values: np.ndarray, params: GroupParams) -> float:
     Row transforms in the first coordinate give M[r, y]; pairing rows of M
     yields the gram matrix C with the identity box2^4 = sum_{r,r'} |C|^2.
     """
-    p, n = params.p, params.n
-    N = params.size
-    arr = values.reshape((p,) * n + (N,))
-    m = tensor_transform(arr, p, n, -1, True, start_axis=0).reshape(N, N)
-    c = (m @ m.conj().T) / N
+    m = char_transform(values, params, axis=0)
+    c = (m @ m.conj().T) / params.size
     return float((np.abs(c) ** 2).sum())
 
 

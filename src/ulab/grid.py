@@ -22,7 +22,7 @@ from ulab.core import (
     GroupParams,
     _json_fields,
     _json_params,
-    tensor_transform,
+    char_transform,
 )
 
 __all__ = [
@@ -127,19 +127,6 @@ class Parallelogram:
         return cls(w=x2 - x1, h=h, x=x1, y=y1, y2=y2)
 
 
-def _transform_rows(values: np.ndarray, p: int, n: int, sign: int, normalize: bool) -> np.ndarray:
-    # transform along the y axis of a (N, N) array, batched over x
-    N = p**n
-    arr = values.reshape((N,) + (p,) * n)
-    return tensor_transform(arr, p, n, sign, normalize, start_axis=1).reshape(N, N)
-
-
-def _transform_cols(values: np.ndarray, p: int, n: int, sign: int, normalize: bool) -> np.ndarray:
-    N = p**n
-    arr = values.reshape((p,) * n + (N,))
-    return tensor_transform(arr, p, n, sign, normalize, start_axis=0).reshape(N, N)
-
-
 def _check(f: GridFn, g: GridFn) -> None:
     if f.params != g.params:
         raise ValueError("mismatched group parameters")
@@ -148,19 +135,17 @@ def _check(f: GridFn, g: GridFn) -> None:
 def vert_conv(f: GridFn, g: GridFn) -> GridFn:
     """(f vconv g)(x, h) = E_y f(x, y) conj(g(x, y - h)); columns fixed."""
     _check(f, g)
-    p, n = f.params.p, f.params.n
-    fh = _transform_rows(f.values, p, n, -1, True)
-    gh = _transform_rows(g.values, p, n, -1, True)
-    return GridFn(f.params, _transform_rows(fh * gh.conj(), p, n, +1, False))
+    fh = char_transform(f.values, f.params, axis=1)
+    gh = char_transform(g.values, f.params, axis=1)
+    return GridFn(f.params, char_transform(fh * gh.conj(), f.params, axis=1, inverse=True))
 
 
 def horiz_conv(f: GridFn, g: GridFn) -> GridFn:
     """(f hconv g)(w, y) = E_x f(x, y) conj(g(x - w, y)); rows fixed."""
     _check(f, g)
-    p, n = f.params.p, f.params.n
-    fh = _transform_cols(f.values, p, n, -1, True)
-    gh = _transform_cols(g.values, p, n, -1, True)
-    return GridFn(f.params, _transform_cols(fh * gh.conj(), p, n, +1, False))
+    fh = char_transform(f.values, f.params, axis=0)
+    gh = char_transform(g.values, f.params, axis=0)
+    return GridFn(f.params, char_transform(fh * gh.conj(), f.params, axis=0, inverse=True))
 
 
 def mixed_conv(f1: GridFn, f2: GridFn, f3: GridFn, f4: GridFn) -> GridFn:

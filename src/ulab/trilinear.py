@@ -24,6 +24,7 @@ from ulab.core import (
     _json_fields,
     _json_index,
     _json_params,
+    char_transform,
     gf_nullspace,
     gf_rank,
     gf_rowreduce,
@@ -743,25 +744,27 @@ def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     deterministic.  The constant term does not change |.|, so it is left
     out and the winner's constant is always 0.
 
-    For each quadratic part Q, one FFT of g omega^{-Q} over the (p,)*n
-    digit axes scores every linear part at once; all Q go through one
-    batched transform.  The FFT indexes r by `params.index` (r_0 least
-    significant), so its columns are gathered into the candidate order
-    (r_0 most significant) before the tie rule is applied.
+    For each quadratic part Q, `char_transform` of g omega^{-Q} scores
+    every linear part at once; all Q go through one batched transform.
+    Its columns are indexed by `params.index` (r_0 least significant), so
+    they are gathered into the candidate order (r_0 most significant)
+    before the tie rule is applied.  The transform holds p^{n(n+1)/2} * N
+    values, which must fit in `SIZE_CAP`.
     """
     params = g.params
     p, n, N = params.p, params.n, params.size
     monos = [(i, j) for i in range(n) for j in range(i, n)]
-    dim = len(monos) + n + 1
-    if p**dim > SIZE_CAP:
-        raise BudgetError("p^%d quadratic candidates exceed the size cap" % dim)
+    if p ** len(monos) * N > SIZE_CAP:
+        raise BudgetError(
+            "p^%d quadratic parts times N = %d values exceed the size cap %d" % (len(monos), N, SIZE_CAP)
+        )
     dig = params.digits(np.arange(N, dtype=np.int64))
     quad_basis = np.stack([dig[:, i] * dig[:, j] for (i, j) in monos], axis=1)
     quads = np.asarray(list(itertools.product(range(p), repeat=len(monos))), dtype=np.int64)
     lins = np.asarray(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
     twisted = g.values[None, :] * np.exp(-2j * np.pi * ((quads @ quad_basis.T) % p) / p)
-    hat = np.fft.fftn(twisted.reshape((len(quads),) + (p,) * n), axes=tuple(range(1, n + 1)))
-    corrs = np.abs(hat.reshape(len(quads), N)[:, params.index(lins)]).ravel() / N
+    hat = char_transform(twisted, params, axis=1)
+    corrs = np.abs(hat[:, params.index(lins)]).ravel()
     top = float(corrs.max())
     winner = int(np.flatnonzero(corrs >= top - _TIE_TOL)[0])
     qi, ri = divmod(winner, N)

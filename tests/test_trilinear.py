@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ulab.trilinear
-from ulab.core import GroupFn, GroupParams, PolyPhase, Subspace, gf_rank, poly_phase_fn
+from ulab.core import BudgetError, GroupFn, GroupParams, PolyPhase, Subspace, gf_rank, poly_phase_fn
 from ulab.grid import GridFn
 from ulab.trilinear import (
     PhaseProduct,
@@ -709,8 +709,17 @@ def test_search_random_unimodular_stays_small():
 
 
 def test_search_budget():
-    with pytest.raises(ValueError):
+    # the transform holds 5^6 quadratic parts times N = 125 values, 1.95e6 > SIZE_CAP
+    with pytest.raises(BudgetError, match=r"p\^6 quadratic parts times N = 125"):
         quad_phase_search(GroupFn(P53, np.ones(125, dtype=complex)))
+
+
+def test_search_recovers_cross_term_on_f11_squared():
+    # 11^3 quadratic parts times N = 121 is 161,051 values, within SIZE_CAP
+    q = PolyPhase.from_coeffs(GroupParams(11, 2), {(0, 0): 4, (0, 1): 7, (1, 1): 2, (1,): 9})
+    found, corr = quad_phase_search(poly_phase_fn(q))
+    assert found.terms == q.terms
+    assert corr >= 1 - 1e-9
 
 
 def test_search_deterministic_and_constant_free():
