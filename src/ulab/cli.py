@@ -38,9 +38,13 @@ polynomial it correlates with:
 10. symmetry    - measure the correlation of the derivative family against
                   the trilinear form of the bilinear part, symmetrize the
                   form, and bound the asymmetry ranks.
-11. cubic       - integrate the symmetric form to a cubic phase, divide it
-                  out, and certify the remainder's third uniformity norm by
-                  the box lower bound.
+11. cubic       - integrate the symmetric form sigma to the cubic phase
+                  kappa(x) = sigma(x,x,x) and certify by polarisation that
+                  its third difference is -6 sigma: kappa is homogeneous
+                  cubic, so that difference does not depend on x, and one
+                  O(n^3) comparison of coefficients proves it everywhere;
+                  divide kappa out and certify the remainder's third
+                  uniformity norm by the box lower bound.
 12. quadratic   - exhaustively locate the best quadratic phase for the
                   remainder and report the full cubic polynomial together
                   with its correlation against the input.  One character
@@ -184,7 +188,8 @@ class PipelineConfig:
     t: int | None = None  # None: max(3k + 2, 7) from the cover's codomain
     # sample counts
     densify_samples: int = 20_000
-    # budgets, enforced before any large allocation
+    # budgets: size_cap gates the start (N^3, the largest kernel's work) and
+    # the cells stage; the kernels refuse on core.SIZE_CAP
     size_cap: int = 1_000_000
     max_maps: int = 48
     candidate_cap: int = 4096
@@ -230,10 +235,10 @@ class PipelineConfig:
         if self.residual_tol < 0:
             raise ValueError("residual_tol must be non-negative")
         N = self.p**self.n
-        if N**4 > self.size_cap:
+        if N**3 > self.size_cap:
             raise ValueError(
-                "p^{4n} = %d exceeds the size budget %d; the pipeline loops "
-                "over quadruples and refuses to start" % (N**4, self.size_cap)
+                "p^{3n} = %d exceeds the size budget %d; the pipeline loops "
+                "over triples and refuses to start" % (N**3, self.size_cap)
             )
 
     @classmethod

@@ -22,8 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# Hard ceiling on p^n; constructors reject anything larger.  Keeps accidental
-# p^{2n} blowups from allocating silly amounts of memory.
+# Hard ceiling on p^n (`GroupParams` refuses beyond it) and the size budget of
+# the kernels: those that raise `BudgetError` before allocating, and the
+# blocked passes, which hold about this many values at once.
 SIZE_CAP = 10**6
 
 __all__ = [

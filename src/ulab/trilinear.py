@@ -630,21 +630,37 @@ def symmetry_pipeline(
 # ============================================================
 
 
+def _alternating_sum_form(kappa: PolyPhase) -> np.ndarray:
+    """The (n, n, n) coefficients of the third difference of a homogeneous cubic:
+    Delta_a Delta_b Delta_c x_i x_j x_k is the sum of a_i' b_j' c_k' over the 6
+    orderings (i', j', k') of (i, j, k), with multiplicity, at every x.  A
+    monomial not of degree 3 raises RuntimeError."""
+    n = kappa.params.n
+    out = np.zeros((n, n, n), dtype=np.int64)
+    for mono, coef in kappa.terms:
+        if len(mono) != 3:
+            raise RuntimeError("kappa has the monomial %r, not of degree 3" % (mono,))
+        for perm in itertools.permutations(mono):
+            out[perm] += coef
+    return out % kappa.params.p
+
+
 def kappa_from_sigma(sigma: TrilinearForm) -> tuple[PolyPhase, int]:
     """Cubic q(x) = sigma(x,x,x) and the exact alternating-sum constant.
 
-    The eight-point alternating sum of q over a combinatorial cube equals
-    cstar * sigma(a,b,c) at every point; cstar is found from one nonzero
-    value and then re-verified exhaustively over all p^{4n} points.
+    The alternating sum of q over the cube at x with edges -a, -b, -c is
+    Delta_{-a} Delta_{-b} Delta_{-c} q(x) = cstar * sigma(a,b,c), cstar = -6
+    mod p, by polarisation of the symmetric sigma.  The certificate is
+    complete: q is a homogeneous cubic, so its third difference does not
+    depend on x and is the trilinear form `_alternating_sum_form` builds in
+    O(n^3), which must equal -cstar * sigma coefficient by coefficient.
     """
     params = sigma.params
-    p, n, N = params.p, params.n, params.size
+    p = params.p
     if p < 5:
         raise ValueError("cubic extraction needs p >= 5")
     if not sigma.is_symmetric():
         raise ValueError("cubic extraction needs a symmetric form")
-    if N**4 > SIZE_CAP:
-        raise BudgetError("p^{4n} = %d exceeds the verification budget %d" % (N**4, SIZE_CAP))
     terms: dict[tuple[int, ...], int] = {}
     it = np.nditer(sigma.coeffs, flags=["multi_index"])
     for val in it:
@@ -653,43 +669,10 @@ def kappa_from_sigma(sigma: TrilinearForm) -> tuple[PolyPhase, int]:
             key = tuple(sorted(it.multi_index))
             terms[key] = (terms.get(key, 0) + v) % p
     kappa = PolyPhase.from_coeffs(params, terms)
-    ktab = kappa.phase_table()
-
-    all_idx = np.arange(N, dtype=np.int64)
-    sub = params.sub(all_idx[:, None], all_idx[None, :])
-    X = all_idx[:, None, None, None]
-    A = all_idx[None, :, None, None]
-    B = all_idx[None, None, :, None]
-    C = all_idx[None, None, None, :]
-    xa = sub[X, A]
-    xb = sub[X, B]
-    xc = sub[X, C]
-    xab = sub[xa, B]
-    xbc = sub[xb, C]
-    xac = sub[xa, C]
-    xabc = sub[xab, C]
-    S = (
-        -ktab[X] + ktab[xa] + ktab[xb] + ktab[xc]
-        - ktab[xab] - ktab[xbc] - ktab[xac] + ktab[xabc]
-    ) % p
-    stab = np.broadcast_to(
-        sigma.evaluate(
-            np.repeat(all_idx, N * N),
-            np.tile(np.repeat(all_idx, N), N),
-            np.tile(all_idx, N * N),
-        ).reshape(N, N, N)[None, :, :, :],
-        S.shape,
-    )
-    nz = np.flatnonzero(stab.ravel())
-    if nz.size == 0:
-        return kappa, (-6) % p
-    i = int(nz[0])
-    sval = int(S.ravel()[i])
-    tval = int(stab.ravel()[i])
-    cstar = sval * pow(tval, p - 2, p) % p
-    if np.any((S - cstar * stab) % p):
+    cstar = (-6) % p
+    if np.any((-_alternating_sum_form(kappa) - cstar * sigma.coeffs) % p):
         raise RuntimeError("alternating sum is not proportional to the form")
-    return kappa, int(cstar)
+    return kappa, cstar
 
 
 # ============================================================

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ulab.cli
 import ulab.trilinear
 from ulab.arrange import PartialMap, partial_map_to_json
 from ulab.bilinear import BiAffineMap, biaffine_to_json
@@ -29,6 +30,7 @@ from ulab.cli import (
     verify_suite,
 )
 from ulab.core import (
+    BudgetError,
     GroupFn,
     GroupParams,
     PolyPhase,
@@ -117,9 +119,11 @@ def test_config_rejects_bad_thresholds():
 
 
 def test_config_enforces_size_budget_before_running():
-    cfg = PipelineConfig(p=5, n=3)  # 125^4 quadruples exceed the default cap
-    with pytest.raises(ValueError):
+    cfg = PipelineConfig(p=5, n=3)  # 125^3 = 1.95e6 triples exceed the default cap
+    with pytest.raises(ValueError, match=r"p\^\{3n\} = 1953125"):
         cfg.validate()
+    # 49^3 = 117,649 triples fit, though 49^4 = 5.8e6 would not
+    PipelineConfig(p=7, n=2).validate()
 
 
 def test_config_from_json_rejects_unknown_fields():
@@ -188,7 +192,7 @@ def _assert_peak_map_matches_oracle(f: GroupFn, c1: float = 0.35) -> None:
 
 
 @st.composite
-def _peak_inputs(draw) -> GroupFn:
+def _bounded_inputs(draw) -> GroupFn:
     """Random unit-modulus noise, a planted cubic, or a planted cubic with a
     share of its points replaced by random unit values, on F_p^n with
     p in {5, 7} and n in {1, 2}."""
@@ -220,7 +224,7 @@ def _peak_inputs(draw) -> GroupFn:
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(_peak_inputs())
+@given(_bounded_inputs())
 def test_peak_map_and_u4_match_the_per_pair_oracle(f):
     _assert_peak_map_matches_oracle(f)
 
@@ -422,14 +426,42 @@ def test_pipeline_budget_checked_before_allocation():
 
 
 def test_pipeline_budget_halts_at_the_running_stage(monkeypatch):
-    # cubic extraction checks every one of the p^{4n} = 625 quadruples
-    monkeypatch.setattr(ulab.trilinear, "SIZE_CAP", 200)
+    # the symmetry correlation runs over p^{3n} = 125 triples, past a cap of 100
+    monkeypatch.setattr(ulab.trilinear, "SIZE_CAP", 100)
     _, f = _cubic_line()
     report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
     assert report.halted
-    assert (report.halt_category, report.halt_stage) == ("budget", "cubic")
-    assert [s.name for s in report.stages] == STAGE_NAMES[:11]
+    assert (report.halt_category, report.halt_stage) == ("budget", "symmetry")
+    assert "125" in report.halt_reason
+    assert [s.name for s in report.stages] == STAGE_NAMES[:10]
     assert report.stages[-1].seconds > 0
+
+
+def test_pipeline_budget_halts_at_the_last_stage(monkeypatch):
+    def refuse(g):
+        raise BudgetError("quadratic search refused")
+
+    monkeypatch.setattr(ulab.cli, "quad_phase_search", refuse)
+    _, f = _cubic_line()
+    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
+    assert report.halted
+    assert (report.halt_category, report.halt_stage) == ("budget", "quadratic")
+    assert report.halt_reason == "quadratic search refused"
+    assert [s.name for s in report.stages] == STAGE_NAMES
+    assert report.stages[-1].seconds > 0
+
+
+def test_pipeline_recovers_exact_cubic_on_f7_squared():
+    # p^{4n} = 5.8e6 points (x, a, b, c): the cubic's certificate must not enumerate them
+    q = PolyPhase.from_coeffs(
+        GroupParams(7, 2),
+        {(0, 0, 0): 3, (0, 0, 1): 5, (0, 1, 1): 2, (1, 1, 1): 1, (0, 1): 4, (1, 1): 6, (1,): 2},
+    )
+    report = run_inverse_pipeline(poly_phase_fn(q), PipelineConfig(p=7, n=2))
+    assert not report.halted
+    assert [s.name for s in report.stages] == STAGE_NAMES
+    assert _terms_dict(report.result["phase_terms"]) == dict(q.terms)
+    assert report.result["correlation"] >= 0.999
 
 
 def test_pipeline_logs_one_info_line_per_stage(caplog, capsys):
@@ -445,6 +477,29 @@ def test_pipeline_logs_one_info_line_per_stage(caplog, capsys):
     assert [line.split()[1] for line in lines] == STAGE_NAMES + ["gate"]
     assert halted.halt_stage == "gate" and "halted (precondition)" in lines[-1]
     assert report.canonical_bytes() == quiet.canonical_bytes()
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_bounded_inputs(), st.integers(0, 3), st.sampled_from([500, 2000]))
+def test_pipeline_never_raises_on_bounded_input(f, seed, samples):
+    # densify's Monte Carlo sets the time of a run (about 3 s at the default
+    # 20,000 samples when every attempt fails), so the test draws fewer
+    cfg = PipelineConfig(p=f.params.p, n=f.params.n, seed=seed, densify_samples=samples)
+    report = run_inverse_pipeline(f, cfg)
+    if report.halted:
+        assert report.halt_category in {"precondition", "verification", "budget"}
+        assert report.halt_stage in STAGE_NAMES
+        assert report.stages[-1].name == report.halt_stage
+    else:
+        assert [s.name for s in report.stages] == STAGE_NAMES
+        assert report.result is not None
+    assert report.canonical_bytes() == run_inverse_pipeline(f, cfg).canonical_bytes()
 
 
 def test_pipeline_reports_are_deterministic():

@@ -618,11 +618,14 @@ def test_kappa_rejects_asymmetric_input():
         kappa_from_sigma(TrilinearForm(P52, skew))
 
 
-def test_kappa_rejects_small_characteristic_and_large_group():
+def test_kappa_rejects_small_characteristic_and_certifies_large_group():
     with pytest.raises(ValueError):
         kappa_from_sigma(TrilinearForm.zero(GroupParams(3, 1)))
-    with pytest.raises(ValueError):
-        kappa_from_sigma(TrilinearForm.zero(P53))
+    # p^{4n} = 2.4e8 points, past any exhaustive check; the certificate is O(n^3)
+    _, cstar = kappa_from_sigma(TrilinearForm.zero(P53))
+    assert cstar == 4
+    kappa, cstar = kappa_from_sigma(_symmetric_form(P53, 520))
+    assert cstar == 4 and kappa.degree == 3
 
 
 # ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Reference implementations of the symmetry correlation, the box lower
-bound and the quadratic search.
+bound, the quadratic search and the cubic's certificate.
 
 `tri_correlation` is the per-(a, b) loop that `ulab.trilinear.tri_correlation`
 replaced with one evaluation per row a: one `derivative2` call, one
@@ -7,8 +7,11 @@ autocorrelation and one phase evaluation per pair.  `u3_lower_alpha` is the
 four-way gather that `ulab.trilinear.u3_lower` replaced with the shared
 second-derivative gather, and `quad_phase_search` the candidate table that
 `ulab.trilinear.quad_phase_search` replaced with one FFT per quadratic part.
-Tests compare the library against them; nothing in the package imports this
-module.
+`kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
+that `ulab.trilinear.kappa_from_sigma` replaced with a symbolic
+polarisation certificate; `alternating_sum_constant` is that check alone, so
+a test can hand it a changed cubic.  Tests compare the library against
+them; nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from ulab.core import GroupFn, PolyPhase, Subspace
+from ulab.core import SIZE_CAP, BudgetError, GroupFn, PolyPhase, Subspace
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
 from ulab.trilinear import PhaseProduct, TrilinearForm
@@ -99,3 +102,73 @@ def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     if row[-1]:
         coeffs[()] = int(row[-1])
     return PolyPhase.from_coeffs(params, coeffs), float(corrs[winner])
+
+
+def kappa_from_sigma(sigma: TrilinearForm) -> tuple[PolyPhase, int]:
+    """Cubic q(x) = sigma(x,x,x) and the exact alternating-sum constant.
+
+    The eight-point alternating sum of q over a combinatorial cube equals
+    cstar * sigma(a,b,c) at every point; cstar is found from one nonzero
+    value and then re-verified exhaustively over all p^{4n} points.
+    """
+    params = sigma.params
+    p, N = params.p, params.size
+    if p < 5:
+        raise ValueError("cubic extraction needs p >= 5")
+    if not sigma.is_symmetric():
+        raise ValueError("cubic extraction needs a symmetric form")
+    if N**4 > SIZE_CAP:
+        raise BudgetError("p^{4n} = %d exceeds the verification budget %d" % (N**4, SIZE_CAP))
+    terms: dict[tuple[int, ...], int] = {}
+    it = np.nditer(sigma.coeffs, flags=["multi_index"])
+    for val in it:
+        v = int(val)
+        if v:
+            key = tuple(sorted(it.multi_index))
+            terms[key] = (terms.get(key, 0) + v) % p
+    kappa = PolyPhase.from_coeffs(params, terms)
+    return kappa, alternating_sum_constant(kappa, sigma)
+
+
+def alternating_sum_constant(kappa: PolyPhase, sigma: TrilinearForm) -> int:
+    """The constant cstar with alternating sum of kappa = cstar * sigma at all
+    p^{4n} points; RuntimeError if there is none."""
+    params = sigma.params
+    p, N = params.p, params.size
+    ktab = kappa.phase_table()
+
+    all_idx = np.arange(N, dtype=np.int64)
+    sub = params.sub(all_idx[:, None], all_idx[None, :])
+    X = all_idx[:, None, None, None]
+    A = all_idx[None, :, None, None]
+    B = all_idx[None, None, :, None]
+    C = all_idx[None, None, None, :]
+    xa = sub[X, A]
+    xb = sub[X, B]
+    xc = sub[X, C]
+    xab = sub[xa, B]
+    xbc = sub[xb, C]
+    xac = sub[xa, C]
+    xabc = sub[xab, C]
+    S = (
+        -ktab[X] + ktab[xa] + ktab[xb] + ktab[xc]
+        - ktab[xab] - ktab[xbc] - ktab[xac] + ktab[xabc]
+    ) % p
+    stab = np.broadcast_to(
+        sigma.evaluate(
+            np.repeat(all_idx, N * N),
+            np.tile(np.repeat(all_idx, N), N),
+            np.tile(all_idx, N * N),
+        ).reshape(N, N, N)[None, :, :, :],
+        S.shape,
+    )
+    nz = np.flatnonzero(stab.ravel())
+    if nz.size == 0:
+        return (-6) % p
+    i = int(nz[0])
+    sval = int(S.ravel()[i])
+    tval = int(stab.ravel()[i])
+    cstar = sval * pow(tval, p - 2, p) % p
+    if np.any((S - cstar * stab) % p):
+        raise RuntimeError("alternating sum is not proportional to the form")
+    return int(cstar)
