@@ -1,9 +1,9 @@
 """Reference implementations of the rounding votes and the fit's row scan.
 
-`vote_histogram` is the per-b loop that `ulab.cli.consensus_rounding`
+`vote_histogram` is the per-b loop that `ulab.pipeline.consensus_rounding`
 replaced with one character count over G x H, and `first_independent_rows`
 is the scan that row-reduced the whole kept matrix again for each candidate
-row, which `ulab.cli._first_independent_rows` replaced with one elimination
+row, which `ulab.pipeline._first_independent_rows` replaced with one elimination
 pass.  `consensus_rounding` and `fit_biaffine` are the two stages on these
 routes, the fit with one `gf_solve` per output digit.  Tests compare the
 library against them; nothing in the package imports this module.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ulab.arrange import PartialMap
-from ulab.cli import BiAffineFit
+from ulab.pipeline import BiAffineFit
 from ulab.core import gf_rowreduce, gf_solve
 
 

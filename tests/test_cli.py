@@ -10,25 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import ulab.cli
+import ulab.pipeline
 import ulab.trilinear
 from ulab.arrange import PartialMap, partial_map_to_json
 from ulab.bilinear import BiAffineMap, biaffine_to_json
-from ulab.cli import (
-    PEAK_TIE_TOL,
-    REPORT_SCHEMA,
-    PipelineConfig,
-    affine_in_each_variable,
-    biaffine_value_table,
-    consensus_rounding,
-    derivative_peak_map,
-    exhaustive_affine_fit,
-    extract_affine_parts,
-    fit_biaffine,
-    main,
-    run_inverse_pipeline,
-    verify_suite,
-)
+from ulab.cli import main
 from ulab.core import (
     BudgetError,
     GroupFn,
@@ -39,7 +25,21 @@ from ulab.core import (
     poly_phase_fn,
 )
 from ulab.gowers import derivative2, uk_norm
+from ulab.pipeline import (
+    PEAK_TIE_TOL,
+    REPORT_SCHEMA,
+    PipelineConfig,
+    affine_in_each_variable,
+    biaffine_value_table,
+    consensus_rounding,
+    derivative_peak_map,
+    exhaustive_affine_fit,
+    extract_affine_parts,
+    fit_biaffine,
+    run_inverse_pipeline,
+)
 from ulab.trilinear import TrilinearForm, trilinear_to_json
+from ulab.verify import verify_suite
 
 P5 = GroupParams(5, 1)
 P52 = GroupParams(5, 2)
@@ -441,7 +441,7 @@ def test_pipeline_budget_halts_at_the_last_stage(monkeypatch):
     def refuse(g):
         raise BudgetError("quadratic search refused")
 
-    monkeypatch.setattr(ulab.cli, "quad_phase_search", refuse)
+    monkeypatch.setattr(ulab.pipeline, "quad_phase_search", refuse)
     _, f = _cubic_line()
     report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
     assert report.halted

@@ -13,10 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cli_oracle as oracle
-from ulab import cli
+from ulab import pipeline
 from ulab.arrange import PartialMap
-from ulab.cli import _first_independent_rows, _vote_histogram, consensus_rounding, fit_biaffine
 from ulab.core import GroupParams
+from ulab.pipeline import _first_independent_rows, _vote_histogram, consensus_rounding, fit_biaffine
 
 # every F_p^n with p^n <= 27
 GROUPS = [
@@ -85,7 +85,7 @@ def test_vote_histogram_blocks_match_the_loop(monkeypatch):
     params = GroupParams(3, 2)
     phi = _planted_map(params, GroupParams(5, 1), 0.7, 0.2, np.random.default_rng(5))
     want = oracle.vote_histogram(phi)
-    monkeypatch.setattr(cli, "SIZE_CAP", params.size * 5)
+    monkeypatch.setattr(pipeline, "SIZE_CAP", params.size * 5)
     assert np.array_equal(_vote_histogram(phi), want)
 
 
