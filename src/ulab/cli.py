@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .verify import verify_suite
 # bindings (PipelineConfig and run_inverse_pipeline, which this module uses,
 # are imported above), and bench/tests/test_tracer.py checks that the copies
 # of dft and derivative2 are wrapped.  This block goes once the benchmark
-# points at ulab.pipeline (ROADMAP item 6).
+# looks the pipeline up on ulab.pipeline.
 from .core import dft  # noqa: F401
 from .gowers import derivative2  # noqa: F401
 from .pipeline import (  # noqa: F401
@@ -41,11 +40,6 @@ from .pipeline import (  # noqa: F401
 )
 
 __all__ = ["build_parser", "main"]
-
-
-# ============================================================
-# command-line front end
-# ============================================================
 
 
 def _load_json(path: str) -> dict:
@@ -166,12 +160,10 @@ def _cmd_quadsearch(args) -> int:
 def _cmd_pipeline(args) -> int:
     f = group_fn_from_json(_load_json(args.input))
     overrides = _load_json(args.config) if args.config else {}
-    overrides.setdefault("p", f.params.p)
-    overrides.setdefault("n", f.params.n)
-    overrides.setdefault("input_path", args.input)
-    overrides.setdefault("output_path", args.out)
+    defaults = {"p": f.params.p, "n": f.params.n, "input_path": args.input, "output_path": args.out}
     try:
         cfg = PipelineConfig.from_json(overrides)
+        cfg = replace(cfg, **{k: v for k, v in defaults.items() if k not in overrides})
         cfg.validate()
     except ValueError as err:
         print("config error: %s" % err, file=sys.stderr)
@@ -210,23 +202,6 @@ def _cmd_verify(args) -> int:
         failed += 0 if r.ok else 1
     print("%d checks, %d failed" % (len(results), failed))
     return 3 if failed else 0
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("ULAB_THREADS")
-    if not cap:
-        return
-    try:
-        k = max(1, int(cap))
-    except ValueError:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, str(k))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

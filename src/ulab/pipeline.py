@@ -55,9 +55,16 @@ polynomial it correlates with:
 Every stage records its measurements; any measured quantity falling below
 its configured floor halts the run with diagnostics rather than continuing
 on meaningless data, and a kernel that refuses its size budget halts the
-run in the "budget" category at the running stage.  Each recorded or
-halted stage logs one INFO line on the "ulab" logger.  Reports are
-deterministic for a fixed configuration, excluding wall-clock fields.
+run in the "budget" category.  Each recorded or halted stage logs one INFO
+line on the "ulab" logger.  Reports are deterministic for a fixed
+configuration, excluding wall-clock fields.
+
+The running stage.  Stages are recorded in `STAGES` order, so the stage
+running at any moment is `STAGES[len(recorded)]`, and no stage code names
+itself.  Recording a stage names it by that rule and times it from the end
+of the previous stage (the gate from the start of the run), so the stage
+seconds are back to back; a halt, whether a floor's `PipelineHalt` or a
+kernel's `BudgetError`, is charged to the running stage in the same way.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -134,6 +142,13 @@ STABILITY_LOSS_FACTOR = 27_000
 # ============================================================
 
 
+# the annotation of each config field, read by `PipelineConfig.validate`;
+# bools are refused everywhere, and an integer field takes no float, even an
+# integral one such as 1e7
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+_FIELD_NAMES = {"int": "an integer", "float": "a real number", "str": "a string"}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the recovery pipeline.
@@ -173,12 +188,31 @@ class PipelineConfig:
     output_path: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.type.endswith("| None"):
+                continue
+            kind = f.type.split()[0]
+            if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[kind]):
+                raise ValueError("%s must be %s, got %r" % (f.name, _FIELD_NAMES[kind], v))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative, got %d" % self.seed)
+        if self.n < 1:
+            raise ValueError("n must be positive")
+        for name in ("densify_samples", "size_cap", "max_maps", "candidate_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be positive" % name)
+        # p^{3n} >= 2^{3n(bits(p) - 1)}: refuse an oversized p or n before
+        # the trial-division primality test and without forming the power
+        if self.p >= 2 and 3 * self.n * (self.p.bit_length() - 1) >= self.size_cap.bit_length():
+            raise ValueError(
+                "p^{3n} for p = %d, n = %d exceeds the size budget %d; the pipeline "
+                "loops over triples and refuses to start" % (self.p, self.n, self.size_cap)
+            )
         if not _is_prime(self.p):
             raise ValueError("p = %r is not prime" % (self.p,))
         if self.p < 5:
             raise ValueError("cubic extraction needs p >= 5, got p = %d" % self.p)
-        if self.n < 1:
-            raise ValueError("n must be positive")
         for name in ("u4_threshold", "c1", "eta", "zeta"):
             v = getattr(self, name)
             if not 0 < v <= 1:
@@ -196,10 +230,7 @@ class PipelineConfig:
                 raise ValueError("%s must lie in [0, 1], got %r" % (name, v))
         if self.t is not None and self.t < 1:
             raise ValueError("t must be positive when given")
-        for name in ("densify_samples", "size_cap", "max_maps", "candidate_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be positive" % name)
-        if self.residual_tol < 0:
+        if not self.residual_tol >= 0:
             raise ValueError("residual_tol must be non-negative")
         N = self.p**self.n
         if N**3 > self.size_cap:
@@ -210,6 +241,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
+        if not isinstance(obj, dict):
+            raise ValueError("the config must be a JSON object, got %s" % type(obj).__name__)
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
@@ -258,12 +291,11 @@ class PipelineHalt(Exception):
     """A measured quantity fell below its configured floor (category
     "precondition"), an exhaustive verification failed (category
     "verification") or a kernel refused its size budget (category
-    "budget")."""
+    "budget").  The halt belongs to the running stage, so it names none."""
 
-    def __init__(self, category: str, stage: str, reason: str, data: dict | None = None):
-        super().__init__("%s halt at stage %r: %s" % (category, stage, reason))
+    def __init__(self, category: str, reason: str, data: dict | None = None):
+        super().__init__("%s halt: %s" % (category, reason))
         self.category = category
-        self.stage = stage
         self.reason = reason
         self.data = data or {}
 
@@ -647,76 +679,71 @@ def run_inverse_pipeline(f: GroupFn, cfg: PipelineConfig) -> PipelineReport:
 
     last_end = time.perf_counter()
 
-    def record(name: str, t0: float, data: dict) -> None:
+    def close(data: dict) -> tuple[str, float]:
+        """Record the running stage, timed from the end of the last one."""
         nonlocal last_end
-        last_end = time.perf_counter()
-        stages.append(StageRecord(name, last_end - t0, data))
-        _log.info("stage %s done in %.3fs", name, last_end - t0)
+        now = time.perf_counter()
+        name, seconds = STAGES[len(stages)], now - last_end
+        stages.append(StageRecord(name, seconds, data))
+        last_end = now
+        return name, seconds
+
+    def record(data: dict) -> None:
+        _log.info("stage %s done in %.3fs", *close(data))
 
     try:
         _pipeline_stages(f, cfg, record)
     except PipelineHalt as err:
         halt = err
     except BudgetError as err:
-        # stages are recorded in order, so the running one is the next
-        halt = PipelineHalt("budget", STAGES[len(stages)], str(err))
+        halt = PipelineHalt("budget", str(err))
     else:
         report.result = stages[-1].data["result"]
         return report
-    # the halting stage started where the last recorded one ended
-    seconds = time.perf_counter() - last_end
-    stages.append(StageRecord(halt.stage, seconds, halt.data))
-    _log.info("stage %s halted (%s) in %.3fs: %s", halt.stage, halt.category, seconds, halt.reason)
+    name, seconds = close(halt.data)
+    _log.info("stage %s halted (%s) in %.3fs: %s", name, halt.category, seconds, halt.reason)
     report.halted = True
-    report.halt_stage = halt.stage
+    report.halt_stage = name
     report.halt_category = halt.category
     report.halt_reason = halt.reason
     return report
 
 
+def _require(ok: bool, reason: str, data: dict | None = None, category: str = "precondition") -> None:
+    """Halt the running stage with `reason` and `data` unless `ok`."""
+    if not ok:
+        raise PipelineHalt(category, reason, data)
+
+
 def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
     params = f.params
-    if (params.p, params.n) != (cfg.p, cfg.n):
-        raise PipelineHalt(
-            "precondition",
-            "gate",
-            "input lives on F_%d^%d but the config says F_%d^%d"
-            % (params.p, params.n, cfg.p, cfg.n),
-        )
+    _require(
+        (params.p, params.n) == (cfg.p, cfg.n),
+        "input lives on F_%d^%d but the config says F_%d^%d" % (params.p, params.n, cfg.p, cfg.n),
+    )
     sup = float(np.abs(f.values).max(initial=0.0))
-    if sup > 1 + 1e-9:
-        raise PipelineHalt(
-            "precondition", "gate", "input is not bounded: sup norm %.6f > 1" % sup, {"sup": sup}
-        )
+    _require(sup <= 1 + 1e-9, "input is not bounded: sup norm %.6f > 1" % sup, {"sup": sup})
 
     # -------- gate (and the peaks' pass over the same spectra) --------
-    t0 = time.perf_counter()
     phi, peak_stats, u4 = derivative_peak_map(f, cfg.c1)
     gate_data = {"u4": u4, "threshold": cfg.u4_threshold, "sup": sup}
-    if u4 < cfg.u4_threshold:
-        raise PipelineHalt(
-            "precondition",
-            "gate",
-            "fourth uniformity norm %.6f is below the threshold %.6f" % (u4, cfg.u4_threshold),
-            gate_data,
-        )
-    record("gate", t0, gate_data)
+    _require(
+        u4 >= cfg.u4_threshold,
+        "fourth uniformity norm %.6f is below the threshold %.6f" % (u4, cfg.u4_threshold),
+        gate_data,
+    )
+    record(gate_data)
 
     # -------- peaks --------
-    t0 = time.perf_counter()
     peak_stats["c1"] = cfg.c1
-    if peak_stats["density"] < cfg.density_floor:
-        raise PipelineHalt(
-            "precondition",
-            "peaks",
-            "peak-map density %.4f is below the floor %.4f"
-            % (peak_stats["density"], cfg.density_floor),
-            peak_stats,
-        )
-    record("peaks", t0, peak_stats)
+    _require(
+        peak_stats["density"] >= cfg.density_floor,
+        "peak-map density %.4f is below the floor %.4f" % (peak_stats["density"], cfg.density_floor),
+        peak_stats,
+    )
+    record(peak_stats)
 
     # -------- densify --------
-    t0 = time.perf_counter()
     filtered = row_freiman_filter(phi)
     phi2, drep = densify(
         filtered, eta_target=cfg.eta, seed=cfg.seed, samples=cfg.densify_samples
@@ -731,32 +758,24 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "reference_k": drep.reference_k,
         "reference_eta": REFERENCE_ETA,
     }
-    if dens_data["density"] < cfg.density_floor:
-        raise PipelineHalt(
-            "precondition",
-            "densify",
-            "densified map density %.4f is below the floor %.4f"
-            % (dens_data["density"], cfg.density_floor),
-            dens_data,
-        )
-    record("densify", t0, dens_data)
+    _require(
+        dens_data["density"] >= cfg.density_floor,
+        "densified map density %.4f is below the floor %.4f" % (dens_data["density"], cfg.density_floor),
+        dens_data,
+    )
+    record(dens_data)
 
     # -------- defect --------
-    t0 = time.perf_counter()
     defect = float(bihom_defect(phi2.to_dist_fn(), phi2.indicator()))
     defect_data = {"defect": defect, "ceiling": cfg.defect_ceiling}
-    if defect > cfg.defect_ceiling:
-        raise PipelineHalt(
-            "precondition",
-            "defect",
-            "bi-homomorphism defect %.4f exceeds the ceiling %.4f"
-            % (defect, cfg.defect_ceiling),
-            defect_data,
-        )
-    record("defect", t0, defect_data)
+    _require(
+        defect <= cfg.defect_ceiling,
+        "bi-homomorphism defect %.4f exceeds the ceiling %.4f" % (defect, cfg.defect_ceiling),
+        defect_data,
+    )
+    record(defect_data)
 
     # -------- cover --------
-    t0 = time.perf_counter()
     beta, brep = bogolyubov_bilinear(
         phi2.indicator(), cfg.zeta, max_maps=cfg.max_maps, candidate_cap=cfg.candidate_cap
     )
@@ -773,25 +792,18 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "flagged": brep.flagged,
         "budget_exhausted": brep.budget_exhausted,
     }
-    if brep.budget_exhausted:
-        raise PipelineHalt(
-            "precondition",
-            "cover",
-            "bilinear Bogolyubov cover exhausted its map budget",
-            cover_data,
-        )
-    record("cover", t0, cover_data)
+    _require(
+        not brep.budget_exhausted, "bilinear Bogolyubov cover exhausted its map budget", cover_data
+    )
+    record(cover_data)
 
     # -------- cells --------
-    t0 = time.perf_counter()
-    if params.p**beta.k > cfg.size_cap:
-        raise PipelineHalt(
-            "precondition",
-            "cells",
-            "cover codomain F_%d^%d is too large to decompose within the size "
-            "budget %d; raise zeta or the budget" % (params.p, beta.k, cfg.size_cap),
-            cover_data,
-        )
+    _require(
+        params.p**beta.k <= cfg.size_cap,
+        "cover codomain F_%d^%d is too large to decompose within the size "
+        "budget %d; raise zeta or the budget" % (params.p, beta.k, cfg.size_cap),
+        cover_data,
+    )
     t = cfg.t if cfg.t is not None else max(3 * beta.k + 2, 7)
     dec = bohr_decompose(beta, t)
     cells_checked = dec.verify_cells()
@@ -820,32 +832,25 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "cell_fill": best_count / cell_size if cell_size else 0.0,
     }
     min_fit_points = params.n * params.n + 2 * params.n + 1
-    if best_count < min_fit_points:
-        raise PipelineHalt(
-            "precondition",
-            "cells",
-            "best cell carries %d points, fewer than the %d needed to fit"
-            % (best_count, min_fit_points),
-            cell_data,
-        )
-    record("cells", t0, cell_data)
+    _require(
+        best_count >= min_fit_points,
+        "best cell carries %d points, fewer than the %d needed to fit" % (best_count, min_fit_points),
+        cell_data,
+    )
+    record(cell_data)
 
     # -------- rounding --------
-    t0 = time.perf_counter()
     rounded, round_stats = consensus_rounding(cell_phi)
     round_stats["reference_stability_bound"] = max(0.0, 1.0 - STABILITY_LOSS_FACTOR * cfg.eta)
-    if round_stats["stability_mean"] < cfg.stability_floor:
-        raise PipelineHalt(
-            "precondition",
-            "rounding",
-            "mean vote stability %.4f is below the floor %.4f"
-            % (round_stats["stability_mean"], cfg.stability_floor),
-            round_stats,
-        )
-    record("rounding", t0, round_stats)
+    _require(
+        round_stats["stability_mean"] >= cfg.stability_floor,
+        "mean vote stability %.4f is below the floor %.4f"
+        % (round_stats["stability_mean"], cfg.stability_floor),
+        round_stats,
+    )
+    record(round_stats)
 
     # -------- extend --------
-    t0 = time.perf_counter()
     fit = fit_biaffine(rounded)
     table = biaffine_value_table(params, fit)
     extend_data = {
@@ -853,26 +858,22 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "offset": fit.offset,
         "affine_parts_nonzero": bool(fit.s.any() or fit.t.any() or fit.e.any()),
     }
-    if fit.agreement < cfg.fit_floor:
-        raise PipelineHalt(
-            "precondition",
-            "extend",
-            "bi-affine fit explains only %.4f of the rounded map, below the floor %.4f"
-            % (fit.agreement, cfg.fit_floor),
-            extend_data,
-        )
-    if not affine_in_each_variable(params, table):
-        raise PipelineHalt(
-            "verification",
-            "extend",
-            "extension failed the exhaustive affine-in-each-variable check",
-            extend_data,
-        )
+    _require(
+        fit.agreement >= cfg.fit_floor,
+        "bi-affine fit explains only %.4f of the rounded map, below the floor %.4f"
+        % (fit.agreement, cfg.fit_floor),
+        extend_data,
+    )
+    _require(
+        affine_in_each_variable(params, table),
+        "extension failed the exhaustive affine-in-each-variable check",
+        extend_data,
+        "verification",
+    )
     extend_data["verified_affine"] = True
-    record("extend", t0, extend_data)
+    record(extend_data)
 
     # -------- backfit --------
-    t0 = time.perf_counter()
     parts = extract_affine_parts(rounded, fit)
     Mth, uth = parts["theta"]
     Mlm, ulm = parts["lambda"]
@@ -885,23 +886,20 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "lambda_agreement": parts["lambda_agreement"],
         "back_agreement": parts["back_agreement"],
     }
-    if parts["back_agreement"] < cfg.back_floor:
-        raise PipelineHalt(
-            "precondition",
-            "backfit",
-            "bilinear + per-variable model explains only %.4f of the map, below the floor %.4f"
-            % (parts["back_agreement"], cfg.back_floor),
-            back_data,
-        )
-    record("backfit", t0, back_data)
+    _require(
+        parts["back_agreement"] >= cfg.back_floor,
+        "bilinear + per-variable model explains only %.4f of the map, below the floor %.4f"
+        % (parts["back_agreement"], cfg.back_floor),
+        back_data,
+    )
+    record(back_data)
 
     # -------- symmetry --------
-    t0 = time.perf_counter()
     tau = TrilinearForm.from_component_mats(params, fit.T)
     try:
         sigma, srep = symmetry_pipeline(f, tau, (Mth, uth), (Mlm, ulm))
     except RuntimeError as err:
-        raise PipelineHalt("verification", "symmetry", str(err))
+        raise PipelineHalt("verification", str(err))
     sym_data = {
         "alpha": srep.alpha,
         "residual_rank": srep.residual_rank,
@@ -909,25 +907,20 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "asserted": srep.asserted,
         "perm_ranks": {"".join(map(str, perm)): r for perm, r in srep.perm_ranks},
     }
-    if srep.alpha < cfg.alpha_floor:
-        raise PipelineHalt(
-            "precondition",
-            "symmetry",
-            "trilinear correlation %.6f is below the floor %.6f" % (srep.alpha, cfg.alpha_floor),
-            sym_data,
-        )
-    if srep.residual_rank > cfg.residual_tol:
-        raise PipelineHalt(
-            "precondition",
-            "symmetry",
-            "asymmetric residual has rank %.6f; descending to a subspace where it "
-            "vanishes is out of scope at this size" % srep.residual_rank,
-            sym_data,
-        )
-    record("symmetry", t0, sym_data)
+    _require(
+        srep.alpha >= cfg.alpha_floor,
+        "trilinear correlation %.6f is below the floor %.6f" % (srep.alpha, cfg.alpha_floor),
+        sym_data,
+    )
+    _require(
+        srep.residual_rank <= cfg.residual_tol,
+        "asymmetric residual has rank %.6f; descending to a subspace where it "
+        "vanishes is out of scope at this size" % srep.residual_rank,
+        sym_data,
+    )
+    record(sym_data)
 
     # -------- cubic --------
-    t0 = time.perf_counter()
     p = params.p
     kappa0, cstar = kappa_from_sigma(sigma)
     scale = (-pow(cstar, p - 2, p)) % p
@@ -952,18 +945,15 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "alpha_box": alpha_box,
         "u3_norm": u3,
     }
-    if u3 < srep.alpha - 1e-9:
-        raise PipelineHalt(
-            "verification",
-            "cubic",
-            "third uniformity norm %.6f fell below the certified correlation %.6f"
-            % (u3, srep.alpha),
-            cubic_data,
-        )
-    record("cubic", t0, cubic_data)
+    _require(
+        u3 >= srep.alpha - 1e-9,
+        "third uniformity norm %.6f fell below the certified correlation %.6f" % (u3, srep.alpha),
+        cubic_data,
+        "verification",
+    )
+    record(cubic_data)
 
     # -------- quadratic --------
-    t0 = time.perf_counter()
     quad, quad_corr = quad_phase_search(g)
     total: dict[tuple, int] = dict(kappa.terms)
     for mono, coef in quad.terms:
@@ -971,8 +961,6 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
     phase = PolyPhase.from_coeffs(params, {m: c for m, c in total.items() if c})
     final_corr = abs(correlation(f, phase))
     record(
-        "quadratic",
-        t0,
         {
             "quad_terms": [[list(mono), coef] for mono, coef in quad.terms],
             "quad_correlation": quad_corr,
@@ -981,6 +969,6 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
                 "correlation": final_corr,
                 "u4": u4,
             },
-        },
+        }
     )
 

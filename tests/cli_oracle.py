@@ -5,17 +5,21 @@ replaced with one character count over G x H, and `first_independent_rows`
 is the scan that row-reduced the whole kept matrix again for each candidate
 row, which `ulab.pipeline._first_independent_rows` replaced with one elimination
 pass.  `consensus_rounding` and `fit_biaffine` are the two stages on these
-routes, the fit with one `gf_solve` per output digit.  Tests compare the
-library against them; nothing in the package imports this module.
+routes, the fit with one `gf_solve` per output digit.  `best_cubic_phase`
+is the pipeline's target found by exhaustion: the cubic q maximising
+|E f omega^{-q}|.  Tests compare the library against them; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ulab.arrange import PartialMap
+from ulab.core import GroupFn, PolyPhase, char_transform, gf_rowreduce, gf_solve
 from ulab.pipeline import BiAffineFit
-from ulab.core import gf_rowreduce, gf_solve
 
 
 def vote_histogram(phi: PartialMap) -> np.ndarray:
@@ -117,3 +121,27 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
         if best is None or cand.agreement > best.agreement + 1e-12:
             best = cand
     return best
+
+
+def best_cubic_phase(f: GroupFn) -> tuple[PolyPhase, float, float]:
+    """The cubic phase q (no constant) maximising |E f omega^{-q}|, that
+    maximum, and the largest value over every other cubic.
+
+    One batched `char_transform` of f omega^{-Q} over all p^M non-linear
+    parts Q (M quadratic and cubic monomials; 5^7 = 78,125 on F_5^2)
+    scores every linear part at once.
+    """
+    params = f.params
+    p, n, N = params.p, params.n, params.size
+    monos = [m for d in (3, 2) for m in itertools.combinations_with_replacement(range(n), d)]
+    dig = params.digits(np.arange(N, dtype=np.int64))
+    basis = np.stack([np.prod(dig[:, list(m)], axis=1) for m in monos], axis=1)
+    parts = np.asarray(list(itertools.product(range(p), repeat=len(monos))), dtype=np.int64)
+    twisted = f.values[None, :] * np.exp(-2j * np.pi * ((parts @ basis.T) % p) / p)
+    corrs = np.abs(char_transform(twisted, params, axis=1))
+    qi, r = np.unravel_index(int(np.argmax(corrs)), corrs.shape)
+    best = float(corrs[qi, r])
+    corrs[qi, r] = -1.0
+    coeffs = dict(zip(monos, (int(c) for c in parts[qi])))
+    coeffs.update({(i,): int(c) for i, c in enumerate(dig[r])})
+    return PolyPhase.from_coeffs(params, coeffs), best, float(corrs.max())

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cli_oracle
 import ulab.pipeline
 import ulab.trilinear
 from ulab.arrange import PartialMap, partial_map_to_json
@@ -124,6 +125,9 @@ def test_config_enforces_size_budget_before_running():
         cfg.validate()
     # 49^3 = 117,649 triples fit, though 49^4 = 5.8e6 would not
     PipelineConfig(p=7, n=2).validate()
+    # a budget of exactly p^{3n} is enough, however large p or n is
+    for p, n in [(5, 4), (31, 2), (2**31 - 1, 1)]:
+        PipelineConfig(p=p, n=n, size_cap=p ** (3 * n)).validate()
 
 
 def test_config_from_json_rejects_unknown_fields():
@@ -386,6 +390,10 @@ def test_pipeline_survives_corrupted_cubic():
     assert rounding.data["changed"] > 0
     extend = next(s for s in report.stages if s.name == "extend")
     assert extend.data["agreement"] == 1.0
+    # and the planted cubic is the best phase there is, uniquely
+    best, best_corr, runner_up = cli_oracle.best_cubic_phase(f)
+    assert dict(best.terms) == dict(q.terms) and runner_up < best_corr - 1e-9
+    assert abs(report.result["correlation"] - best_corr) < 1e-12
 
 
 def test_pipeline_gate_halts_below_threshold():
@@ -664,6 +672,37 @@ def test_cmd_pipeline_bad_config_exit_code(files, tmp_path, capsys):
     assert main(["pipeline", "--input", str(files["f1"]), "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"p": "5"}, "p must be an integer, got '5'"),
+        ({"eta": "x"}, "eta must be a real number"),
+        ({"t": "3"}, "t must be an integer"),
+        ({"max_maps": "4"}, "max_maps must be an integer"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"zeta": None}, "zeta must be a real number, got None"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"densify_samples": 2.5}, "densify_samples must be an integer"),
+        ({"n": 1.5}, "n must be an integer, got 1.5"),
+        ({"size_cap": 1e7}, "size_cap must be an integer, got 10000000.0"),
+        ({"p": True}, "p must be an integer, got True"),
+        ({"u4_threshold": False}, "u4_threshold must be a real number"),
+        ({"seed": -1}, "seed must be non-negative"),
+        # refused before p^n is formed or p = 2^61 - 1 is trial-divided
+        ({"n": 10**9}, "p^{3n} for p = 5, n = 1000000000 exceeds the size budget"),
+        ({"p": 2**61 - 1}, "p^{3n} for p = 2305843009213693951, n = 1 exceeds"),
+        ([5, 1], "must be a JSON object, got list"),
+        ("p=5", "must be a JSON object, got str"),
+    ],
+)
+def test_cmd_pipeline_malformed_config_exits_2_with_one_line(files, tmp_path, capsys, payload, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["pipeline", "--input", str(files["f1"]), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
+
+
 def test_cmd_pipeline_missing_file_exit_code(tmp_path, capsys):
     assert main(["pipeline", "--input", str(tmp_path / "absent.json")]) == 2
 
@@ -692,12 +731,3 @@ def test_cmd_verify_exit_codes(capsys):
     assert main(["verify", "--only", "core", "--inject-fault", "dft"]) == 3
     out = capsys.readouterr().out
     assert "FAIL core.parseval" in out
-
-
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("ULAB_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    assert main(["verify", "--only", "gowers"]) == 0
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"

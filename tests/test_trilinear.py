@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trilinear_oracle as oracle
 import ulab.trilinear
 from ulab.core import BudgetError, GroupFn, GroupParams, PolyPhase, Subspace, gf_rank, poly_phase_fn
 from ulab.grid import GridFn
@@ -221,9 +224,29 @@ def test_mean_equals_slice_rank_average_all_axes():
         assert slice_rank_mean(tau.slices(axis)) == mean
 
 
-def test_mean_budget_rejects_large_group():
-    with pytest.raises(ValueError):
-        analytic_mean_tri(TrilinearForm.zero(P53))
+def test_mean_on_a_large_group_is_not_refused():
+    # p^{3n} = 1.95e6 triples: the slice ranks need no triple count
+    assert analytic_mean_tri(TrilinearForm.zero(P53)) == Fraction(1)
+
+
+# every F_p^n with p^{3n} <= 10^6, that is p^n <= 100
+MEAN_GROUPS = [(p, 1) for p in range(2, 101) if all(p % d for d in range(2, p))]
+MEAN_GROUPS += [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("group", MEAN_GROUPS, ids=lambda g: "F%d^%d" % g)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), axis=st.sampled_from([0, 1, 2]))
+def test_mean_matches_the_triple_count(group, seed, axis):
+    params = GroupParams(*group)
+    rng = np.random.default_rng(seed)
+    n = params.n
+    # often sparse, so zero forms and low ranks come up too
+    coeffs = rng.integers(0, params.p, size=(n, n, n)) * (rng.random((n, n, n)) < rng.random())
+    tau = TrilinearForm(params, coeffs)
+    mean = oracle.analytic_mean_tri(tau)
+    assert analytic_mean_tri(tau) == mean
+    assert slice_rank_mean(tau.slices(axis)) == mean
 
 
 # ------------------------------------------------------------------

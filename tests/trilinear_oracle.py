@@ -10,20 +10,37 @@ second-derivative gather, and `quad_phase_search` the candidate table that
 `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
 that `ulab.trilinear.kappa_from_sigma` replaced with a symbolic
 polarisation certificate; `alternating_sum_constant` is that check alone, so
-a test can hand it a changed cubic.  Tests compare the library against
-them; nothing in the package imports this module.
+a test can hand it a changed cubic.  `analytic_mean_tri` counts the values
+of tau over all p^{3n} triples, which `ulab.trilinear.analytic_mean_tri`
+replaced with the ranks of the slices T_a.  Tests compare the library
+against them; nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, BudgetError, GroupFn, PolyPhase, Subspace
+from ulab.core import SIZE_CAP, BudgetError, CharacterSum, GroupFn, PolyPhase, Subspace
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
 from ulab.trilinear import PhaseProduct, TrilinearForm
+
+
+def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
+    """E_{a,b,c} omega^{tau(a,b,c)} from the counts of tau's values over
+    every triple, one row a at a time."""
+    params = tau.params
+    p, N = params.p, params.size
+    dig = params.digits(np.arange(N, dtype=np.int64))
+    counts = np.zeros(p, dtype=np.int64)
+    for a in range(N):
+        Ta = np.tensordot(dig[a], tau.coeffs, axes=(0, 0)) % p
+        vals = (dig @ Ta @ dig.T) % p
+        counts += np.bincount(vals.ravel(), minlength=p)
+    return CharacterSum(p, counts).rational_mean()
 
 
 def tri_correlation(
