@@ -470,13 +470,17 @@ class BohrDecomposition:
 
 
 def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
-    """Peel low-rank combinations until the rest have rank at least t.
+    """Peel low-rank combinations until the rest have rank at least t >= 1.
 
     Each round scans the combinations orthogonal to everything already
-    peeled, restricted to the current product V x W; the minimal-rank one
+    peeled, restricted to the current product V x W, with one
+    `_mats_map_rank` call on the restricted matrices; the minimal-rank one
     (earliest in index order on ties) is peeled, shrinking V and W by its
-    kernels.  The loop runs at most k rounds before the reduced map is empty.
+    kernels.  The last round's minimum is the certified rank.  The loop runs
+    at most k rounds before the reduced map is empty.
     """
+    if t < 1:
+        raise ValueError("rank threshold t must be at least 1, got %d" % t)
     params = beta.params
     p, n, k = params.p, params.n, beta.k
     BV = np.eye(n, dtype=np.int64)
@@ -486,18 +490,10 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     scans: list[tuple[int, ...]] = []
     for _ in range(k + 1):
         NB = gf_nullspace(p, U) if U.shape[0] else np.eye(k, dtype=np.int64)
-        kk = NB.shape[0]
-        ranks: list[int] = []
-        combos: list[np.ndarray] = []
-        if kk:
-            cp = GroupParams(p, kk)
-            for c in range(1, cp.size):
-                u = cp.digits(c) @ NB % p
-                Tu = np.tensordot(u, beta.T, axes=(0, 0)) % p
-                ranks.append(gf_rank(p, BV @ Tu @ BW.T % p))
-                combos.append(u)
-        scans.append(tuple(ranks))
-        min_rank: float = min(ranks) if ranks else math.inf
+        Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
+        mats = np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p
+        min_rank, scan = _mats_map_rank(p, mats)
+        scans.append(scan)
         if min_rank >= t:
             X1 = _subspace_from_rows(params, BV)
             Y1 = _subspace_from_rows(params, BW)
@@ -505,9 +501,7 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
             Y0 = _complement(params, Y1)
             if X0.dim > t * k or Y0.dim > t * k:
                 raise RuntimeError("peeled dimensions exceed the t*k guarantee")
-            Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
             reduced = BiAffineMap(params, Tr, NB @ beta.a % p, NB @ beta.b % p, NB @ beta.lam % p)
-            certified, _ = _mats_map_rank(p, np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p)
             return BohrDecomposition(
                 beta=beta,
                 X0=X0,
@@ -515,15 +509,14 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
                 Y0=Y0,
                 Y1=Y1,
                 rank_certificate=t,
-                certified_rank=certified,
+                certified_rank=min_rank,
                 reduced=reduced,
                 peeled=tuple(peeled),
                 round_scans=tuple(scans),
             )
-        pick = ranks.index(int(min_rank))
-        u = combos[pick]
-        Tu = np.tensordot(u, beta.T, axes=(0, 0)) % p
-        Tres = BV @ Tu @ BW.T % p
+        d = GroupParams(p, NB.shape[0]).digits(scan.index(min_rank) + 1)
+        u = d @ NB % p
+        Tres = np.tensordot(d, mats, axes=(0, 0)) % p
         BV = gf_rowreduce(p, gf_nullspace(p, Tres.T) @ BV % p)[0]
         BW = gf_rowreduce(p, gf_nullspace(p, Tres) @ BW % p)[0]
         U = np.concatenate([U, u.reshape(1, -1)], axis=0)

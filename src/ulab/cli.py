@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -168,6 +169,9 @@ def _cmd_pipeline(args) -> int:
     except ValueError as err:
         print("config error: %s" % err, file=sys.stderr)
         return 2
+    out_dir = os.path.dirname(args.out) if args.out else ""
+    if out_dir and not os.path.isdir(out_dir):
+        raise FileNotFoundError("report directory %s does not exist" % out_dir)
     report = run_inverse_pipeline(f, cfg)
     payload = report.to_dict()
     if args.out:

@@ -16,6 +16,10 @@ mean over characters of the scalar arrangement functional.  For a point map
 on A the character average keeps exactly the 4-arrangements in A whose
 Morse-signed value sum vanishes, so that norm measures how close the map is
 to respecting every 4-arrangement (`respected_density`, `bihom_defect`).
+
+Functions on a line G -> Sigma(H) take the same route over G x H; one
+batched kernel, `line_triple_conv`, forms theta = phi * phi * phi^adj, which
+`round_stability` and the pipeline's consensus rounding both round by.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ulab.core import GroupParams, char_transform
+from ulab.core import SIZE_CAP, GroupParams, char_transform
 from ulab.grid import GridFn, arr_functional, horiz_conv, mixed_conv, vert_conv
 
 __all__ = [
@@ -41,6 +45,7 @@ __all__ = [
     "respected_density",
     "bihom_defect",
     "gen_inner",
+    "line_triple_conv",
     "line_conv",
     "line_adjoint",
     "hom_defect",
@@ -183,6 +188,15 @@ class DistFn:
         return all(u.is_distribution() for u in self.table.values())
 
 
+def _dense(vp: GroupParams, cells, shape: tuple[int, ...]) -> np.ndarray:
+    """shape + (|H|,) weights: cell k holds u for each (k, u) in `cells`, zero elsewhere."""
+    dense = np.zeros(shape + (vp.size,))
+    for k, u in cells:
+        for g, w in u.weights.items():
+            dense[k][g] = w
+    return dense
+
+
 def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:
     """hat[x, y, s] = sum_g mu(x, y) phi(x, y)(g) omega^{-s.g}, shape (N, N, |H|).
 
@@ -192,10 +206,7 @@ def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:
     slices and the adjoint becomes conjugation.
     """
     N, vp = phi.params.size, phi.value_params
-    dense = np.zeros((N, N, vp.size))
-    for (x, y), u in phi.table.items():
-        for g, w in u.weights.items():
-            dense[x, y, g] = w
+    dense = _dense(vp, phi.table.items(), (N, N))
     if mu is not None:
         dense *= np.maximum(mu.values.real, 0.0)[:, :, None]
     return char_transform(dense, vp, axis=2) * vp.size
@@ -297,46 +308,61 @@ def line_adjoint(phi: list[Dist], params: GroupParams) -> list[Dist]:
     return [adjoint(phi[int(neg(np.int64(x)))]) for x in range(params.size)]
 
 
+def _line_hat(lines: np.ndarray, params: GroupParams, vp: GroupParams) -> np.ndarray:
+    """Character transform over G x H of dense (..., N, |H|) lines, averaged on both axes."""
+    return char_transform(char_transform(lines, params, axis=-2), vp, axis=-1)
+
+
+def line_triple_conv(lines: np.ndarray, params: GroupParams, vp: GroupParams) -> np.ndarray:
+    """theta[l, x] = E_{b1+b2-b3=x} phi_l(b1) phi_l(b2) phi_l(b3)* for dense (L, N, |H|) lines.
+
+    This is phi * phi * phi^adj = phi * (phi * phi^adj)^adj.  Over G x H it
+    is F^ F^ conj(F^), whose inverse is theta / |H|^2 since both transforms
+    average; on graph indicators N^2 theta counts the voting triples.  Lines
+    go through the transform in blocks of at most SIZE_CAP elements.
+    """
+    L, N, q = lines.shape
+    theta = np.empty((L, N, q))
+    block = max(1, SIZE_CAP // (N * q))
+    for lo in range(0, L, block):
+        hat = _line_hat(lines[lo : lo + block], params, vp)
+        # rebound before the G pass, so neither F^ nor the product lives through it
+        hat = char_transform(hat * hat * hat.conj(), vp, axis=2, inverse=True)
+        theta[lo : lo + block] = char_transform(hat, params, axis=1, inverse=True).real * q**2
+    return theta
+
+
 def line_conv(phi: list[Dist], psi: list[Dist], params: GroupParams) -> list[Dist]:
-    """(phi * psi)(x) = E_{u+v=x} phi(u) psi(v)."""
-    N = params.size
-    sub = params.sub
-    vp = phi[0].params
-    out = []
-    for x in range(N):
-        acc = np.zeros(vp.size)
-        for u in range(N):
-            prod = dist_product(phi[u], psi[int(sub(np.int64(x), np.int64(u)))])
-            for c, w in prod.weights.items():
-                acc[c] += w
-        out.append(Dist.from_dense(vp, acc / N))
-    return out
+    """(phi * psi)(x) = E_{u+v=x} phi(u) psi(v), by the product of the G x H transforms."""
+    vp, N = phi[0].params, params.size
+    hat = _line_hat(_dense(vp, enumerate(phi), (N,)), params, vp)
+    hat = hat * _line_hat(_dense(vp, enumerate(psi), (N,)), params, vp)
+    hat = char_transform(hat, vp, axis=1, inverse=True)
+    dense = char_transform(hat, params, axis=0, inverse=True).real * vp.size
+    return [Dist.from_dense(vp, row) for row in dense]
 
 
 def hom_defect(phi: list[Dist], params: GroupParams) -> float:
-    """E over additive quadruples x - y = z - w of d(phi(x)phi(y)*, phi(z)phi(w)*)."""
-    N = params.size
-    add, sub = params.add, params.sub
-    pairs = {}
-    for x in range(N):
-        for y in range(N):
-            pairs[(x, y)] = dist_product(phi[x], adjoint(phi[y]))
-    total = 0.0
-    for x in range(N):
-        for y in range(N):
-            left = pairs[(x, y)]
-            for z in range(N):
-                w = int(sub(np.int64(z), sub(np.int64(x), np.int64(y))))
-                total += ddist(left, pairs[(z, w)])
-    return total / N**3
+    """E over additive quadruples x - y = z - w of d(phi(x)phi(y)*, phi(z)phi(w)*).
+
+    With h^_s the transform over G of the s-th character of phi over H, the
+    products of totals average to Sum_r |h^_0(r)|^4 (slice 0 holds the
+    totals) and, by Parseval over H, the inner products to E_s Sum_r |h^_s(r)|^4.
+    """
+    vp = phi[0].params
+    hat = _line_hat(_dense(vp, enumerate(phi), (params.size,)), params, vp) * vp.size
+    power = (np.abs(hat) ** 4).sum(axis=0)
+    return float(power[0] - power.mean())
 
 
 def round_stability(phi: list[Dist], params: GroupParams, eta: float) -> RoundingResult:
     """Round a near-homomorphism G -> Sigma(A) to a concrete map G -> group.
 
-    Forms psi = phi * phi^adj and theta = phi * psi^adj, then takes the
-    per-point argmax of theta.  For a (1 - eta)-homomorphism with eta < 1/18
-    the result is an exact Freiman homomorphism with agreement at most 5 eta.
+    Takes the per-point `Dist.argmax` of theta = phi * (phi * phi^adj)^adj
+    from `line_triple_conv`: values within 1e-12 of the maximum tie, the
+    lowest wins and the tie is flagged.  For a (1 - eta)-homomorphism with
+    eta < 1/18 the result is an exact Freiman homomorphism with agreement
+    at most 5 eta.
     """
     if not eta < 1 / 18:
         raise ValueError("eta must be < 1/18")
@@ -346,19 +372,12 @@ def round_stability(phi: list[Dist], params: GroupParams, eta: float) -> Roundin
         t = u.total()
         if abs(t - 1.0) > _TOTAL_TOL:
             raise ValueError("phi values must be distributions; got total %r" % t)
-    psi = line_conv(phi, line_adjoint(phi, params), params)
-    theta = line_conv(phi, line_adjoint(psi, params), params)
-    omega = np.zeros(params.size, dtype=np.int64)
-    tied = False
-    for x in range(params.size):
-        g, t = theta[x].argmax()
-        omega[x] = g
-        tied = tied or t
     vp = phi[0].params
-    agree = float(
-        np.mean([ddist(phi[x], Dist.delta(vp, int(omega[x]))) for x in range(params.size)])
-    )
-    return RoundingResult(omega, agree, tied)
+    dense = _dense(vp, enumerate(phi), (params.size,))
+    picks = [Dist.from_dense(vp, row).argmax() for row in line_triple_conv(dense[None], params, vp)[0]]
+    omega = np.array([g for g, _ in picks], dtype=np.int64)
+    agree = float(np.mean(dense.sum(axis=1) - dense[np.arange(params.size), omega]))
+    return RoundingResult(omega, agree, any(t for _, t in picks))
 
 
 def is_freiman_hom(dom: GroupParams, val: GroupParams, omega: np.ndarray) -> bool:

@@ -22,10 +22,9 @@ polynomial it correlates with:
                   to its best-populated cell.
 7.  rounding    - consensus-round each value from the affine line votes of
                   its row and column, measuring the vote stability.  The
-                  vote histograms of all rows and columns are exact counts
-                  made through characters of G x H, one batched
-                  `core.char_transform` per block of lines; ties go to the
-                  lowest value.
+                  votes are N^2 theta, theta = phi * phi * phi^adj on each
+                  line by `galg.line_triple_conv` (the kernel of
+                  `galg.round_stability`); ties go to the lowest value.
 8.  extend      - fit an exact bi-affine model on the rounded data and
                   verify, exhaustively in both variables, that the extension
                   to all of G^2 is affine in each argument.  Each of the
@@ -83,18 +82,16 @@ import numpy as np
 from .arrange import PartialMap, densify, row_freiman_filter
 from .bilinear import bogolyubov_bilinear, bohr_decompose
 from .core import (
-    SIZE_CAP,
     BudgetError,
     GroupFn,
     GroupParams,
     PolyPhase,
     _is_prime,
-    char_transform,
     correlation,
     gf_rowreduce,
     inv_mod,
 )
-from .galg import bihom_defect
+from .galg import bihom_defect, line_triple_conv
 from .gowers import derivative2_spectra, norm_from_power, u4_row_power
 from .grid import GridFn
 from .trilinear import (
@@ -380,36 +377,14 @@ def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict, float]
     return PartialMap(params, params, dom, vals), stats, u4
 
 
-def _line_vote_histograms(params: GroupParams, vp: GroupParams, graphs: np.ndarray) -> np.ndarray:
-    """hist[l, b, v] = #{(b1, b2, b3) on line l's graph : b1 + b2 - b3 = b,
-    v1 + v2 - v3 = v}, for a stack of (L, N, q) graph indicators.
-
-    The count is F * F * F~ on G x H (F~(x) = F(-x)), so `char_transform`
-    over G (axis 1) and over H (axis 2) gives it as F^ F^ conj(F^).  Both
-    transforms average, so the inverse of that product is the count divided
-    by (N q)^2, and it is multiplied back by that scalar.  The counts are at
-    most N^2, so rounding is exact.  Lines go through the transform in
-    blocks of at most SIZE_CAP elements.
-    """
-    L, N, q = graphs.shape
-    hist = np.empty((L, N, q), dtype=np.int64)
-    block = max(1, SIZE_CAP // (N * q))
-    for lo in range(0, L, block):
-        hat = char_transform(char_transform(graphs[lo : lo + block], params, axis=1), vp, axis=2)
-        counts = char_transform(hat * hat * hat.conj(), vp, axis=2, inverse=True)
-        counts = char_transform(counts, params, axis=1, inverse=True)
-        hist[lo : lo + block] = np.rint(counts.real * (N * q) ** 2)
-    return hist
-
-
 def _vote_histogram(phi: PartialMap) -> np.ndarray:
-    """(N, N, q) integer vote histogram: the row line votes plus the column
-    line votes at every (a, b)."""
+    """(N, N, q) integer vote histogram at every (a, b): N^2 `line_triple_conv`
+    of the row graphs plus the column graphs, at most 2 N^2, so rounding is exact."""
     params, vp = phi.params, phi.value_params
     graph = phi.domain[:, :, None] & (phi.values[:, :, None] == np.arange(vp.size))
-    hist = _line_vote_histograms(params, vp, graph)
-    hist += _line_vote_histograms(params, vp, graph.transpose(1, 0, 2)).transpose(1, 0, 2)
-    return hist
+    theta = line_triple_conv(graph, params, vp)
+    theta += line_triple_conv(graph.transpose(1, 0, 2), params, vp).transpose(1, 0, 2)
+    return np.rint(theta * params.size**2).astype(np.int64)
 
 
 def consensus_rounding(phi: PartialMap) -> tuple[PartialMap, dict]:
@@ -418,8 +393,8 @@ def consensus_rounding(phi: PartialMap) -> tuple[PartialMap, dict]:
     Rows and columns of a bi-affine map are affine, so for domain points
     b1, b2, b3 of a common row with b1 + b2 - b3 = b, V[b1] + V[b2] - V[b3]
     votes for the value at b; columns vote the same way.  The histograms of
-    every row and column are counted at once through characters of G x H
-    (`_line_vote_histograms`).  The winner is the most-voted value, the
+    every row and column are counted at once by `galg.line_triple_conv`, the
+    kernel of `galg.round_stability`.  The winner is the most-voted value, the
     lowest one on ties, and its share of the votes is the rounding stability
     at that point.
     """

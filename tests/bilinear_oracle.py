@@ -1,18 +1,32 @@
-"""Reference implementation of the exact Bogolyubov cover.
+"""Reference implementations of the exact Bogolyubov cover and the Bohr
+peeling.
 
 `exact_cover` is the table route that `ulab.bilinear` replaced with its
 per-matrix count: it builds every one of the p^(n^2+n) affine maps and the
 index of M h + c for every map and every h, then runs the greedy cover on
-that table.  Tests compare the library against it; nothing in the package
-imports this module.
+that table.  `bohr_decompose` is the peeling loop with its own inline scan
+of the combinations in each round and a second full rank scan of the last
+round's matrices at exit, which `ulab.bilinear` replaced with one
+`_mats_map_rank` call per round.  Tests compare the library against them;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ulab.bilinear import _affine_map_tables, _greedy_cover
-from ulab.core import GroupParams
+from ulab.bilinear import (
+    BiAffineMap,
+    BohrDecomposition,
+    _affine_map_tables,
+    _complement,
+    _greedy_cover,
+    _mats_map_rank,
+    _subspace_from_rows,
+)
+from ulab.core import GroupParams, gf_nullspace, gf_rank, gf_rowreduce
 
 
 def exact_candidates(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
@@ -32,3 +46,65 @@ def exact_cover(
     """(chosen row ids, uncovered count) of the greedy cover over the full map table."""
     tables = _affine_map_tables(params, *exact_candidates(params))
     return _greedy_cover(tables, points, eps_count, max_maps)
+
+
+def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
+    """Peel low-rank combinations until the rest have rank at least t.
+
+    Each round scans the combinations orthogonal to everything already
+    peeled, restricted to the current product V x W; the minimal-rank one
+    (earliest in index order on ties) is peeled, shrinking V and W by its
+    kernels.  The loop runs at most k rounds before the reduced map is empty.
+    """
+    params = beta.params
+    p, n, k = params.p, params.n, beta.k
+    BV = np.eye(n, dtype=np.int64)
+    BW = np.eye(n, dtype=np.int64)
+    U = np.zeros((0, k), dtype=np.int64)
+    peeled: list[tuple[int, ...]] = []
+    scans: list[tuple[int, ...]] = []
+    for _ in range(k + 1):
+        NB = gf_nullspace(p, U) if U.shape[0] else np.eye(k, dtype=np.int64)
+        kk = NB.shape[0]
+        ranks: list[int] = []
+        combos: list[np.ndarray] = []
+        if kk:
+            cp = GroupParams(p, kk)
+            for c in range(1, cp.size):
+                u = cp.digits(c) @ NB % p
+                Tu = np.tensordot(u, beta.T, axes=(0, 0)) % p
+                ranks.append(gf_rank(p, BV @ Tu @ BW.T % p))
+                combos.append(u)
+        scans.append(tuple(ranks))
+        min_rank: float = min(ranks) if ranks else math.inf
+        if min_rank >= t:
+            X1 = _subspace_from_rows(params, BV)
+            Y1 = _subspace_from_rows(params, BW)
+            X0 = _complement(params, X1)
+            Y0 = _complement(params, Y1)
+            if X0.dim > t * k or Y0.dim > t * k:
+                raise RuntimeError("peeled dimensions exceed the t*k guarantee")
+            Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
+            reduced = BiAffineMap(params, Tr, NB @ beta.a % p, NB @ beta.b % p, NB @ beta.lam % p)
+            certified, _ = _mats_map_rank(p, np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p)
+            return BohrDecomposition(
+                beta=beta,
+                X0=X0,
+                X1=X1,
+                Y0=Y0,
+                Y1=Y1,
+                rank_certificate=t,
+                certified_rank=certified,
+                reduced=reduced,
+                peeled=tuple(peeled),
+                round_scans=tuple(scans),
+            )
+        pick = ranks.index(int(min_rank))
+        u = combos[pick]
+        Tu = np.tensordot(u, beta.T, axes=(0, 0)) % p
+        Tres = BV @ Tu @ BW.T % p
+        BV = gf_rowreduce(p, gf_nullspace(p, Tres.T) @ BV % p)[0]
+        BW = gf_rowreduce(p, gf_nullspace(p, Tres) @ BW % p)[0]
+        U = np.concatenate([U, u.reshape(1, -1)], axis=0)
+        peeled.append(tuple(int(c) for c in u))
+    raise RuntimeError("peeling exceeded k rounds; the reduction invariant failed")

@@ -1,16 +1,30 @@
-"""Reference implementations of the algebra-valued mixed convolution.
+"""Reference implementations of the algebra-valued convolutions.
 
 These are the direct dict-loop versions that `ulab.galg` replaced with its
-character-stack route: each cell accumulates `dist_product(u, adjoint(v))`
-over the matching points of one column or row.  Tests compare the library
-against them; nothing in the package imports this module.
+character-stack route.  In the mixed convolution each cell accumulates
+`dist_product(u, adjoint(v))` over the matching points of one column or
+row; on a line, `line_conv` makes N^2 `dist_product` calls, `hom_defect`
+walks all N^3 additive quadruples, and `round_stability` takes its argmax
+from two `line_conv` calls.  Tests compare the library against them;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ulab.galg import Dist, DistFn, adjoint, dist_product, grid_inner_dist
+from ulab.core import GroupParams
+from ulab.galg import (
+    _TOTAL_TOL,
+    Dist,
+    DistFn,
+    RoundingResult,
+    adjoint,
+    ddist,
+    dist_product,
+    grid_inner_dist,
+    line_adjoint,
+)
 from ulab.grid import GridFn, arr_functional
 
 
@@ -92,3 +106,67 @@ def bihom_defect(phi: DistFn, mu: GridFn) -> float:
 def gen_inner(phis) -> float:
     """Inner product of the mixed convolutions of two quadruples."""
     return grid_inner_dist(mixed_conv_dist(*phis[:4]), mixed_conv_dist(*phis[4:]))
+
+
+def line_conv(phi: list[Dist], psi: list[Dist], params: GroupParams) -> list[Dist]:
+    """(phi * psi)(x) = E_{u+v=x} phi(u) psi(v)."""
+    N = params.size
+    sub = params.sub
+    vp = phi[0].params
+    out = []
+    for x in range(N):
+        acc = np.zeros(vp.size)
+        for u in range(N):
+            prod = dist_product(phi[u], psi[int(sub(np.int64(x), np.int64(u)))])
+            for c, w in prod.weights.items():
+                acc[c] += w
+        out.append(Dist.from_dense(vp, acc / N))
+    return out
+
+
+def hom_defect(phi: list[Dist], params: GroupParams) -> float:
+    """E over additive quadruples x - y = z - w of d(phi(x)phi(y)*, phi(z)phi(w)*)."""
+    N = params.size
+    add, sub = params.add, params.sub
+    pairs = {}
+    for x in range(N):
+        for y in range(N):
+            pairs[(x, y)] = dist_product(phi[x], adjoint(phi[y]))
+    total = 0.0
+    for x in range(N):
+        for y in range(N):
+            left = pairs[(x, y)]
+            for z in range(N):
+                w = int(sub(np.int64(z), sub(np.int64(x), np.int64(y))))
+                total += ddist(left, pairs[(z, w)])
+    return total / N**3
+
+
+def round_stability(phi: list[Dist], params: GroupParams, eta: float) -> RoundingResult:
+    """Round a near-homomorphism G -> Sigma(A) to a concrete map G -> group.
+
+    Forms psi = phi * phi^adj and theta = phi * psi^adj, then takes the
+    per-point argmax of theta.  For a (1 - eta)-homomorphism with eta < 1/18
+    the result is an exact Freiman homomorphism with agreement at most 5 eta.
+    """
+    if not eta < 1 / 18:
+        raise ValueError("eta must be < 1/18")
+    if len(phi) != params.size:
+        raise ValueError("phi must be defined on all of G")
+    for u in phi:
+        t = u.total()
+        if abs(t - 1.0) > _TOTAL_TOL:
+            raise ValueError("phi values must be distributions; got total %r" % t)
+    psi = line_conv(phi, line_adjoint(phi, params), params)
+    theta = line_conv(phi, line_adjoint(psi, params), params)
+    omega = np.zeros(params.size, dtype=np.int64)
+    tied = False
+    for x in range(params.size):
+        g, t = theta[x].argmax()
+        omega[x] = g
+        tied = tied or t
+    vp = phi[0].params
+    agree = float(
+        np.mean([ddist(phi[x], Dist.delta(vp, int(omega[x]))) for x in range(params.size)])
+    )
+    return RoundingResult(omega, agree, tied)

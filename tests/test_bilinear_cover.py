@@ -1,10 +1,13 @@
 """Property tests: the per-matrix count behind the exact Bogolyubov cover
-against the full map table in `bilinear_oracle`.
+against the full map table in `bilinear_oracle`, and the Bohr peeling
+against the oracle's inline round scan.
 
 Each matrix covers each spectrum point with exactly one shift, so a bincount
 over the uncovered points must give every map's gain; the cover has to pick
 the same rows, earliest row first on ties, and leave the same points
-uncovered as the greedy pass over all p^(n^2+n) tabulated maps.
+uncovered as the greedy pass over all p^(n^2+n) tabulated maps.  The
+peeling is exact F_p arithmetic, so every field of the decomposition must
+be identical.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bilinear_oracle as oracle
-from ulab.bilinear import _exact_cover, bogolyubov_bilinear
+from ulab.bilinear import BiAffineMap, _exact_cover, bogolyubov_bilinear, bohr_decompose
 from ulab.core import GroupParams
 from ulab.grid import GridFn
 
@@ -72,6 +76,42 @@ def test_exact_cover_full_grid_ties_to_the_earliest_maps():
         chosen, uncovered = _exact_cover(params, points, 0, 2 * N)
         assert (chosen, uncovered) == oracle.exact_cover(params, points, 0, 2 * N)
         assert chosen == list(range(N)) and uncovered == 0
+
+
+@st.composite
+def bohr_inputs(draw):
+    """A bi-affine map with k <= 3 forms of random rank each (low ranks make
+    the peeling run several rounds), and a threshold t in {1, 2, 3}."""
+    params = GroupParams(*draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])))
+    p, n = params.p, params.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, 3))
+    T = np.zeros((k, n, n), dtype=np.int64)
+    for i in range(k):
+        r = draw(st.integers(0, n))
+        T[i] = rng.integers(0, p, (n, r)) @ rng.integers(0, p, (r, n)) % p
+    beta = BiAffineMap(params, T, rng.integers(0, p, (k, n)), rng.integers(0, p, (k, n)), rng.integers(0, p, k))
+    return beta, draw(st.integers(1, 3))
+
+
+@SETTINGS
+@given(bohr_inputs())
+def test_bohr_decompose_matches_the_inline_scan(case):
+    beta, t = case
+    try:
+        want = oracle.bohr_decompose(beta, t)
+    except RuntimeError as err:
+        # dependent forms can peel a combination already in the span of the
+        # peeled ones; both routes must then fail the same way
+        with pytest.raises(RuntimeError, match=str(err)):
+            bohr_decompose(beta, t)
+        return
+    got = bohr_decompose(beta, t)
+    for name in ("X0", "X1", "Y0", "Y1", "rank_certificate", "certified_rank", "peeled", "round_scans"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.reduced.params == want.reduced.params
+    for name in ("T", "a", "b", "lam"):
+        assert np.array_equal(getattr(got.reduced, name), getattr(want.reduced, name)), name
 
 
 def test_bogolyubov_exact_cover_memory_on_f7_squared():

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cli_oracle
+import ulab.cli
 import ulab.pipeline
 import ulab.trilinear
 from ulab.arrange import PartialMap, partial_map_to_json
@@ -608,6 +609,15 @@ def test_cmd_bohr(files, capsys):
     assert out["cells_checked"] > 0
 
 
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_cmd_bohr_rejects_a_threshold_below_one(files, capsys, t):
+    assert main(["bohr", "--beta", str(files["beta"]), "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "t must be at least 1" in captured.err
+
+
 def test_cmd_bog2(files, capsys):
     assert main(["bog2", "--input", str(files["f1"]), "--zeta", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -652,6 +662,18 @@ def test_cmd_pipeline_writes_report(files, capsys):
     assert rep["schema"] == REPORT_SCHEMA
     assert not rep["halted"]
     assert rep["result"]["correlation"] >= 0.999
+
+
+def test_cmd_pipeline_missing_report_directory_exits_before_running(files, capsys, monkeypatch):
+    def sentinel(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(ulab.cli, "run_inverse_pipeline", sentinel)
+    out_path = files["dir"] / "absent" / "r.json"
+    assert main(["pipeline", "--input", str(files["f1"]), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "absent" in err
+    assert not out_path.parent.exists()
 
 
 def test_cmd_pipeline_gate_exit_code(files, tmp_path, capsys):

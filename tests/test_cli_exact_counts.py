@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cli_oracle as oracle
-from ulab import pipeline
+from ulab import galg
 from ulab.arrange import PartialMap
 from ulab.core import GroupParams
 from ulab.pipeline import _first_independent_rows, _vote_histogram, consensus_rounding, fit_biaffine
@@ -85,7 +85,7 @@ def test_vote_histogram_blocks_match_the_loop(monkeypatch):
     params = GroupParams(3, 2)
     phi = _planted_map(params, GroupParams(5, 1), 0.7, 0.2, np.random.default_rng(5))
     want = oracle.vote_histogram(phi)
-    monkeypatch.setattr(pipeline, "SIZE_CAP", params.size * 5)
+    monkeypatch.setattr(galg, "SIZE_CAP", params.size * 5)
     assert np.array_equal(_vote_histogram(phi), want)
 
 

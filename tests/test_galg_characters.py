@@ -4,6 +4,10 @@ dict-loop oracle in `galg_oracle`.
 Parseval over the value group H turns the algebra-valued mixed convolution
 into |H| scalar ones; these tests draw non-negative multi-point tables, a
 non-uniform mu, and value groups equal to and different from the domain.
+On a line, the character transform over G x H carries `line_conv`,
+`hom_defect` and the rounding kernel theta = phi * phi * phi^adj; these
+tests draw sparse random, perturbed affine, uniform and two-point lines,
+whose theta ties, so the rounded map and its tie flag must be identical.
 """
 
 from __future__ import annotations
@@ -14,9 +18,22 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import galg_oracle as oracle
+from ulab import galg
 from ulab.arrange import PartialMap, respect_stats
 from ulab.core import GroupParams
-from ulab.galg import Dist, DistFn, bihom_defect, gen_inner, grid_inner_dist, mixed_conv_dist
+from ulab.galg import (
+    Dist,
+    DistFn,
+    bihom_defect,
+    gen_inner,
+    grid_inner_dist,
+    hom_defect,
+    line_adjoint,
+    line_conv,
+    line_triple_conv,
+    mixed_conv_dist,
+    round_stability,
+)
 from ulab.grid import GridFn
 
 TOL = 1e-12
@@ -114,3 +131,86 @@ def test_exact_respect_counts_match_oracle(domain, data):
     F = phi.to_dist_fn()
     M = oracle.mixed_conv_dist(F, F, F, F)
     assert got.respected == float(round(grid_inner_dist(M, M) * float(N) ** 8))
+
+
+# ============================================================
+# lines G -> Sigma(H)
+# ============================================================
+
+LINE_GROUPS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (2, 3)]
+
+
+@st.composite
+def lines(draw) -> tuple[GroupParams, list[Dist]]:
+    """(domain, line of distributions) in one of four shapes: sparse random,
+    an affine map with part of its mass moved at some points (a constant one
+    when the characteristics differ), uniform everywhere (theta ties at every
+    value), and two equal points a shift h apart (theta ties at two)."""
+    params = GroupParams(*draw(st.sampled_from(LINE_GROUPS)))
+    vp = params if draw(st.booleans()) else GroupParams(*draw(st.sampled_from(LINE_GROUPS)))
+    N, q = params.size, vp.size
+    kind = draw(st.sampled_from(["sparse", "affine", "uniform", "two-point"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if vp.p == params.p:
+        M = rng.integers(0, vp.p, (params.n, vp.n))
+        dig = params.digits(np.arange(N, dtype=np.int64))
+        A = vp.index((dig @ M + rng.integers(0, vp.p, vp.n)) % vp.p)
+    else:
+        A = np.full(N, rng.integers(q))
+    dense = np.zeros((N, q))
+    if kind == "sparse":
+        for x in range(N):
+            support = rng.choice(q, size=rng.integers(1, min(3, q) + 1), replace=False)
+            dense[x, support] = rng.random(len(support)) + 0.01
+    elif kind == "affine":
+        dense[np.arange(N), A] = 1.0
+        for x in np.nonzero(rng.random(N) < 0.3)[0]:
+            eps = 0.2 * rng.random()
+            dense[x] *= 1 - eps
+            dense[x, rng.integers(q)] += eps
+    elif kind == "uniform":
+        dense[:] = 1.0
+    else:
+        dense[np.arange(N), A] += 0.5
+        dense[np.arange(N), vp.add(A, np.int64(rng.integers(1, q)))] += 0.5
+    dense /= dense.sum(axis=1, keepdims=True)
+    return params, [Dist.from_dense(vp, row) for row in dense]
+
+
+def _line_dense(phi: list[Dist]) -> np.ndarray:
+    return np.stack([u.dense() for u in phi])
+
+
+def _oracle_theta(phi: list[Dist], params: GroupParams) -> np.ndarray:
+    """theta = phi * (phi * phi^adj)^adj by the oracle's dict loops."""
+    psi = oracle.line_conv(phi, line_adjoint(phi, params), params)
+    return _line_dense(oracle.line_conv(phi, line_adjoint(psi, params), params))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(lines())
+def test_line_algebra_matches_oracle(case):
+    params, phi = case
+    vp = phi[0].params
+    adj = line_adjoint(phi, params)
+    got = _line_dense(line_conv(phi, adj, params))
+    assert np.max(np.abs(got - _line_dense(oracle.line_conv(phi, adj, params)))) <= TOL
+    theta = line_triple_conv(_line_dense(phi)[None], params, vp)[0]
+    assert np.max(np.abs(theta - _oracle_theta(phi, params))) <= TOL
+    assert abs(hom_defect(phi, params) - oracle.hom_defect(phi, params)) <= TOL
+    res, want = round_stability(phi, params, 0.01), oracle.round_stability(phi, params, 0.01)
+    assert np.array_equal(res.omega, want.omega)
+    assert res.tie_flagged == want.tie_flagged
+    assert abs(res.agreement - want.agreement) <= TOL
+
+
+def test_line_triple_conv_blocks_match_the_oracle(monkeypatch):
+    # with the budget at two lines' elements, five lines go in three blocks
+    params, vp = GroupParams(3, 2), GroupParams(5, 1)
+    stack = np.random.default_rng(4).random((5, params.size, vp.size))
+    stack /= stack.sum(axis=2, keepdims=True)
+    monkeypatch.setattr(galg, "SIZE_CAP", 2 * params.size * vp.size)
+    got = line_triple_conv(stack, params, vp)
+    for line, theta in zip(stack, got):
+        phi = [Dist.from_dense(vp, row) for row in line]
+        assert np.max(np.abs(theta - _oracle_theta(phi, params))) <= TOL
