@@ -92,8 +92,9 @@ def _derivative2_rows(d1_a: np.ndarray, sub_b: np.ndarray) -> np.ndarray:
 
     The rows are one gather of d1_a, conjugated and multiplied in that
     buffer, and equal `derivative2(f, a, b_j).values` bit for bit.  Its users
-    are `derivative2_spectra` (every b) and `trilinear.tri_correlation` (b
-    over a subspace coset).
+    are `derivative2_spectra` (every b; `trilinear.u3_lower` reads its
+    spectra) and `trilinear.tri_correlation` (b over a subspace coset); each
+    transforms the rows in one batch.
     """
     d2 = d1_a[sub_b]
     np.conjugate(d2, out=d2)

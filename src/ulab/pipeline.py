@@ -36,14 +36,19 @@ polynomial it correlates with:
                   original peak map the combination explains.
 10. symmetry    - measure the correlation of the derivative family against
                   the trilinear form of the bilinear part, symmetrize the
-                  form, and bound the asymmetry ranks.
+                  form, and bound the asymmetry ranks.  The phase is affine
+                  in c for fixed (a, b), so by the autocorrelation identity
+                  the correlation is one gathered value |(d_{a,b} f)^(r)|^2
+                  per (a, b): N^3 log N time, O(N^2) memory per row a.
 11. cubic       - integrate the symmetric form sigma to the cubic phase
                   kappa(x) = sigma(x,x,x) and certify by polarisation that
                   its third difference is -6 sigma: kappa is homogeneous
                   cubic, so that difference does not depend on x, and one
                   O(n^3) comparison of coefficients proves it everywhere;
                   divide kappa out and certify the remainder's third
-                  uniformity norm by the box lower bound.
+                  uniformity norm by the box lower bound, whose
+                  autocorrelations are inverse transforms of the same
+                  power spectra (N^3 log N time, O(N^2) memory per row).
 12. quadratic   - exhaustively locate the best quadratic phase for the
                   remainder and report the full cubic polynomial together
                   with its correlation against the input.  One character

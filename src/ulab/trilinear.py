@@ -28,7 +28,7 @@ from ulab.core import (
     gf_rank,
     gf_rowreduce,
 )
-from ulab.gowers import _derivative2_rows, _first_derivatives, derivative, uk_norm
+from ulab.gowers import _batch_hat_abs, _derivative2_rows, derivative, derivative2_spectra, uk_norm
 from ulab.grid import GridFn
 
 __all__ = [
@@ -465,44 +465,49 @@ def tri_correlation(
     D denotes the third multiplicative difference; space defaults to the whole
     group and shifts to zero, giving the plain correlation functional.
 
-    Evaluated one row a at a time: the second derivatives d_{a+s1,b+s2} f of
-    every b come from one gather of d_{a+s1} f (`gowers._derivative2_rows`),
-    their autocorrelations E_x g(x) conj(g(x - c - s3)) at every c from one
-    more gather, and h and tau once over the (b, c) grid.  A row of
-    k = |space| points holds k^2 N products, so it is split into blocks of b
-    of at most max(kN, SIZE_CAP) products; other tables are O(kN).
+    For fixed (a, b) the phase is affine in c: h omega^{-tau} =
+    omega^{e0(a,b) + L(a,b).c}, L = BC^T b + AC^T a + lc - tau(a,b,.).  With
+    g = d_{a+s1,b+s2} f, the autocorrelation identity E_x g(x)
+    conj(g(x - c)) = Sigma_r |g_hat(r)|^2 omega^{r.c} turns the average over
+    c in V = space into a sum over one coset of the annihilator:
+
+        E_{a,b in V} omega^{e0(a,b)} Sigma_{r in -L(a,b) + V^perp}
+            |g_hat_{a,b}(r)|^2 omega^{r.s3}.
+
+    On the whole group V^perp = {0}, one gathered value per (a, b).  Row a's
+    second derivatives come from one gather (`gowers._derivative2_rows`) and
+    one batched transform (`gowers._batch_hat_abs`), as in
+    `gowers.derivative2_spectra`, so a row costs O(|V| N log N) time and
+    O(|V| N) memory: N^3 log N time and O(N^2) memory per row on the whole
+    group.
     """
     params = f.params
     if h.params != params or tau.params != params:
         raise ValueError("mismatched group parameters")
-    idx = space.member_indices() if space is not None else np.arange(params.size, dtype=np.int64)
-    k = len(idx)
-    if k**3 > SIZE_CAP:
-        raise BudgetError("correlation over %d points exceeds the size cap" % k**3)
+    space = space if space is not None else _full_space(params)
+    idx = space.member_indices()
     a0, b0, c0 = shifts
-    N = params.size
-    om = np.exp(-2j * np.pi / params.p)
+    p, N = params.p, params.size
     all_x = np.arange(N, dtype=np.int64)
     sub_b = params.sub(all_x[None, :], params.add(idx, b0)[:, None])
-    sub_c = params.sub(all_x[None, :], params.add(idx, c0)[:, None])
-    block = max(1, SIZE_CAP // (k * N))
+    dig_v = params.digits(idx)
+    perp = params.digits(space.annihilator().member_indices())
+    # omega^{r.s3} for every frequency r
+    weight = np.exp(2j * np.pi * params.dot(all_x, c0) / p)
+    # e0(a, b) = b.(AB^T a + lb) + la.a + const and
+    # L(a, b) = b.(BC - T_a) + AC^T a + lc, with T_a[j, k] = sum_i a_i tau_ijk
+    e_part = dig_v @ h.ab + h.lb
+    l_part = dig_v @ h.ac + h.lc
     total = 0.0 + 0.0j
-    for a in idx:
+    for a, da, e_a, l_a in zip(idx, dig_v, e_part, l_part):
         d1_a = derivative(f, int(params.add(a, a0))).values
-        for lo in range(0, k, block):
-            d2 = _derivative2_rows(d1_a, sub_b[lo : lo + block])
-            # prod[j, i, x] = d2[j, x] conj(d2[j, x - c_i]), built in the gathered buffer
-            prod = d2[:, sub_c]
-            np.conjugate(prod, out=prod)
-            np.multiply(d2[:, None, :], prod, out=prod)
-            ac = prod.mean(axis=2)
-            bs = np.repeat(idx[lo : lo + block], k)
-            cs = np.tile(idx, len(ac))
-            a_rep = np.full(len(bs), a)
-            ph = h.exponent(a_rep, bs, cs)
-            te = tau.evaluate(a_rep, bs, cs)
-            total += (np.exp(2j * np.pi * ph / params.p) * (om**te) * ac.ravel()).sum()
-    return complex(total / k**3)
+        power = _batch_hat_abs(_derivative2_rows(d1_a, sub_b), params) ** 2
+        L = dig_v @ (h.bc - np.tensordot(da, tau.coeffs, axes=(0, 0))) + l_a
+        coset = params.index(perp[None, :, :] - L[:, None, :])
+        e0 = dig_v @ e_a + da @ h.la + h.const
+        inner = (np.take_along_axis(power, coset, axis=1) * weight[coset]).sum(axis=1)
+        total += (np.exp(2j * np.pi * (e0 % p) / p) * inner).sum()
+    return complex(total / len(idx) ** 2)
 
 
 # ============================================================
@@ -676,9 +681,12 @@ def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]
     """(correlation alpha, third uniformity norm), asserting norm >= alpha.
 
     alpha = |E_{a,b,c} u(a,b) v(b,c) w(a,c) E_x D_{a,b,c} g(x)|.  Row a's
-    second derivatives come from the shared gather `_derivative2_rows`, as
-    in `tri_correlation`, and their autocorrelations at every c from one
-    more gather; memory is O(N^3) per row, within the p^{3n} budget.
+    spectra |(d_{a,b} g)^(r)| come from `gowers.derivative2_spectra`, one
+    batched `char_transform` per row.  By Wiener-Khinchin, the
+    autocorrelations E_x d(x) conj(d(x - c)) = Sigma_r |d_hat(r)|^2
+    omega^{r.c} at every c are the inverse transform of their squares along
+    the frequency axis.  So a row costs O(N^2 log N) time and O(N^2) memory:
+    N^3 log N in all.
     """
     params = g.params
     if float(np.abs(g.values).max(initial=0.0)) > 1 + 1e-9:
@@ -689,15 +697,10 @@ def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]
         _check_bounded_grid(grid, "u3_lower")
     _tri_budget(params)
     N = params.size
-    d1, sub_t = _first_derivatives(g)
     total = 0.0 + 0.0j
-    for a in range(N):
-        d2 = _derivative2_rows(d1[a], sub_t)
-        # prod[b, c, x] = d2[b, x] conj(d2[b, x - c]), built in the gathered buffer
-        prod = d2[:, sub_t]
-        np.conjugate(prod, out=prod)
-        np.multiply(d2[:, None, :], prod, out=prod)
-        total += u.values[a] @ ((v.values * prod.mean(axis=2)) @ w.values[a])
+    for a, spec in enumerate(derivative2_spectra(g)):
+        autocorr = char_transform(spec**2, params, axis=1, inverse=True)
+        total += u.values[a] @ ((v.values * autocorr) @ w.values[a])
     alpha = abs(complex(total / N**3))
     norm = uk_norm(g, 3).value
     if norm < alpha - 1e-9:

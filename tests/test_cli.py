@@ -40,11 +40,12 @@ from ulab.pipeline import (
     fit_biaffine,
     run_inverse_pipeline,
 )
-from ulab.trilinear import TrilinearForm, trilinear_to_json
+from ulab.trilinear import TrilinearForm, kappa_from_sigma, symmetrize, trilinear_to_json
 from ulab.verify import verify_suite
 
 P5 = GroupParams(5, 1)
 P52 = GroupParams(5, 2)
+P53 = GroupParams(5, 3)
 
 STAGE_NAMES = [
     "gate",
@@ -435,14 +436,14 @@ def test_pipeline_budget_checked_before_allocation():
 
 
 def test_pipeline_budget_halts_at_the_running_stage(monkeypatch):
-    # the symmetry correlation runs over p^{3n} = 125 triples, past a cap of 100
+    # the box lower bound refuses p^{3n} = 125 triples, past a cap of 100
     monkeypatch.setattr(ulab.trilinear, "SIZE_CAP", 100)
     _, f = _cubic_line()
     report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
     assert report.halted
-    assert (report.halt_category, report.halt_stage) == ("budget", "symmetry")
+    assert (report.halt_category, report.halt_stage) == ("budget", "cubic")
     assert "125" in report.halt_reason
-    assert [s.name for s in report.stages] == STAGE_NAMES[:10]
+    assert [s.name for s in report.stages] == STAGE_NAMES[:11]
     assert report.stages[-1].seconds > 0
 
 
@@ -638,6 +639,20 @@ def test_cmd_symmetrize(files, capsys):
     tau = TrilinearForm(P5, np.full((1, 1, 1), 6 % 5, dtype=np.int64))
     tpath = files["dir"] / "tau6.json"
     tpath.write_text(json.dumps(trilinear_to_json(tau)))
+    assert main(["symmetrize", "--input", str(fpath), "--tau", str(tpath)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["alpha"] - 1.0) < 1e-9 and out["asserted"] is True
+
+
+def test_cmd_symmetrize_on_f5_cubed(files, capsys):
+    # a planted cubic on F_5^3 against its third difference, 6 sigma
+    sigma = TrilinearForm(P53, np.random.default_rng(5).integers(0, 5, size=(3, 3, 3)))
+    sigma, _ = symmetrize(sigma)
+    kappa, _ = kappa_from_sigma(sigma)
+    fpath = files["dir"] / "f53.json"
+    fpath.write_text(json.dumps(group_fn_to_json(poly_phase_fn(kappa))))
+    tpath = files["dir"] / "tau53.json"
+    tpath.write_text(json.dumps(trilinear_to_json(sigma.scaled(6))))
     assert main(["symmetrize", "--input", str(fpath), "--tau", str(tpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["alpha"] - 1.0) < 1e-9 and out["asserted"] is True

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import trilinear_oracle as oracle
 import ulab.trilinear
 from ulab.core import BudgetError, GroupFn, GroupParams, PolyPhase, Subspace, gf_rank, poly_phase_fn
+from ulab.gowers import uk_norm
 from ulab.grid import GridFn
 from ulab.trilinear import (
     PhaseProduct,
@@ -449,11 +450,14 @@ def test_tri_correlation_planted_cubic():
     assert abs(val - 1.0) < 1e-10
 
 
-def test_tri_correlation_budget():
-    f = GroupFn(P53, np.zeros(125, dtype=complex))
+def test_tri_correlation_on_f5_cubed():
+    # p^{3n} = 1.95e6 triples: the spectra route holds O(N^2) per row, so no refusal
     tau = TrilinearForm.zero(P53)
-    with pytest.raises(ValueError):
-        tri_correlation(f, PhaseProduct.one(P53), tau)
+    assert tri_correlation(GroupFn(P53, np.zeros(125, dtype=complex)), PhaseProduct.one(P53), tau) == 0
+    rng = np.random.default_rng(53)
+    f = GroupFn(P53, rng.random(125) * np.exp(2j * np.pi * rng.random(125)))
+    want = uk_norm(f, 3).value ** 8
+    assert abs(tri_correlation(f, PhaseProduct.one(P53), tau) - want) <= 1e-12 * want
 
 
 # ------------------------------------------------------------------

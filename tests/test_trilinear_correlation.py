@@ -1,24 +1,35 @@
 """Property tests: `tri_correlation`, `u3_lower` and `quad_phase_search`
-against the loops and tables in `trilinear_oracle`.
+against the loops and tables in `trilinear_oracle`, and identities checked
+where the oracle loops are too slow.
 
-The correlation's per-row evaluation sums the same terms as the per-(a, b)
-loop in a different order, so the two must agree within 1e-12 on random
-bounded f, random phase products and forms, over the whole group and over
-proper subspaces with non-zero shifts.  `u3_lower` multiplies the same
-factors in another association, within 1e-12.  The quadratic search scores
-by FFT what the oracle scores by a candidate table: the chosen terms must
-be identical and the correlations within 1e-12, exact ties included.
+The correlation reads each (a, b) term off the spectrum of the second
+derivative by the autocorrelation (Parseval) identity, over one coset of
+the annihilator of the subspace, so it sums other terms than the oracle's
+loop, not the same terms in another order.  The two must agree within
+1e-12 on random bounded f, random phase products and forms, over the whole
+group and over proper subspaces with non-zero shifts.  `u3_lower` takes its
+autocorrelations as the inverse transform of the power spectrum
+(Wiener-Khinchin), within 1e-12 of the oracle's gather.  On F_11^2 and
+F_5^3, with h = 1 and tau = 0, both equal the U^3 norm to the eighth power,
+and a planted cubic correlates with its own third difference at 1.  The
+quadratic search scores by FFT what the oracle scores by a candidate table:
+the chosen terms must be identical and the correlations within 1e-12, exact
+ties included.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trilinear_oracle as oracle
 from ulab import trilinear
 from ulab.core import GroupFn, GroupParams, PolyPhase, Subspace, poly_phase_fn
+from ulab.gowers import uk_norm
 from ulab.grid import GridFn
 from ulab.trilinear import PhaseProduct, TrilinearForm, quad_phase_search, tri_correlation, u3_lower
 
@@ -66,19 +77,18 @@ def test_tri_correlation_matches_the_pair_loop(group, seed, whole):
     assert abs(got - want) < TOL
 
 
-def test_tri_correlation_blocks_match_the_pair_loop(monkeypatch):
-    # with the budget at k N, every row of a k-point subspace splits into
-    # blocks of one b each: k^2 second-derivative gathers in all
+def test_tri_correlation_gathers_once_per_row(monkeypatch):
+    # a subspace with shifts goes through the whole-group kernel: one
+    # second-derivative gather per row a of the k = 5 point subspace
     params = GroupParams(5, 2)
     f, h, tau = _random_inputs(params, np.random.default_rng(3))
     space = Subspace.from_generators(params, [7])
     want = oracle.tri_correlation(f, h, tau, space, (1, 4, 7))
     calls = []
     gather = trilinear._derivative2_rows
-    monkeypatch.setattr(trilinear, "SIZE_CAP", 5 * params.size)
     monkeypatch.setattr(trilinear, "_derivative2_rows", lambda *args: calls.append(1) or gather(*args))
     got = tri_correlation(f, h, tau, space, (1, 4, 7))
-    assert len(calls) == 25
+    assert len(calls) == 5
     assert abs(got - want) < TOL
 
 
@@ -92,6 +102,56 @@ def test_u3_lower_matches_the_four_way_gather(group, seed):
     grids = [GridFn(params, rng.random((N, N)) * np.exp(2j * np.pi * rng.random((N, N)))) for _ in range(3)]
     alpha, _ = u3_lower(g, *grids)
     assert abs(alpha - oracle.u3_lower_alpha(g, *grids)) < TOL
+
+
+# groups past the p^{3n} reach of the oracle loops
+IDENTITY_GROUPS = [(11, 2), (5, 3)]
+
+
+def _bounded(params: GroupParams, seed: int) -> GroupFn:
+    rng = np.random.default_rng(seed)
+    return GroupFn(params, rng.random(params.size) * np.exp(2j * np.pi * rng.random(params.size)))
+
+
+@pytest.mark.parametrize("group", IDENTITY_GROUPS)
+def test_tri_correlation_of_one_is_the_u3_power(group):
+    params = GroupParams(*group)
+    f = _bounded(params, 11)
+    want = uk_norm(f, 3).value ** 8
+    got = tri_correlation(f, PhaseProduct.one(params), TrilinearForm.zero(params))
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("group", IDENTITY_GROUPS)
+def test_u3_lower_of_ones_is_the_u3_power(group, monkeypatch):
+    # the p^{3n} budget refuses these groups; the kernel holds only O(N^2)
+    params = GroupParams(*group)
+    monkeypatch.setattr(trilinear, "SIZE_CAP", params.size**3)
+    f = _bounded(params, 12)
+    ones = GridFn.constant(params, 1.0)
+    alpha, norm = u3_lower(f, ones, ones, ones)
+    assert abs(alpha - norm**8) <= 1e-12 * norm**8
+
+
+def _third_difference(kappa: PolyPhase) -> TrilinearForm:
+    """The trilinear form of the cubic part of kappa: each cubic monomial's
+    coefficient at all six orderings of its indices."""
+    n = kappa.params.n
+    coeffs = np.zeros((n, n, n), dtype=np.int64)
+    for mono, coef in kappa.terms:
+        if len(mono) == 3:
+            for perm in itertools.permutations(mono):
+                coeffs[perm] += coef
+    return TrilinearForm(kappa.params, coeffs)
+
+
+def test_tri_correlation_planted_cubic_on_f11_squared():
+    params = GroupParams(11, 2)
+    kappa = PolyPhase.from_coeffs(
+        params, {(0, 0, 0): 3, (0, 0, 1): 5, (0, 1, 1): 8, (1, 1, 1): 1, (0, 1): 4, (1,): 9}
+    )
+    got = tri_correlation(poly_phase_fn(kappa), PhaseProduct.one(params), _third_difference(kappa))
+    assert abs(got - 1) < 1e-10
 
 
 # every group whose candidate table p^(dim) x N stays under 10^6 entries

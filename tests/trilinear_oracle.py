@@ -1,11 +1,15 @@
 """Reference implementations of the symmetry correlation, the box lower
 bound, the quadratic search and the cubic's certificate.
 
-`tri_correlation` is the per-(a, b) loop that `ulab.trilinear.tri_correlation`
-replaced with one evaluation per row a: one `derivative2` call, one
-autocorrelation and one phase evaluation per pair.  `u3_lower_alpha` is the
-four-way gather that `ulab.trilinear.u3_lower` replaced with the shared
-second-derivative gather, and `quad_phase_search` the candidate table that
+`tri_correlation` is the per-(a, b) loop, one `derivative2` call, one
+autocorrelation and one phase evaluation per pair, that
+`ulab.trilinear.tri_correlation` replaced with a gather from the spectra of
+the second derivatives: by the autocorrelation (Parseval) identity the sum
+over c collapses to one coset of frequencies, so the library sums other
+terms than this loop does, not the same terms in another order.
+`u3_lower_alpha` is the four-way gather of the autocorrelations that
+`ulab.trilinear.u3_lower` replaced with the inverse transform of the power
+spectrum (Wiener-Khinchin), and `quad_phase_search` the candidate table that
 `ulab.trilinear.quad_phase_search` replaced with one FFT per quadratic part.
 `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
 that `ulab.trilinear.kappa_from_sigma` replaced with a symbolic
