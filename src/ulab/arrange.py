@@ -98,35 +98,34 @@ class ArrangementStats:
         return self.respected / self.total if self.total > 0 else 0.0
 
 
-def _signed_value_sum(phi: PartialMap, px: np.ndarray, py: np.ndarray, signs) -> np.ndarray:
-    """Morse-signed sum of phi values at the given points, in the value group."""
-    vp = phi.value_params
-    acc = np.zeros(px.shape[0], dtype=np.int64)
-    for j, s in enumerate(signs):
-        v = phi.values[px[:, j], py[:, j]]
-        acc = vp.add(acc, v) if s > 0 else vp.sub(acc, v)
-    return acc
-
-
 def _mc_respect(
     phi: PartialMap, order: int, samples: int, seed: int
 ) -> tuple[float, float, float]:
     """Returns (total_ratio, respected_ratio, stderr of respected_ratio)."""
+    N = phi.params.size
+    vp = phi.value_params
+    in_domain = phi.domain.reshape(-1)
+    value_digits = vp.digits(phi.values.reshape(-1))
     signs = MORSE8 if order == 1 else MORSE32
     tot_sum = 0.0
     resp_sum = 0.0
-    resp_sq = 0.0
-    for pts in sample_blocks(phi.params, order, samples, seed):
-        px, py = pts[:, :, 0], pts[:, :, 1]
-        inside = phi.domain[px, py].all(axis=1)
-        zero = _signed_value_sum(phi, px, py, signs) == 0
-        resp = (inside & zero).astype(np.float64)
+    for m, vertices in sample_blocks(phi.params, order, samples, seed):
+        inside = np.ones(m, dtype=bool)
+        acc = np.zeros((m, vp.n), dtype=np.int64)
+        for s, (x, y) in zip(signs, vertices):
+            flat = x * N + y
+            inside &= np.take(in_domain, flat)
+            if s > 0:
+                acc += np.take(value_digits, flat, axis=0)
+            else:
+                acc -= np.take(value_digits, flat, axis=0)
+        resp = inside & (acc % vp.p == 0).all(axis=1)
         tot_sum += float(inside.sum())
         resp_sum += float(resp.sum())
-        resp_sq += float((resp**2).sum())
     tot_ratio = tot_sum / samples
     resp_ratio = resp_sum / samples
-    var = max(resp_sq / samples - resp_ratio**2, 0.0)
+    # resp is 0/1, so its sum of squares is resp_sum
+    var = max(resp_sum / samples - resp_ratio**2, 0.0)
     return tot_ratio, resp_ratio, float(np.sqrt(var / samples))
 
 
@@ -145,8 +144,13 @@ def respect_stats(
     of arr_functional(1_A omega^{-s.phi}) (galg.respected_density), then
     rounds both to integers.  Both are float ratios scaled by |G|^8, so the
     mode is limited to |G| <= 9 and raises if either does not round cleanly.
-    Monte Carlo mode draws seeded blocks of arrangements (grid.sample_blocks)
-    at either order.
+    Monte Carlo mode draws seeded blocks of arrangements at either order
+    (grid.sample_blocks) and counts them one vertex at a time: each vertex
+    gathers its domain bit and the digits of its value, which are added to
+    or subtracted from a per-sample digit accumulator by the vertex's Morse
+    sign.  A sample is inside when every vertex is, and respected when it is
+    inside and its accumulator vanishes mod the value group's p, so no
+    group arithmetic runs per vertex.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -243,22 +247,16 @@ def rare_zero_fraction(
         raise ValueError("eps = 0 vanishes identically; excluded")
     if np.array_equal(e, MORSE32) or np.array_equal(e, -MORSE32):
         raise ValueError("Morse multiples vanish identically; excluded")
-    p, n = params.p, params.n
     zero_sum = 0.0
-    zero_sq = 0.0
-    for pts in sample_blocks(params, 2, samples, seed):
-        acc = np.zeros((pts.shape[0], n, n), dtype=np.int64)
-        for j in range(32):
-            if e[j] == 0:
-                continue
-            da = params.digits(pts[:, j, 0])
-            db = params.digits(pts[:, j, 1])
-            acc += int(e[j]) * np.einsum("ms,mt->mst", da, db)
-        hit = (acc % p == 0).all(axis=(1, 2)).astype(np.float64)
-        zero_sum += float(hit.sum())
-        zero_sq += float((hit**2).sum())
+    for m, vertices in sample_blocks(params, 2, samples, seed):
+        acc = np.zeros((m, params.n, params.n), dtype=np.int64)
+        for s, (x, y) in zip(e, vertices):
+            if s != 0:
+                acc += int(s) * np.einsum("ms,mt->mst", params.digits(x), params.digits(y))
+        zero_sum += float((acc % params.p == 0).all(axis=(1, 2)).sum())
     frac = zero_sum / samples
-    var = max(zero_sq / samples - frac**2, 0.0)
+    # each hit is 0/1, so the sum of squares is zero_sum
+    var = max(zero_sum / samples - frac**2, 0.0)
     return frac, float(np.sqrt(var / samples))
 
 

@@ -7,6 +7,13 @@ to parallelograms of parallelograms (32 points).  The value of the mixed
 convolution of an indicator at (w, h) is the density of vertical
 parallelograms of width w and height h inside the set, which is what makes
 these functionals computable at p^{2n} cost instead of p^{8n}.
+
+The Monte-Carlo counts sample arrangements through `sample_blocks`, one
+seeded stream per block: it forms every vertex in digit space from the
+drawn parameters and hands the vertices out one at a time, in Morse order,
+so a consumer (`arr2_estimate`, and `respect_stats` and
+`rare_zero_fraction` in `ulab.arrange`) folds each into a per-sample
+accumulator and never holds a block's 8 or 32 points at once.
 """
 
 from __future__ import annotations
@@ -20,8 +27,10 @@ from ulab.core import (
     GroupElem,
     GroupFn,
     GroupParams,
+    _digit_table,
     _json_fields,
     _json_params,
+    _powers,
     char_transform,
 )
 
@@ -35,7 +44,6 @@ __all__ = [
     "arr_functional",
     "arr2_exact",
     "arr2_estimate",
-    "sample_arrangement_points",
     "sample_blocks",
     "MORSE8",
     "MORSE32",
@@ -184,73 +192,69 @@ def arr2_exact(f: GridFn) -> float:
     return arr_functional(mixed_self(f))
 
 
-def sample_arrangement_points(
-    params: GroupParams, order: int, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform random arrangements; shape (m, 8, 2) or (m, 32, 2) of indices.
-
-    Vertex j of a first-order arrangement takes the conjugation sign
-    MORSE8[j]; vertex j of a second-order arrangement takes MORSE32[j].
-    """
-    N = params.size
-    sub = params.sub
-    if order == 1:
-        x1, x2, w, y1, y1p, y2, y2p, h = rng.integers(0, N, size=(8, m), dtype=np.int64)
-        cols = [
-            (x1, y1),
-            (x1, sub(y1, h)),
-            (sub(x1, w), y1p),
-            (sub(x1, w), sub(y1p, h)),
-            (x2, y2),
-            (x2, sub(y2, h)),
-            (sub(x2, w), y2p),
-            (sub(x2, w), sub(y2p, h)),
-        ]
-        return np.stack([np.stack(c, axis=-1) for c in cols], axis=1)
-    if order == 2:
-        W, H, u1, v1, v1p, u2, v2, v2p = rng.integers(0, N, size=(8, m), dtype=np.int64)
-        slots = [
-            (u1, v1),
-            (u1, sub(v1, H)),
-            (sub(u1, W), v1p),
-            (sub(u1, W), sub(v1p, H)),
-            (u2, v2),
-            (u2, sub(v2, H)),
-            (sub(u2, W), v2p),
-            (sub(u2, W), sub(v2p, H)),
-        ]
-        out = np.empty((m, 32, 2), dtype=np.int64)
-        for j, (a, b) in enumerate(slots):
-            x, y, yp = rng.integers(0, N, size=(3, m), dtype=np.int64)
-            quad = [
-                (x, y),
-                (x, sub(y, b)),
-                (sub(x, a), yp),
-                (sub(x, a), sub(yp, b)),
-            ]
-            for i, (cx, cy) in enumerate(quad):
-                out[:, 4 * j + i, 0] = cx
-                out[:, 4 * j + i, 1] = cy
-        return out
-    raise ValueError("order must be 1 or 2")
-
-
 _MC_BLOCK = 8192
 
 
 def sample_blocks(params: GroupParams, order: int, samples: int, seed: int):
-    """Yield `samples` uniform arrangements (see sample_arrangement_points)
-    in blocks of at most _MC_BLOCK.
+    """Yield `samples` uniform random arrangements of the given order in
+    blocks of at most _MC_BLOCK, as (m, vertices) pairs.
 
-    Block b draws from its own child stream SeedSequence([seed, b]), so the
-    samples depend only on (seed, samples) and not on how blocks might be
-    distributed over workers.
+    `vertices` yields the m-long index arrays (x, y) of each vertex in
+    Morse order: vertex j takes the sign MORSE8[j] at order 1 and
+    MORSE32[j] at order 2.  `vertices` is lazy: it draws a slot's numbers
+    when that slot's first vertex is asked for, so a consumer that folds
+    each vertex into an accumulator holds one slot's arrays at a time.
+
+    The draws are a contract, since every Monte-Carlo number in the package
+    is a function of them.  Block b draws from its own child stream
+    SeedSequence([seed, b]), so the samples depend only on (seed, samples)
+    and not on how blocks might be distributed over workers.  Within a
+    block, `rng.integers(0, |G|, ...)` is called
+    * at order 1 once, shape (8, m): x1, x2, w, y1, y1', y2, y2', h, giving
+      the parallelograms with corners (x, y), (x, y - h), (x - w, y'),
+      (x - w, y' - h) for (x, y, y') = (x1, y1, y1') and (x2, y2, y2');
+    * at order 2 once, shape (8, m): W, H, u1, v1, v1', u2, v2, v2', whose
+      8 slots (a, b) are those corners in the same order; then once per
+      slot, shape (3, m): x, y, y', giving the slot's vertices (x, y),
+      (x, y - b), (x - a, y'), (x - a, y' - b).
+    Each drawn array is turned into digits once; a difference such as
+    x - (u1 - W) is a signed digit sum followed by one reduction mod p.
     """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    p, N = params.p, params.size
+    table, powers = _digit_table(p, params.n), _powers(p, params.n)
+
+    def parallelogram(xyy, a, b):
+        # xyy: indices of (x, y, y'); a, b: digit vectors, possibly unreduced
+        x, y, yp = xyy
+        dx, dy, dyp = np.take(table, xyy, axis=0)
+        xa = (dx - a) % p @ powers
+        yield x, y
+        yield x, (dy - b) % p @ powers
+        yield xa, yp
+        yield xa, (dyp - b) % p @ powers
+
+    def vertices(rng, m):
+        draws = rng.integers(0, N, size=(8, m), dtype=np.int64)
+        digits = np.take(table, draws, axis=0)
+        if order == 1:
+            w, h = digits[2], digits[7]
+            # (x1, y1, y1') and (x2, y2, y2')
+            yield from parallelogram(draws[[0, 3, 4]], w, h)
+            yield from parallelogram(draws[[1, 5, 6]], w, h)
+            return
+        W, H, u1, v1, v1p, u2, v2, v2p = digits
+        for u, v, vp in ((u1, v1, v1p), (u2, v2, v2p)):
+            uW = u - W
+            for a, b in ((u, v), (u, v - H), (uW, vp), (uW, vp - H)):
+                yield from parallelogram(rng.integers(0, N, size=(3, m), dtype=np.int64), a, b)
+
     for block, start in enumerate(range(0, samples, _MC_BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        yield sample_arrangement_points(params, order, min(_MC_BLOCK, samples - start), rng)
+        m = min(_MC_BLOCK, samples - start)
+        yield m, vertices(np.random.default_rng(np.random.SeedSequence([seed, block])), m)
 
 
 def arr2_estimate(f: GridFn, samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
@@ -261,13 +265,14 @@ def arr2_estimate(f: GridFn, samples: int = 100_000, seed: int = 0) -> tuple[flo
     """
     N = f.params.size
     flat = f.values.reshape(-1)
-    conj_mask = MORSE32 < 0
     total = 0.0
     total_sq = 0.0
-    for pts in sample_blocks(f.params, 2, samples, seed):
-        vals = flat[pts[:, :, 0] * N + pts[:, :, 1]]
-        vals[:, conj_mask] = vals[:, conj_mask].conj()
-        prod = vals.prod(axis=1).real
+    for m, vertices in sample_blocks(f.params, 2, samples, seed):
+        prod = np.ones(m, dtype=np.complex128)
+        for s, (x, y) in zip(MORSE32, vertices):
+            v = flat[x * N + y]
+            prod *= v if s > 0 else v.conj()
+        prod = prod.real
         total += float(prod.sum())
         total_sq += float((prod**2).sum())
     mean = total / samples
