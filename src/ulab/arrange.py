@@ -141,8 +141,8 @@ def respect_stats(
 
     Exact mode (order 1 only) evaluates total / |G|^8 = arr_functional(1_A)
     and respected / |G|^8 as the mean over characters s of the value group
-    of arr_functional(1_A omega^{-s.phi}) (galg.respected_density), then
-    rounds both to integers.  Both are float ratios scaled by |G|^8, so the
+    of arr_functional(1_A omega^{-s.phi}) (galg.respected_density, one
+    stacked pass over all characters), then rounds both to integers.  Both are float ratios scaled by |G|^8, so the
     mode is limited to |G| <= 9 and raises if either does not round cleanly.
     Monte Carlo mode draws seeded blocks of arrangements at either order
     (grid.sample_blocks) and counts them one vertex at a time: each vertex

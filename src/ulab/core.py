@@ -123,7 +123,8 @@ class GroupParams:
 
     def digits(self, idx):
         """Digit vector(s) of the given index/indices, shape (..., n)."""
-        return _digit_table(self.p, self.n)[idx]
+        # np.take gathers table rows several times faster than fancy indexing
+        return np.take(_digit_table(self.p, self.n), idx, axis=0)
 
     def index(self, digits) -> np.ndarray | np.int64:
         d = np.asarray(digits, dtype=np.int64) % self.p
@@ -496,19 +497,29 @@ class GroupFn:
         return GroupFn(self.params, self.values * other.values, ph)
 
 
-def char_transform(values: np.ndarray, params: GroupParams, axis: int = -1, inverse: bool = False) -> np.ndarray:
+def char_transform(
+    values: np.ndarray,
+    params: GroupParams,
+    axis: int = -1,
+    inverse: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """The character transform of F_p^n along one axis of length p^n.
 
     Forward, it is the averaged f_hat(r) = E_x f(x) omega^{-x.r}; with
     inverse=True it is the summed f(x) = Sigma_r f_hat(r) omega^{x.r}, the
     exact inverse.  The other axes are a batch.  The axis splits into its
     (p,)*n digit axes, on which the character transform is an n-dimensional
-    DFT; this is the package's one route to numpy's FFT.
+    DFT; this is the package's one route to numpy's FFT.  A contiguous
+    complex `out` of the same shape receives the result; it may be `values`
+    itself, which transforms in place without a temporary per digit axis.
     """
     axis %= values.ndim
     shape = values.shape[:axis] + (params.p,) * params.n + values.shape[axis + 1 :]
     fft = np.fft.ifftn if inverse else np.fft.fftn
-    out = fft(values.reshape(shape), axes=tuple(range(axis, axis + params.n)), norm="forward")
+    if out is not None:
+        out = out.reshape(shape)
+    out = fft(values.reshape(shape), axes=tuple(range(axis, axis + params.n)), norm="forward", out=out)
     return out.reshape(values.shape)
 
 

@@ -9,13 +9,15 @@ Grid functions valued in the algebra (`DistFn`) support the same mixed
 convolution as scalar grid functions, with conjugation replaced by the
 adjoint.  It is computed through the characters of H: the character
 transform turns the algebra product into a pointwise product and the
-adjoint into conjugation, so a table becomes a stack of |H| scalar grid
-functions, one per character, each convolved by `ulab.grid` and transformed
-back.  By Parseval over H the squared norm of the mixed convolution is the
-mean over characters of the scalar arrangement functional.  For a point map
-on A the character average keeps exactly the 4-arrangements in A whose
-Morse-signed value sum vanishes, so that norm measures how close the map is
-to respecting every 4-arrangement (`respected_density`, `bihom_defect`).
+adjoint into conjugation, so a table becomes one (|H|, N, N) stack of
+scalar grid functions, one per character, which the stacked kernels of
+`ulab.grid` convolve in a single pass before it is transformed back.  By
+Parseval over H the squared norm of the mixed convolution is the mean over
+characters of the scalar arrangement functional, one
+`arr_functional_stack` pass over the stack.  For a point map on A the
+character average keeps exactly the 4-arrangements in A whose Morse-signed
+value sum vanishes, so that norm measures how close the map is to
+respecting every 4-arrangement (`respected_density`, `bihom_defect`).
 
 Functions on a line G -> Sigma(H) take the same route over G x H; one
 batched kernel, `line_triple_conv`, forms theta = phi * phi * phi^adj, which
@@ -29,7 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ulab.core import SIZE_CAP, GroupParams, char_transform
-from ulab.grid import GridFn, arr_functional, horiz_conv, mixed_conv, vert_conv
+from ulab.grid import (
+    GridFn,
+    arr_functional,
+    arr_functional_stack,
+    horiz_conv_stack,
+    mixed_conv_stack,
+    vert_conv_stack,
+)
 
 __all__ = [
     "Dist",
@@ -198,55 +207,57 @@ def _dense(vp: GroupParams, cells, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:
-    """hat[x, y, s] = sum_g mu(x, y) phi(x, y)(g) omega^{-s.g}, shape (N, N, |H|).
+    """hat[s, x, y] = sum_g mu(x, y) phi(x, y)(g) omega^{-s.g}, shape (|H|, N, N).
 
-    This is `char_transform` over H = F_p^m on the value axis, times |H|,
-    since that transform averages and this one sums.  Slice s is a scalar
-    grid function; the algebra product becomes the pointwise product of
-    slices and the adjoint becomes conjugation.
+    This is `char_transform` over H = F_p^m on the leading value axis, times
+    |H|, since that transform averages and this one sums.  Slice s is a
+    scalar grid function; the algebra product becomes the pointwise product
+    of slices and the adjoint becomes conjugation.  The weights reach the
+    stack by one scatter of every (g, x, y, weight) entry of the table, and
+    the transform runs in place.
     """
     N, vp = phi.params.size, phi.value_params
-    dense = _dense(vp, phi.table.items(), (N, N))
-    if mu is not None:
-        dense *= np.maximum(mu.values.real, 0.0)[:, :, None]
-    return char_transform(dense, vp, axis=2) * vp.size
+    hat = np.zeros((vp.size, N, N), dtype=np.complex128)
+    entries = [(g, x, y, w) for (x, y), u in phi.table.items() for g, w in u.weights.items()]
+    if entries:
+        g, x, y, w = zip(*entries)
+        hat[g, x, y] = w
+    hat *= vp.size if mu is None else vp.size * np.maximum(mu.values.real, 0.0)
+    return char_transform(hat, vp, axis=0, out=hat)
 
 
 def _from_char_stack(params: GroupParams, vp: GroupParams, hat: np.ndarray) -> DistFn:
     """Inverse of _char_stack (`char_transform` inverse on the value axis,
     divided by |H|): back to weights, dropping cells with none left."""
-    dense = char_transform(hat, vp, axis=2, inverse=True).real / vp.size
-    cells = zip(*np.nonzero((dense >= _TRUNC).any(axis=2)))
+    dense = char_transform(hat, vp, axis=0, inverse=True).real / vp.size
+    cells = zip(*np.nonzero((dense >= _TRUNC).any(axis=0)))
     return DistFn(
-        params, vp, {(int(x), int(y)): Dist.from_dense(vp, dense[x, y]) for x, y in cells}
+        params, vp, {(int(x), int(y)): Dist.from_dense(vp, dense[:, x, y]) for x, y in cells}
     )
 
 
 def _per_character(conv, *fns: DistFn) -> DistFn:
-    """Apply a scalar grid convolution to every character slice of the inputs."""
+    """Apply a stacked scalar grid convolution to the character stacks of the inputs."""
     f = fns[0]
     if any(g.params != f.params or g.value_params != f.value_params for g in fns):
         raise ValueError("mismatched parameters")
-    hats = [_char_stack(g) for g in fns]
-    out = np.empty_like(hats[0])
-    for s in range(out.shape[2]):
-        out[..., s] = conv(*(GridFn(f.params, h[..., s]) for h in hats)).values
+    out = conv(*(_char_stack(g) for g in fns), f.params)
     return _from_char_stack(f.params, f.value_params, out)
 
 
 def vert_conv_dist(f: DistFn, g: DistFn) -> DistFn:
     """(x, h) -> E_y f(x, y) g(x, y - h)*; the algebra-valued column pass."""
-    return _per_character(vert_conv, f, g)
+    return _per_character(vert_conv_stack, f, g)
 
 
 def horiz_conv_dist(f: DistFn, g: DistFn) -> DistFn:
     """(w, y) -> E_x f(x, y) g(x - w, y)*; the algebra-valued row pass."""
-    return _per_character(horiz_conv, f, g)
+    return _per_character(horiz_conv_stack, f, g)
 
 
 def mixed_conv_dist(f1: DistFn, f2: DistFn, f3: DistFn, f4: DistFn) -> DistFn:
     """Column pass on (f1, f2) and (f3, f4), then a row pass across the two."""
-    return _per_character(mixed_conv, f1, f2, f3, f4)
+    return _per_character(mixed_conv_stack, f1, f2, f3, f4)
 
 
 def grid_inner_dist(F: DistFn, G: DistFn) -> float:
@@ -267,13 +278,13 @@ def respected_density(phi: DistFn, mu: GridFn | None = None) -> float:
     """|mixed_conv_dist(mu phi)|_2^2, as the mean over characters s of H of
     arr_functional(s-th character slice of mu phi) (Parseval over H).
 
+    The |H| slices are one (|H|, N, N) stack from `_char_stack`, and one
+    stacked `arr_functional_stack` pass gives every slice's functional.
     For a point map phi on A and mu = 1_A (or no mu), the s-average keeps
     exactly the 4-arrangements in A whose Morse-signed value sum vanishes, so
     this is the respected-arrangement count divided by |G|^8.
     """
-    hat = _char_stack(phi, mu)
-    K = hat.shape[2]
-    return sum(arr_functional(GridFn(phi.params, hat[..., s])) for s in range(K)) / K
+    return float(arr_functional_stack(_char_stack(phi, mu), phi.params).mean())
 
 
 def bihom_defect(phi: DistFn, mu: GridFn) -> float:

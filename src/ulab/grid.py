@@ -6,7 +6,10 @@ height (8 points); a second-order 4-arrangement applies the same construction
 to parallelograms of parallelograms (32 points).  The value of the mixed
 convolution of an indicator at (w, h) is the density of vertical
 parallelograms of width w and height h inside the set, which is what makes
-these functionals computable at p^{2n} cost instead of p^{8n}.
+these functionals computable at p^{2n} cost instead of p^{8n}.  The
+convolutions and the arrangement functional also come in stacked forms
+(`*_stack`) over arrays of shape (..., N, N), so `ulab.galg` takes all the
+character slices of an algebra-valued function through one pass.
 
 The Monte-Carlo counts sample arrangements through `sample_blocks`, one
 seeded stream per block: it forms every vertex in digit space from the
@@ -41,7 +44,11 @@ __all__ = [
     "horiz_conv",
     "mixed_conv",
     "mixed_self",
+    "vert_conv_stack",
+    "horiz_conv_stack",
+    "mixed_conv_stack",
     "arr_functional",
+    "arr_functional_stack",
     "arr2_exact",
     "arr2_estimate",
     "sample_blocks",
@@ -140,20 +147,38 @@ def _check(f: GridFn, g: GridFn) -> None:
         raise ValueError("mismatched group parameters")
 
 
+def _conv_pass(f: np.ndarray, g: np.ndarray, params: GroupParams, axis: int) -> np.ndarray:
+    """E_t f(.., t, ..) conj(g(.., t - d, ..)) along one axis of two value arrays."""
+    fh = char_transform(f, params, axis=axis)
+    gh = char_transform(g, params, axis=axis)
+    return char_transform(fh * gh.conj(), params, axis=axis, inverse=True)
+
+
+def vert_conv_stack(f: np.ndarray, g: np.ndarray, params: GroupParams) -> np.ndarray:
+    """`vert_conv` of stacks of grid values of shape (..., N, N); leading axes are a batch."""
+    return _conv_pass(f, g, params, -1)
+
+
+def horiz_conv_stack(f: np.ndarray, g: np.ndarray, params: GroupParams) -> np.ndarray:
+    """`horiz_conv` of stacks of grid values of shape (..., N, N); leading axes are a batch."""
+    return _conv_pass(f, g, params, -2)
+
+
+def mixed_conv_stack(f1, f2, f3, f4, params: GroupParams) -> np.ndarray:
+    """`mixed_conv` of stacks of grid values of shape (..., N, N)."""
+    return horiz_conv_stack(vert_conv_stack(f1, f2, params), vert_conv_stack(f3, f4, params), params)
+
+
 def vert_conv(f: GridFn, g: GridFn) -> GridFn:
     """(f vconv g)(x, h) = E_y f(x, y) conj(g(x, y - h)); columns fixed."""
     _check(f, g)
-    fh = char_transform(f.values, f.params, axis=1)
-    gh = char_transform(g.values, f.params, axis=1)
-    return GridFn(f.params, char_transform(fh * gh.conj(), f.params, axis=1, inverse=True))
+    return GridFn(f.params, vert_conv_stack(f.values, g.values, f.params))
 
 
 def horiz_conv(f: GridFn, g: GridFn) -> GridFn:
     """(f hconv g)(w, y) = E_x f(x, y) conj(g(x - w, y)); rows fixed."""
     _check(f, g)
-    fh = char_transform(f.values, f.params, axis=0)
-    gh = char_transform(g.values, f.params, axis=0)
-    return GridFn(f.params, char_transform(fh * gh.conj(), f.params, axis=0, inverse=True))
+    return GridFn(f.params, horiz_conv_stack(f.values, g.values, f.params))
 
 
 def mixed_conv(f1: GridFn, f2: GridFn, f3: GridFn, f4: GridFn) -> GridFn:
@@ -171,14 +196,35 @@ def mixed_self(f: GridFn) -> GridFn:
     return horiz_conv(v, v)
 
 
+def arr_functional_stack(values: np.ndarray, params: GroupParams) -> np.ndarray:
+    """`arr_functional` of each grid function in a (K, N, N) stack, shape (K,).
+
+    One column transform, |.|^2 and its inverse give the column pass
+    v = vert_conv(f, f) (Wiener-Khinchin); one row transform of v then holds
+    the row pass as |v^|^2, and by Parseval over the rows
+    |mixed_self(f)|_2^2 = E_h Sigma_r |v^(r, h)|^4, so the last inverse is
+    never taken.  Every step after the first transform runs in place in one
+    complex work array, so the pass holds one (K, N, N) copy beside the input.
+    """
+    work = char_transform(values, params, axis=-1, out=np.empty(values.shape, dtype=np.complex128))
+    np.abs(work, out=work)
+    np.square(work, out=work)
+    work = char_transform(work, params, axis=-1, inverse=True, out=work)
+    work = char_transform(work, params, axis=-2, out=work)
+    np.abs(work, out=work)
+    power = work.real
+    power **= 4
+    return power.sum(axis=-2).mean(axis=-1)
+
+
 def arr_functional(f: GridFn) -> float:
     """Density of pairs of equal-shape parallelograms weighted by f.
 
     Equals |mixed_self(f)|_2^2; for f = 1_A this is the 4-arrangement density
-    of A, i.e. the exact count divided by |G|^8.
+    of A, i.e. the exact count divided by |G|^8.  Computed as
+    `arr_functional_stack` of a stack of one.
     """
-    m = mixed_self(f)
-    return float((np.abs(m.values) ** 2).mean())
+    return float(arr_functional_stack(f.values[None], f.params)[0])
 
 
 def arr2_exact(f: GridFn) -> float:

@@ -592,35 +592,31 @@ def extract_affine_parts(phi: PartialMap, fit: BiAffineFit) -> dict:
     gamma = np.einsum("ai,cij,bj->abc", dig, fit.T, dig) % p
     xs, ys = np.nonzero(phi.domain)
     resid = (vp.digits(phi.values[xs, ys]) - gamma[xs, ys]) % p
-    # per-variable corrections: theta from a reference column, lambda by
-    # majority vote, then a second pass for rows missing the reference
-    b0 = int(ys[0])
-    theta_data: dict[int, tuple] = {}
-    for a, b, r in zip(xs, ys, resid):
-        if b == b0 and int(a) not in theta_data:
-            theta_data[int(a)] = tuple(int(v) for v in r)
-    lam_votes: dict[int, Counter] = {}
-    for a, b, r in zip(xs, ys, resid):
-        th = theta_data.get(int(a))
-        if th is not None:
-            off = tuple(int(v) for v in (r - np.array(th, dtype=np.int64)) % p)
-            lam_votes.setdefault(int(b), Counter())[off] += 1
-    lam_data = {
-        b: max(sorted(c), key=lambda k: c[k]) for b, c in lam_votes.items()
-    }
-    for a, b, r in zip(xs, ys, resid):
-        if int(a) not in theta_data and int(b) in lam_data:
-            theta_data[int(a)] = tuple(
-                int(v) for v in (r - np.array(lam_data[int(b)], dtype=np.int64)) % p
-            )
-    th_keys = sorted(theta_data)
-    lm_keys = sorted(lam_data)
-    Mth, uth, ath = exhaustive_affine_fit(
-        params, np.array(th_keys, dtype=np.int64), np.array([theta_data[a] for a in th_keys], dtype=np.int64)
-    ) if th_keys else (np.zeros((params.n,) * 2, dtype=np.int64), np.zeros(params.n, dtype=np.int64), 1.0)
-    Mlm, ulm, alm = exhaustive_affine_fit(
-        params, np.array(lm_keys, dtype=np.int64), np.array([lam_data[b] for b in lm_keys], dtype=np.int64)
-    ) if lm_keys else (np.zeros((params.n,) * 2, dtype=np.int64), np.zeros(params.n, dtype=np.int64), 1.0)
+    m = resid.shape[1]
+    # per-variable corrections: theta from the reference column ys[0], lambda
+    # by majority vote, then a second pass for rows missing the reference
+    theta = np.zeros((N, m), dtype=np.int64)
+    has_theta = np.zeros(N, dtype=bool)
+    ref = ys == ys[0]
+    theta[xs[ref]] = resid[ref]
+    has_theta[xs[ref]] = True
+    # offsets coded big-endian, so code order is the lexicographic order of
+    # digit tuples and argmax's first maximum breaks ties toward the smallest
+    big = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    voting = has_theta[xs]
+    codes = ((resid[voting] - theta[xs[voting]]) % p) @ big
+    votes = np.bincount(ys[voting] * p**m + codes, minlength=N * p**m).reshape(N, p**m)
+    has_lam = votes.any(axis=1)
+    lam = votes.argmax(axis=1)[:, None] // big % p
+    # the first candidate per row a, in scan order
+    late = np.flatnonzero(~has_theta[xs] & has_lam[ys])
+    rows, first = np.unique(xs[late], return_index=True)
+    pick = late[first]
+    theta[rows] = (resid[pick] - lam[ys[pick]]) % p
+    has_theta[rows] = True
+    th_keys, lm_keys = np.flatnonzero(has_theta), np.flatnonzero(has_lam)
+    Mth, uth, ath = exhaustive_affine_fit(params, th_keys, theta[th_keys])
+    Mlm, ulm, alm = exhaustive_affine_fit(params, lm_keys, lam[lm_keys])
     th_tab = (dig @ Mth.T + uth[None, :]) % p
     lm_tab = (dig @ Mlm.T + ulm[None, :]) % p
     full = (gamma + th_tab[:, None, :] + lm_tab[None, :, :]) % p

@@ -187,13 +187,22 @@ def analytic_rank_tri(tau: TrilinearForm) -> float:
 
 
 def slice_rank_mean(fam: SliceFamily) -> Fraction:
-    """E_x p^{-rank(T_x)}, exactly."""
+    """E_x p^{-rank(T_x)}, exactly.
+
+    The slices T_x = sum_s x_s mats[s] come from one einsum over the digit
+    table, in blocks of at most SIZE_CAP entries; each distinct slice of a
+    block is ranked once and weighted by its multiplicity.
+    """
     params = fam.params
-    p = params.p
+    p, n, N = params.p, params.n, params.size
     total = Fraction(0)
-    for x in range(params.size):
-        total += Fraction(1, p ** gf_rank(p, fam.slice_at(x)))
-    return total / params.size
+    block = max(1, SIZE_CAP // (n * n))
+    for lo in range(0, N, block):
+        dig = params.digits(np.arange(lo, min(lo + block, N), dtype=np.int64))
+        slices = np.einsum("xs,sij->xij", dig, fam.mats) % p
+        distinct, counts = np.unique(slices, axis=0, return_counts=True)
+        total += sum(Fraction(int(c), p ** gf_rank(p, T)) for T, c in zip(distinct, counts))
+    return total / N
 
 
 # ============================================================

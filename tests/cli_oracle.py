@@ -5,7 +5,10 @@ replaced with one character count over G x H, and `first_independent_rows`
 is the scan that row-reduced the whole kept matrix again for each candidate
 row, which `ulab.pipeline._first_independent_rows` replaced with one elimination
 pass.  `consensus_rounding` and `fit_biaffine` are the two stages on these
-routes, the fit with one `gf_solve` per output digit.  `best_cubic_phase`
+routes, the fit with one `gf_solve` per output digit.
+`extract_affine_parts` is the backfit's per-point loop over the domain,
+which `ulab.pipeline.extract_affine_parts` replaced with array passes and
+one `np.bincount` of the votes.  `best_cubic_phase`
 is the pipeline's target found by exhaustion: the cubic q maximising
 |E f omega^{-q}|.  Tests compare the library against them; nothing in the
 package imports this module.
@@ -14,12 +17,13 @@ package imports this module.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
 from ulab.arrange import PartialMap
 from ulab.core import GroupFn, PolyPhase, char_transform, gf_rowreduce, gf_solve
-from ulab.pipeline import BiAffineFit
+from ulab.pipeline import BiAffineFit, exhaustive_affine_fit
 
 
 def vote_histogram(phi: PartialMap) -> np.ndarray:
@@ -121,6 +125,59 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
         if best is None or cand.agreement > best.agreement + 1e-12:
             best = cand
     return best
+
+
+def extract_affine_parts(phi: PartialMap, fit: BiAffineFit) -> dict:
+    """The backfit with three per-point loops: theta from the reference
+    column, lambda by a `Counter` vote per column (ties to the smallest
+    tuple), and theta again for rows missing the reference."""
+    params, vp = phi.params, phi.value_params
+    p = params.p
+    N = params.size
+    dig = params.digits(np.arange(N, dtype=np.int64))
+    gamma = np.einsum("ai,cij,bj->abc", dig, fit.T, dig) % p
+    xs, ys = np.nonzero(phi.domain)
+    resid = (vp.digits(phi.values[xs, ys]) - gamma[xs, ys]) % p
+    # per-variable corrections: theta from a reference column, lambda by
+    # majority vote, then a second pass for rows missing the reference
+    b0 = int(ys[0])
+    theta_data: dict[int, tuple] = {}
+    for a, b, r in zip(xs, ys, resid):
+        if b == b0 and int(a) not in theta_data:
+            theta_data[int(a)] = tuple(int(v) for v in r)
+    lam_votes: dict[int, Counter] = {}
+    for a, b, r in zip(xs, ys, resid):
+        th = theta_data.get(int(a))
+        if th is not None:
+            off = tuple(int(v) for v in (r - np.array(th, dtype=np.int64)) % p)
+            lam_votes.setdefault(int(b), Counter())[off] += 1
+    lam_data = {
+        b: max(sorted(c), key=lambda k: c[k]) for b, c in lam_votes.items()
+    }
+    for a, b, r in zip(xs, ys, resid):
+        if int(a) not in theta_data and int(b) in lam_data:
+            theta_data[int(a)] = tuple(
+                int(v) for v in (r - np.array(lam_data[int(b)], dtype=np.int64)) % p
+            )
+    th_keys = sorted(theta_data)
+    lm_keys = sorted(lam_data)
+    Mth, uth, ath = exhaustive_affine_fit(
+        params, np.array(th_keys, dtype=np.int64), np.array([theta_data[a] for a in th_keys], dtype=np.int64)
+    ) if th_keys else (np.zeros((params.n,) * 2, dtype=np.int64), np.zeros(params.n, dtype=np.int64), 1.0)
+    Mlm, ulm, alm = exhaustive_affine_fit(
+        params, np.array(lm_keys, dtype=np.int64), np.array([lam_data[b] for b in lm_keys], dtype=np.int64)
+    ) if lm_keys else (np.zeros((params.n,) * 2, dtype=np.int64), np.zeros(params.n, dtype=np.int64), 1.0)
+    th_tab = (dig @ Mth.T + uth[None, :]) % p
+    lm_tab = (dig @ Mlm.T + ulm[None, :]) % p
+    full = (gamma + th_tab[:, None, :] + lm_tab[None, :, :]) % p
+    back = float(np.mean(np.all(full[xs, ys] == vp.digits(phi.values[xs, ys]), axis=1)))
+    return {
+        "theta": (Mth, uth),
+        "lambda": (Mlm, ulm),
+        "theta_agreement": ath,
+        "lambda_agreement": alm,
+        "back_agreement": back,
+    }
 
 
 def best_cubic_phase(f: GroupFn) -> tuple[PolyPhase, float, float]:

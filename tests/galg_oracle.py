@@ -5,15 +5,19 @@ character-stack route.  In the mixed convolution each cell accumulates
 `dist_product(u, adjoint(v))` over the matching points of one column or
 row; on a line, `line_conv` makes N^2 `dist_product` calls, `hom_defect`
 walks all N^3 additive quadruples, and `round_stability` takes its argmax
-from two `line_conv` calls.  Tests compare the library against them;
-nothing in the package imports this module.
+from two `line_conv` calls.  `respected_density` is the character route
+before it was stacked: one `arr_functional` per character slice, each the
+mean of |mixed_self|^2 with its final inverse transform taken, where
+`ulab.galg.respected_density` now makes one `ulab.grid.arr_functional_stack`
+pass over all slices.  Tests compare the library against them; nothing in
+the package imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ulab.core import GroupParams
+from ulab.core import GroupParams, char_transform
 from ulab.galg import (
     _TOTAL_TOL,
     Dist,
@@ -25,7 +29,7 @@ from ulab.galg import (
     grid_inner_dist,
     line_adjoint,
 )
-from ulab.grid import GridFn, arr_functional
+from ulab.grid import GridFn, mixed_self
 
 
 def vert_conv_dist(f: DistFn, g: DistFn) -> DistFn:
@@ -101,6 +105,26 @@ def bihom_defect(phi: DistFn, mu: GridFn) -> float:
     scaled = phi.scaled_by(mu)
     F = mixed_conv_dist(scaled, scaled, scaled, scaled)
     return 1.0 - grid_inner_dist(F, F) / denom
+
+
+def arr_functional(f: GridFn) -> float:
+    """|mixed_self(f)|_2^2, from the mixed convolution itself."""
+    return float((np.abs(mixed_self(f).values) ** 2).mean())
+
+
+def respected_density(phi: DistFn, mu: GridFn | None = None) -> float:
+    """Mean over characters s of H of arr_functional(s-th character slice of
+    mu phi), one slice at a time."""
+    N, vp = phi.params.size, phi.value_params
+    dense = np.zeros((N, N, vp.size))
+    for (x, y), u in phi.table.items():
+        for g, w in u.weights.items():
+            dense[x, y, g] = w
+    if mu is not None:
+        dense *= np.maximum(mu.values.real, 0.0)[:, :, None]
+    hat = char_transform(dense, vp, axis=2) * vp.size
+    K = hat.shape[2]
+    return sum(arr_functional(GridFn(phi.params, hat[..., s])) for s in range(K)) / K
 
 
 def gen_inner(phis) -> float:

@@ -1,22 +1,31 @@
-"""Property tests: the rounding votes counted through characters and the
-fit's one-pass row scan, against the loops in `cli_oracle`.
+"""Property tests: the rounding votes counted through characters, the
+fit's one-pass row scan and the backfit's array passes, against the loops
+in `cli_oracle`.
 
 Both routes are exact integer arithmetic, so the vote histograms, the
-rounded maps, the chosen rows and the fitted models must be identical.
+rounded maps, the chosen rows, the fitted models and the backfit's affine
+parts must be identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import cli_oracle as oracle
 from ulab import galg
 from ulab.arrange import PartialMap
 from ulab.core import GroupParams
-from ulab.pipeline import _first_independent_rows, _vote_histogram, consensus_rounding, fit_biaffine
+from ulab.pipeline import (
+    BiAffineFit,
+    _first_independent_rows,
+    _vote_histogram,
+    consensus_rounding,
+    extract_affine_parts,
+    fit_biaffine,
+)
 
 # every F_p^n with p^n <= 27
 GROUPS = [
@@ -123,3 +132,67 @@ def test_fit_matches_the_per_digit_solve(group, noise):
     for name in ("T", "s", "t", "e"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert (got.agreement, got.offset) == (want.agreement, want.offset)
+
+
+def _assert_same_parts(phi: PartialMap, fit: BiAffineFit) -> None:
+    got = extract_affine_parts(phi, fit)
+    want = oracle.extract_affine_parts(phi, fit)
+    assert got.keys() == want.keys()
+    for name in ("theta", "lambda"):
+        for a, b in zip(got[name], want[name]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for name in ("theta_agreement", "lambda_agreement", "back_agreement"):
+        assert got[name] == want[name]
+
+
+def _zero_fit(params: GroupParams, vp: GroupParams, T=None) -> BiAffineFit:
+    n, m = params.n, vp.n
+    T = np.zeros((m, n, n), dtype=np.int64) if T is None else T
+    z = np.zeros((m, n), dtype=np.int64)
+    return BiAffineFit(T, z, z, np.zeros(m, dtype=np.int64), 0.0, 0)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(GROUPS),
+    st.floats(0.05, 1.0),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_backfit_matches_the_loop(group, density, noise, fitted, seed):
+    # as in the pipeline, the map's values live in its own domain group; the
+    # model is the fitted one, or a random bilinear part that leaves most
+    # residuals noisy, so columns often tie in their votes
+    params = GroupParams(*group)
+    rng = np.random.default_rng(seed)
+    phi = _planted_map(params, params, density, noise, rng)
+    assume(phi.domain.any())
+    if fitted:
+        fit = fit_biaffine(phi, offsets=3)
+    else:
+        n = params.n
+        fit = _zero_fit(params, params, rng.integers(0, params.p, size=(n, n, n)))
+    _assert_same_parts(phi, fit)
+
+
+def test_backfit_vote_ties_go_to_the_smallest_tuple():
+    # F_3^2 into itself with a zero model: column 0 gives theta of rows 0 and 1;
+    # column 1 then votes once for the offset (0, 2) and once for (1, 0), and
+    # the lexicographically smaller (0, 2) must win, as in the loop
+    params = GroupParams(3, 2)
+    N = params.size
+    dom = np.zeros((N, N), dtype=bool)
+    vals = np.zeros((N, N), dtype=np.int64)
+    dom[[0, 1, 0, 1], [0, 0, 1, 1]] = True
+    vals[0, 0], vals[1, 0] = params.index([1, 1]), params.index([2, 0])
+    vals[0, 1] = params.index(np.array([1, 1]) + [0, 2])
+    vals[1, 1] = params.index(np.array([2, 0]) + [1, 0])
+    # column 3 votes for (0, 0) through row 0; row 2 misses column 0, and its
+    # points in columns 1 and 3 give it different thetas: the first in scan
+    # order, column 1, must set it
+    dom[0, 3] = True
+    vals[0, 3] = vals[0, 0]
+    dom[2, [1, 3]] = True
+    vals[2, 1], vals[2, 3] = 4, 0
+    _assert_same_parts(PartialMap(params, params, dom, vals), _zero_fit(params, params))

@@ -17,6 +17,7 @@ from ulab.core import (
     GroupParams,
     PolyPhase,
     Subspace,
+    _digit_table,
     barconv,
     conv,
     correlation,
@@ -123,6 +124,35 @@ def test_dot_examples():
     assert a.dot(par.elem(0)) == 0
     e0, e1 = par.elem(1), par.elem(5)
     assert e0.dot(e0) == 1 and e1.dot(e1) == 1 and e0.dot(e1) == 0
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (5, 2), (7, 2), (3, 3)])
+def test_digits_gather_matches_table_indexing(p, n):
+    # `digits` gathers rows with np.take; plain indexing of the table is the reference
+    params = GroupParams(p, n)
+    table = _digit_table(p, n)
+    N = params.size
+    rng = np.random.default_rng(p * 10 + n)
+    cases = [
+        3 % N,
+        -1,
+        np.int64(N - 1),
+        np.int64(-N),
+        np.array(2 % N),
+        np.array(-2),
+        np.arange(-N, N, dtype=np.int64),
+        rng.integers(-N, N, size=(4, 6)),
+        rng.integers(0, N, size=(3, 5)).astype(np.int32),
+        [0, N - 1, -1],
+        np.zeros(0, dtype=np.int64),
+    ]
+    for idx in cases:
+        got, want = params.digits(idx), table[idx]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for bad in (N, -N - 1, np.array([0, N])):
+        with pytest.raises(IndexError):
+            params.digits(bad)
 
 
 def test_params_validation():

@@ -4,7 +4,8 @@ guard that it is the package's only route to numpy's FFT.
 The FFT and the tensordot passes sum the same characters in another order,
 so on every F_p^n with p^n <= 343 the two must agree within 1e-12, forward
 and inverse, on the first, a middle and the last axis of 1-, 2- and 3-D
-batches; the inverse must undo the forward transform within 1e-12.
+batches; the inverse must undo the forward transform within 1e-12, and a
+transform written in place into its input must equal the one that is not.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ def test_char_transform_matches_the_radix_p_oracle(p, n, batch, seed):
         f = rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
         fh = char_transform(f, params, axis=axis)
         assert np.abs(fh - _oracle(f, params, axis, inverse=False)).max() <= TOL
+        # in place: the same values, written into the input
+        work = f.copy()
+        assert np.array_equal(char_transform(work, params, axis=axis, out=work), fh)
+        assert np.array_equal(work, fh)
         # a spectrum of a bounded function, so the inverse stays bounded too
         back = char_transform(fh, params, axis=axis, inverse=True)
         assert np.abs(back - _oracle(fh, params, axis, inverse=True)).max() <= TOL

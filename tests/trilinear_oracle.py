@@ -11,7 +11,9 @@ terms than this loop does, not the same terms in another order.
 `ulab.trilinear.u3_lower` replaced with the inverse transform of the power
 spectrum (Wiener-Khinchin), and `quad_phase_search` the candidate table that
 `ulab.trilinear.quad_phase_search` replaced with one FFT per quadratic part.
-`kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
+`slice_rank_mean` ranks every slice T_x in turn, which
+`ulab.trilinear.slice_rank_mean` replaced with one einsum for all slices and
+one rank per distinct slice.  `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
 that `ulab.trilinear.kappa_from_sigma` replaced with a symbolic
 polarisation certificate; `alternating_sum_constant` is that check alone, so
 a test can hand it a changed cubic.  `analytic_mean_tri` counts the values
@@ -27,10 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, BudgetError, CharacterSum, GroupFn, PolyPhase, Subspace
+from ulab.core import SIZE_CAP, BudgetError, CharacterSum, GroupFn, PolyPhase, Subspace, gf_rank
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
-from ulab.trilinear import PhaseProduct, TrilinearForm
+from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm
 
 
 def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
@@ -45,6 +47,16 @@ def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
         vals = (dig @ Ta @ dig.T) % p
         counts += np.bincount(vals.ravel(), minlength=p)
     return CharacterSum(p, counts).rational_mean()
+
+
+def slice_rank_mean(fam: SliceFamily) -> Fraction:
+    """E_x p^{-rank(T_x)}, one `slice_at` and one rank per x."""
+    params = fam.params
+    p = params.p
+    total = Fraction(0)
+    for x in range(params.size):
+        total += Fraction(1, p ** gf_rank(p, fam.slice_at(x)))
+    return total / params.size
 
 
 def tri_correlation(
