@@ -1,5 +1,5 @@
-"""Arrangement counting, respect statistics, sign-pattern uniqueness, and
-dependent-random-selection densification.
+"""Arrangement counting, respect statistics, and dependent-random-selection
+densification.
 
 A 4-arrangement in G^2 is the 8-point configuration generated by the
 parameters (x1, x2, w, y1, y1', y2, y2', h); a partial map respects it when
@@ -23,8 +23,6 @@ __all__ = [
     "ArrangementStats",
     "DensifyReport",
     "respect_stats",
-    "morse_sign_scan",
-    "rare_zero_fraction",
     "densify",
     "row_freiman_filter",
     "partial_map_to_json",
@@ -179,85 +177,6 @@ def respect_stats(
             tot_ratio * scale, resp_ratio * scale, order, se * scale, "mc", samples
         )
     raise ValueError("mode must be 'exact' or 'mc'")
-
-
-# ============================================================
-# sign-pattern uniqueness
-# ============================================================
-
-
-def _order1_sign_matrix() -> np.ndarray:
-    """Integer matrix whose kernel consists of the sign patterns eps for which
-    sum_i eps_i a_i (x) b_i vanishes for every 4-arrangement.
-
-    The 8 points have first coordinates that are +-1 combinations of
-    (x1, x2, w) and second coordinates that are combinations of
-    (y1, y1', y2, y2', h); the tensor sum vanishes identically over every
-    prime field iff each of the 15 parameter-pair coefficients is zero in Z.
-    """
-    acoef = [
-        (1, 0, 0),
-        (1, 0, 0),
-        (1, 0, -1),
-        (1, 0, -1),
-        (0, 1, 0),
-        (0, 1, 0),
-        (0, 1, -1),
-        (0, 1, -1),
-    ]
-    bcoef = [
-        (1, 0, 0, 0, 0),
-        (1, 0, 0, 0, -1),
-        (0, 1, 0, 0, 0),
-        (0, 1, 0, 0, -1),
-        (0, 0, 1, 0, 0),
-        (0, 0, 1, 0, -1),
-        (0, 0, 0, 1, 0),
-        (0, 0, 0, 1, -1),
-    ]
-    rows = []
-    for s in range(3):
-        for t in range(5):
-            rows.append([acoef[i][s] * bcoef[i][t] for i in range(8)])
-    return np.array(rows, dtype=np.int64)
-
-
-def morse_sign_scan(order1_only: bool = True) -> list[np.ndarray]:
-    """All patterns eps in {-1,0,1}^8 making the signed tensor sum vanish on
-    every 4-arrangement; returns exactly the zero pattern and +-Morse8."""
-    if not order1_only:
-        raise ValueError("the 3^32 second-order scan is infeasible; "
-                         "test specific patterns with rare_zero_fraction")
-    M = _order1_sign_matrix()
-    grids = np.indices((3,) * 8).reshape(8, -1).T - 1  # all of {-1,0,1}^8
-    admissible = np.all(grids @ M.T == 0, axis=1)
-    return [grids[i].copy() for i in np.nonzero(admissible)[0]]
-
-
-def rare_zero_fraction(
-    params: GroupParams, eps, samples: int = 100_000, seed: int = 0
-) -> tuple[float, float]:
-    """Fraction of second-order arrangements whose eps-signed tensor sum
-    vanishes, with its standard error.  eps must not be a Morse multiple
-    (those vanish identically)."""
-    e = np.asarray(eps, dtype=np.int64)
-    if e.shape != (32,):
-        raise ValueError("eps must have length 32")
-    if not e.any():
-        raise ValueError("eps = 0 vanishes identically; excluded")
-    if np.array_equal(e, MORSE32) or np.array_equal(e, -MORSE32):
-        raise ValueError("Morse multiples vanish identically; excluded")
-    zero_sum = 0.0
-    for m, vertices in sample_blocks(params, 2, samples, seed):
-        acc = np.zeros((m, params.n, params.n), dtype=np.int64)
-        for s, (x, y) in zip(e, vertices):
-            if s != 0:
-                acc += int(s) * np.einsum("ms,mt->mst", params.digits(x), params.digits(y))
-        zero_sum += float((acc % params.p == 0).all(axis=(1, 2)).sum())
-    frac = zero_sum / samples
-    # each hit is 0/1, so the sum of squares is zero_sum
-    var = max(zero_sum / samples - frac**2, 0.0)
-    return frac, float(np.sqrt(var / samples))
 
 
 # ============================================================

@@ -1,5 +1,5 @@
-"""Bi-affine maps on G x G, rank certificates, high-rank Bohr decompositions,
-averaging projections, and the L2 structure theory of mixed convolutions.
+"""Bi-affine maps on G x G, high-rank Bohr decompositions, averaging
+projections, and the L2 structure theory of mixed convolutions.
 
 A bi-affine map into F_p^k is stored coordinatewise as
 beta_i(x, y) = x.T_i y + a_i.y + x.b_i + lam_i.  Its rank is the smallest
@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from ulab.core import (
-    CharacterSum,
     GroupFn,
     GroupParams,
     Subspace,
@@ -38,24 +36,10 @@ from ulab.grid import GridFn, horiz_conv, vert_conv
 __all__ = [
     "BiAffineMap",
     "BohrDecomposition",
-    "PeelStep",
-    "RankCertificate",
     "BogolyubovReport",
-    "QrSampleReport",
-    "biaffine_parts",
-    "algebraic_rank",
-    "analytic_rank_bilinear",
-    "map_rank",
-    "map_rank_scan",
-    "normality",
-    "indstep",
     "bohr_decompose",
     "avg_projection",
     "bogolyubov_bilinear",
-    "weak_bog_linear",
-    "qr_sample_check",
-    "row_surjectivity_fraction",
-    "arrangement_cell_probability",
     "biaffine_to_json",
     "biaffine_from_json",
 ]
@@ -213,66 +197,8 @@ def biaffine_from_json(obj) -> BiAffineMap:
 
 
 # ============================================================
-# parts and ranks
+# peeling and the Bohr decomposition
 # ============================================================
-
-
-def biaffine_parts(beta: BiAffineMap) -> tuple[BiAffineMap, np.ndarray, np.ndarray, np.ndarray]:
-    """Split beta into (bilinear gamma, x-part A, y-part B, constant z).
-
-    Recovered by black-box evaluation: z = beta(0,0), A[i] and B[i] are the
-    digit functionals with A.x = beta(x,0) - z and B.y = beta(0,y) - z, and
-    gamma(x,y) = beta(x,y) - beta(x,0) - beta(0,y) + z.  Recomposition
-    beta = gamma + A.x + B.y + z is exact at every point.
-    """
-    params = beta.params
-    p, n, k = params.p, params.n, beta.k
-    units = [int(p**s) for s in range(n)]
-    z = beta.evaluate(0, 0)
-    A = np.zeros((k, n), dtype=np.int64)
-    B = np.zeros((k, n), dtype=np.int64)
-    T = np.zeros((k, n, n), dtype=np.int64)
-    row0 = [beta.evaluate(e, 0) for e in units]
-    col0 = [beta.evaluate(0, e) for e in units]
-    for s in range(n):
-        A[:, s] = (row0[s] - z) % p
-        B[:, s] = (col0[s] - z) % p
-    for s in range(n):
-        for t in range(n):
-            T[:, s, t] = (beta.evaluate(units[s], units[t]) - row0[s] - col0[t] + z) % p
-    gamma = BiAffineMap.bilinear(params, T)
-    return gamma, A, B, z
-
-
-def algebraic_rank(p: int, mat) -> int:
-    """Rank of a coefficient matrix over F_p, by Gaussian elimination."""
-    return gf_rank(p, mat)
-
-
-def analytic_rank_bilinear(beta: BiAffineMap) -> int:
-    """-log_p of the mean of omega^beta over the grid, for one bilinear form.
-
-    Computed exactly: the residue counts of x.Ty collapse to the rational
-    p^(-rank), and the result is checked against the algebraic rank.
-    """
-    if beta.k != 1:
-        raise ValueError("analytic rank takes a single coordinate form")
-    if not beta.is_bilinear():
-        raise ValueError("analytic rank is defined for bilinear forms only")
-    p = beta.params.p
-    counts = CharacterSum.from_values(p, beta.value_table()[:, :, 0])
-    mean = counts.rational_mean()
-    if mean <= 0:
-        raise RuntimeError("character mean of a bilinear phase must be positive, got %s" % mean)
-    rank = 0
-    while Fraction(1, p**rank) != mean:
-        rank += 1
-        if rank > 2 * beta.params.n:
-            raise RuntimeError("character mean %s is not a power of 1/p" % mean)
-    alg = algebraic_rank(p, beta.T[0])
-    if rank != alg:
-        raise RuntimeError("analytic rank %d disagrees with algebraic rank %d" % (rank, alg))
-    return rank
 
 
 def _mats_map_rank(p: int, mats: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -291,108 +217,11 @@ def _mats_map_rank(p: int, mats: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return min(scan), tuple(scan)
 
 
-def map_rank(beta: BiAffineMap) -> float:
-    """Smallest rank of u.beta over nonzero u, scanning all p^k - 1 of them."""
-    return _mats_map_rank(beta.params.p, beta.T)[0]
-
-
-def map_rank_scan(beta: BiAffineMap) -> tuple[int, ...]:
-    """Rank of every nonzero combination, indexed by u = 1 .. p^k - 1."""
-    return _mats_map_rank(beta.params.p, beta.T)[1]
-
-
-# ============================================================
-# normality
-# ============================================================
-
-
-def normality(points, beta: BiAffineMap, axis: str) -> bool:
-    """Whether the simultaneous system beta(x_j, .) = 0 (axis "x", solving in
-    y; symmetrically for axis "y") has exactly p^(-rk) |G| solutions.
-
-    The count is exact: the system is affine, so it is p^(n - rank) when
-    consistent and 0 otherwise.
-    """
-    params = beta.params
-    p, n, k = params.p, params.n, beta.k
-    idx = [int(q) for q in points]
-    r = len(idx)
-    rows = []
-    rhs = []
-    for q in idx:
-        d = params.digits(q)
-        if axis == "x":
-            block = (np.einsum("kst,s->kt", beta.T, d) + beta.a) % p
-            const = (beta.b @ d + beta.lam) % p
-        elif axis == "y":
-            block = (np.einsum("kst,t->ks", beta.T, d) + beta.b) % p
-            const = (beta.a @ d + beta.lam) % p
-        else:
-            raise ValueError("axis must be 'x' or 'y'")
-        rows.append(block)
-        rhs.append((-const) % p)
-    if r == 0 or k == 0:
-        count = p**n
-    else:
-        mat = np.concatenate(rows, axis=0)
-        vec = np.concatenate(rhs, axis=0)
-        aug = np.concatenate([mat, vec.reshape(-1, 1)], axis=1)
-        red, pivots = gf_rowreduce(p, aug)
-        if n in pivots:
-            count = 0
-        else:
-            count = p ** (n - len(pivots))
-    return Fraction(count) == Fraction(p**n, p ** (r * k))
-
-
-# ============================================================
-# peeling and the Bohr decomposition
-# ============================================================
-
-
-@dataclass(frozen=True)
-class PeelStep:
-    """A nonzero combination u of rank below threshold, with the kernels on
-    which u.beta becomes linear: V = ker T_u^T on the x side, W = ker T_u."""
-
-    u: tuple[int, ...]
-    V: Subspace
-    W: Subspace
-    rank: int
-
-
-@dataclass(frozen=True)
-class RankCertificate:
-    """Witness that every nonzero combination has rank >= threshold."""
-
-    threshold: int
-    min_rank: float
-    scan: tuple[int, ...]
-
-
 def _subspace_from_rows(params: GroupParams, rows: np.ndarray) -> Subspace:
     rows = np.asarray(rows, dtype=np.int64) % params.p
     if rows.size == 0:
         return Subspace(params, ())
     return Subspace.from_generators(params, np.atleast_1d(params.index(rows)))
-
-
-def indstep(beta: BiAffineMap, t: int) -> PeelStep | RankCertificate:
-    """One peeling step: the first u (in index order) whose combination has
-    rank below t, with the kernel pair, or a certificate that none exists."""
-    p = beta.params.p
-    min_rank, scan = _mats_map_rank(p, beta.T)
-    if min_rank >= t:
-        return RankCertificate(t, min_rank, scan)
-    vp = GroupParams(p, beta.k)
-    for u in range(1, vp.size):
-        if scan[u - 1] < t:
-            ud = vp.digits(u)
-            Tu = np.tensordot(ud, beta.T, axes=(0, 0)) % p
-            V = _subspace_from_rows(beta.params, gf_nullspace(p, Tu.T))
-            W = _subspace_from_rows(beta.params, gf_nullspace(p, Tu))
-            return PeelStep(tuple(int(c) for c in ud), V, W, scan[u - 1])
-    raise RuntimeError("scan reported a low-rank combination but none was found")
 
 
 @dataclass(frozen=True)
@@ -704,7 +533,7 @@ def bogolyubov_bilinear(
     default above) the candidates are maps fitted through single spectrum
     points and pairs of them, at most candidate_cap.
     """
-    if zeta <= 0:
+    if not zeta > 0:
         raise ValueError("the approximation target must be positive")
     if f.norm_linf() > 1 + 1e-9:
         raise ValueError("needs a bounded input (sup norm at most 1)")
@@ -805,134 +634,3 @@ def bogolyubov_bilinear(
         budget_exhausted=budget_exhausted,
     )
     return beta, report
-
-
-def weak_bog_linear(f: GroupFn, g: GroupFn, eps: float) -> Subspace:
-    """Subspace B with the convolution f*g close to its B-coset averages.
-
-    B annihilates the joint spectrum {r: |fhat(r) ghat(r)| >= eps/4}; the
-    resulting L2 error is measured and must come in at or below eps.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if f.params != g.params:
-        raise ValueError("mismatched group parameters")
-    prod = np.abs(dft(f).values * dft(g).values)
-    spec = np.nonzero(prod >= eps / 4 - 1e-15)[0]
-    span = Subspace.from_generators(f.params, spec)
-    B = span.annihilator()
-    if B.codim > 4 / eps + 1e-9:
-        raise RuntimeError("spectrum span exceeded the 4/eps codimension bound")
-    kept = span.indicator()
-    error = float(np.sqrt((prod[~kept] ** 2).sum()))
-    if error > eps + 1e-12:
-        raise RuntimeError("measured approximation error %g exceeds eps" % error)
-    return B
-
-
-# ============================================================
-# quasirandom sampling and decomposition statistics
-# ============================================================
-
-
-@dataclass(frozen=True)
-class QrSampleReport:
-    """Exception statistics for sampling a function through a set family."""
-
-    m: int
-    exceptions: int
-    fraction: Fraction
-    alpha: Fraction
-    eps1: Fraction
-    eps2: Fraction
-    theta: float
-    bound: float
-
-
-def qr_sample_check(sets, f, theta: float) -> QrSampleReport:
-    """Count the sets whose sample mean of f misses alpha times the true mean.
-
-    alpha is the modal per-point membership density of the family, eps1 and
-    eps2 the exact fractions of points and pairs off the alpha and alpha^2
-    densities; the exception count must respect (2 alpha eps1 + eps2) m / theta^2.
-    """
-    A = np.asarray(sets, dtype=bool)
-    if A.ndim != 2:
-        raise ValueError("sets must form an (m, |X|) array of indicators")
-    vals = np.asarray(f, dtype=np.float64)
-    m, X = A.shape
-    if vals.shape != (X,):
-        raise ValueError("f must be a length-|X| array")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
-        raise ValueError("f must take values in [0, 1]")
-
-    counts = A.sum(axis=0)
-    mode = int(np.bincount(counts, minlength=m + 1).argmax())
-    alpha = Fraction(mode, m)
-    eps1 = Fraction(int((counts != mode).sum()), X)
-    P = A.T.astype(np.int64) @ A.astype(np.int64)
-    eps2 = Fraction(int((P * m != mode * mode).sum()), X * X)
-
-    samples = (A @ vals) / X
-    target = float(alpha) * float(vals.mean())
-    exceptions = int((np.abs(samples - target) > theta + 1e-12).sum())
-    bound = float(2 * alpha * eps1 + eps2) * m / theta**2
-    if exceptions > bound + 1e-9:
-        raise RuntimeError("exception count %d exceeds the second-moment bound %g" % (exceptions, bound))
-    return QrSampleReport(m, exceptions, Fraction(exceptions, m), alpha, eps1, eps2, float(theta), bound)
-
-
-def row_surjectivity_fraction(beta: BiAffineMap, xspace: Subspace, yspace: Subspace) -> Fraction:
-    """Fraction of x in xspace whose row functionals span F_p^k on yspace.
-
-    The row map sends y to beta(x, y) minus its constant part; restricted to
-    yspace it is surjective exactly when the k functionals T_i^T x + a_i stay
-    independent modulo the annihilator of yspace.
-    """
-    params = beta.params
-    p, k = params.p, beta.k
-    by = yspace.matrix()
-    members = xspace.member_indices()
-    good = 0
-    for x in members:
-        d = params.digits(int(x))
-        funcs = (np.einsum("kst,s->kt", beta.T, d) + beta.a) % p
-        if gf_rank(p, funcs @ by.T % p) == k:
-            good += 1
-    return Fraction(good, len(members))
-
-
-def arrangement_cell_probability(decomp: BohrDecomposition, triples) -> Fraction:
-    """Exact probability that a random 4-arrangement's 8 vertices land in the
-    8 named cells (v, w, z) of the decomposition, in listed order.
-
-    The arrangement is (x_i, y_i), (x_i, y_i - h) for i = 1..4 with
-    x_1 - x_2 = x_3 - x_4; the count factors through per-column pair counts
-    and two correlation sums, so the total is exact integer arithmetic.
-    """
-    trips = [(int(v), int(w), int(z)) for v, w, z in triples]
-    if len(trips) != 8:
-        raise ValueError("exactly eight (v, w, z) triples are required")
-    params = decomp.beta.params
-    N = params.size
-    xl, yl, zt = decomp.cell_tables()
-    masks = []
-    for v, w, z in trips:
-        masks.append(((xl[:, None] == v) & (yl[None, :] == w) & (zt == z)).astype(np.int64))
-    idx = np.arange(N, dtype=np.int64)
-    total = 0
-    for h in range(N):
-        shifted = params.sub(idx, h)
-        pair = [
-            (masks[2 * j] * masks[2 * j + 1][:, shifted]).sum(axis=1) for j in range(4)
-        ]
-        corr12 = np.zeros(N, dtype=object)
-        corr34 = np.zeros(N, dtype=object)
-        for d in range(N):
-            cols = params.sub(idx, d)
-            corr12[d] = int(pair[0] @ pair[1][cols])
-            corr34[d] = int(pair[2] @ pair[3][cols])
-        total += int(sum(int(corr12[d]) * int(corr34[d]) for d in range(N)))
-    return Fraction(total, N**8)

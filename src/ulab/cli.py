@@ -172,6 +172,8 @@ def _cmd_pipeline(args) -> int:
     out_dir = os.path.dirname(args.out) if args.out else ""
     if out_dir and not os.path.isdir(out_dir):
         raise FileNotFoundError("report directory %s does not exist" % out_dir)
+    if args.out and os.path.isdir(args.out):
+        raise IsADirectoryError("report path %s is a directory" % args.out)
     report = run_inverse_pipeline(f, cfg)
     payload = report.to_dict()
     if args.out:
@@ -283,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -1,5 +1,5 @@
-"""Arithmetic over F_p^n: elements, subspaces, phase polynomials, exact
-character sums, and the Fourier transform with its convolution laws.
+"""Arithmetic over F_p^n: elements, subspaces, phase polynomials, and the
+Fourier transform with its convolution laws.
 Every character transform in the package is `char_transform`.
 
 Conventions used throughout the package:
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -34,14 +33,12 @@ __all__ = [
     "GroupElem",
     "Subspace",
     "PolyPhase",
-    "CharacterSum",
     "GroupFn",
     "gf_rowreduce",
     "gf_rank",
     "gf_nullspace",
     "gf_solve",
     "inv_mod",
-    "omega",
     "char_transform",
     "dft",
     "idft",
@@ -77,10 +74,6 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse of 0 mod %d" % p)
     return pow(a, p - 2, p)
-
-
-def omega(p: int) -> complex:
-    return np.exp(2j * np.pi / p)
 
 
 @lru_cache(maxsize=None)
@@ -381,47 +374,6 @@ class PolyPhase:
 
     def scale(self, c: int) -> "PolyPhase":
         return PolyPhase.from_coeffs(self.params, {m: c * v for m, v in self.terms})
-
-
-@dataclass(eq=False)
-class CharacterSum:
-    """Exact sum of p-th roots of unity, kept as integer counts per residue.
-
-    counts[c] is the number of summands equal to omega^c; the complex value
-    only materializes at the boundary, so rank computations can stay in
-    integer or rational arithmetic.
-    """
-
-    p: int
-    counts: np.ndarray
-
-    @classmethod
-    def from_values(cls, p: int, vals) -> "CharacterSum":
-        v = np.asarray(vals, dtype=np.int64) % p
-        return cls(p, np.bincount(v.ravel(), minlength=p).astype(np.int64))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def complex_value(self) -> complex:
-        return complex(self.counts @ np.exp(2j * np.pi * np.arange(self.p) / self.p))
-
-    def complex_mean(self) -> complex:
-        return self.complex_value() / self.total
-
-    def rational_mean(self) -> Fraction:
-        """Exact rational value of the mean.
-
-        Valid only when counts[1:] are all equal, in which case the
-        nontrivial roots collapse: the mean equals
-        (counts[0] - counts[1]) / total.  Raises otherwise.
-        """
-        rest = self.counts[1:]
-        if rest.size and np.any(rest != rest[0]):
-            raise ValueError("character sum is not rational: counts %r" % (self.counts.tolist(),))
-        c1 = int(rest[0]) if rest.size else 0
-        return Fraction(int(self.counts[0]) - c1, self.total)
 
 
 # ============================================================

@@ -21,7 +21,7 @@ respecting every 4-arrangement (`respected_density`, `bihom_defect`).
 
 Functions on a line G -> Sigma(H) take the same route over G x H; one
 batched kernel, `line_triple_conv`, forms theta = phi * phi * phi^adj, which
-`round_stability` and the pipeline's consensus rounding both round by.
+the pipeline's consensus rounding rounds by.
 """
 
 from __future__ import annotations
@@ -35,33 +35,20 @@ from ulab.grid import (
     GridFn,
     arr_functional,
     arr_functional_stack,
-    horiz_conv_stack,
     mixed_conv_stack,
-    vert_conv_stack,
 )
 
 __all__ = [
     "Dist",
     "DistFn",
-    "RoundingResult",
     "dist_product",
-    "adjoint",
     "ddist",
-    "vert_conv_dist",
-    "horiz_conv_dist",
     "mixed_conv_dist",
     "grid_inner_dist",
     "respected_density",
     "bihom_defect",
     "gen_inner",
     "line_triple_conv",
-    "line_conv",
-    "line_adjoint",
-    "hom_defect",
-    "round_stability",
-    "is_freiman_hom",
-    "dist_fn_to_json",
-    "dist_fn_from_json",
 ]
 
 _TRUNC = 1e-15
@@ -124,15 +111,6 @@ class Dist:
             a, b = b, a
         return float(sum(w * b[g] for g, w in a.items() if g in b))
 
-    def argmax(self) -> tuple[int, bool]:
-        """Index of the largest weight; ties go to the lowest index and are
-        reported via the second component."""
-        if not self.weights:
-            raise ValueError("argmax of the zero element")
-        top = max(self.weights.values())
-        near = sorted(g for g, w in self.weights.items() if w >= top - _TOTAL_TOL)
-        return near[0], len(near) > 1
-
 
 def dist_product(u: Dist, v: Dist) -> Dist:
     """(uv)(c) = sum_{a+b=c} u(a) v(b); totals multiply."""
@@ -146,12 +124,6 @@ def dist_product(u: Dist, v: Dist) -> Dist:
     out = np.zeros(params.size)
     np.add.at(out, params.add(ka[:, None], kb[None, :]).ravel(), np.outer(wa, wb).ravel())
     return Dist.from_dense(params, out)
-
-
-def adjoint(u: Dist) -> Dist:
-    """u*(a) = u(-a); weights are real so conjugation is trivial."""
-    neg = u.params.neg
-    return Dist(u.params, {int(neg(np.int64(g))): w for g, w in u.weights.items()})
 
 
 def ddist(u: Dist, v: Dist) -> float:
@@ -197,15 +169,6 @@ class DistFn:
         return all(u.is_distribution() for u in self.table.values())
 
 
-def _dense(vp: GroupParams, cells, shape: tuple[int, ...]) -> np.ndarray:
-    """shape + (|H|,) weights: cell k holds u for each (k, u) in `cells`, zero elsewhere."""
-    dense = np.zeros(shape + (vp.size,))
-    for k, u in cells:
-        for g, w in u.weights.items():
-            dense[k][g] = w
-    return dense
-
-
 def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:
     """hat[s, x, y] = sum_g mu(x, y) phi(x, y)(g) omega^{-s.g}, shape (|H|, N, N).
 
@@ -243,16 +206,6 @@ def _per_character(conv, *fns: DistFn) -> DistFn:
         raise ValueError("mismatched parameters")
     out = conv(*(_char_stack(g) for g in fns), f.params)
     return _from_char_stack(f.params, f.value_params, out)
-
-
-def vert_conv_dist(f: DistFn, g: DistFn) -> DistFn:
-    """(x, h) -> E_y f(x, y) g(x, y - h)*; the algebra-valued column pass."""
-    return _per_character(vert_conv_stack, f, g)
-
-
-def horiz_conv_dist(f: DistFn, g: DistFn) -> DistFn:
-    """(w, y) -> E_x f(x, y) g(x - w, y)*; the algebra-valued row pass."""
-    return _per_character(horiz_conv_stack, f, g)
 
 
 def mixed_conv_dist(f1: DistFn, f2: DistFn, f3: DistFn, f4: DistFn) -> DistFn:
@@ -302,26 +255,8 @@ def bihom_defect(phi: DistFn, mu: GridFn) -> float:
 
 
 # ============================================================
-# one-variable stability rounding
+# the line kernel of consensus rounding
 # ============================================================
-
-
-@dataclass(frozen=True)
-class RoundingResult:
-    omega: np.ndarray  # omega[x] = rounded value index
-    agreement: float  # E_x d(phi(x), delta_{omega(x)})
-    tie_flagged: bool
-
-
-def line_adjoint(phi: list[Dist], params: GroupParams) -> list[Dist]:
-    """phi*(x) = phi(-x)*."""
-    neg = params.neg
-    return [adjoint(phi[int(neg(np.int64(x)))]) for x in range(params.size)]
-
-
-def _line_hat(lines: np.ndarray, params: GroupParams, vp: GroupParams) -> np.ndarray:
-    """Character transform over G x H of dense (..., N, |H|) lines, averaged on both axes."""
-    return char_transform(char_transform(lines, params, axis=-2), vp, axis=-1)
 
 
 def line_triple_conv(lines: np.ndarray, params: GroupParams, vp: GroupParams) -> np.ndarray:
@@ -336,88 +271,8 @@ def line_triple_conv(lines: np.ndarray, params: GroupParams, vp: GroupParams) ->
     theta = np.empty((L, N, q))
     block = max(1, SIZE_CAP // (N * q))
     for lo in range(0, L, block):
-        hat = _line_hat(lines[lo : lo + block], params, vp)
+        hat = char_transform(char_transform(lines[lo : lo + block], params, axis=1), vp, axis=2)
         # rebound before the G pass, so neither F^ nor the product lives through it
         hat = char_transform(hat * hat * hat.conj(), vp, axis=2, inverse=True)
         theta[lo : lo + block] = char_transform(hat, params, axis=1, inverse=True).real * q**2
     return theta
-
-
-def line_conv(phi: list[Dist], psi: list[Dist], params: GroupParams) -> list[Dist]:
-    """(phi * psi)(x) = E_{u+v=x} phi(u) psi(v), by the product of the G x H transforms."""
-    vp, N = phi[0].params, params.size
-    hat = _line_hat(_dense(vp, enumerate(phi), (N,)), params, vp)
-    hat = hat * _line_hat(_dense(vp, enumerate(psi), (N,)), params, vp)
-    hat = char_transform(hat, vp, axis=1, inverse=True)
-    dense = char_transform(hat, params, axis=0, inverse=True).real * vp.size
-    return [Dist.from_dense(vp, row) for row in dense]
-
-
-def hom_defect(phi: list[Dist], params: GroupParams) -> float:
-    """E over additive quadruples x - y = z - w of d(phi(x)phi(y)*, phi(z)phi(w)*).
-
-    With h^_s the transform over G of the s-th character of phi over H, the
-    products of totals average to Sum_r |h^_0(r)|^4 (slice 0 holds the
-    totals) and, by Parseval over H, the inner products to E_s Sum_r |h^_s(r)|^4.
-    """
-    vp = phi[0].params
-    hat = _line_hat(_dense(vp, enumerate(phi), (params.size,)), params, vp) * vp.size
-    power = (np.abs(hat) ** 4).sum(axis=0)
-    return float(power[0] - power.mean())
-
-
-def round_stability(phi: list[Dist], params: GroupParams, eta: float) -> RoundingResult:
-    """Round a near-homomorphism G -> Sigma(A) to a concrete map G -> group.
-
-    Takes the per-point `Dist.argmax` of theta = phi * (phi * phi^adj)^adj
-    from `line_triple_conv`: values within 1e-12 of the maximum tie, the
-    lowest wins and the tie is flagged.  For a (1 - eta)-homomorphism with
-    eta < 1/18 the result is an exact Freiman homomorphism with agreement
-    at most 5 eta.
-    """
-    if not eta < 1 / 18:
-        raise ValueError("eta must be < 1/18")
-    if len(phi) != params.size:
-        raise ValueError("phi must be defined on all of G")
-    for u in phi:
-        t = u.total()
-        if abs(t - 1.0) > _TOTAL_TOL:
-            raise ValueError("phi values must be distributions; got total %r" % t)
-    vp = phi[0].params
-    dense = _dense(vp, enumerate(phi), (params.size,))
-    picks = [Dist.from_dense(vp, row).argmax() for row in line_triple_conv(dense[None], params, vp)[0]]
-    omega = np.array([g for g, _ in picks], dtype=np.int64)
-    agree = float(np.mean(dense.sum(axis=1) - dense[np.arange(params.size), omega]))
-    return RoundingResult(omega, agree, any(t for _, t in picks))
-
-
-def is_freiman_hom(dom: GroupParams, val: GroupParams, omega: np.ndarray) -> bool:
-    """True iff x -> omega(x) - omega(0) is additive on all of G x G."""
-    lam = val.sub(np.asarray(omega, dtype=np.int64), np.int64(omega[0]))
-    idx = np.arange(dom.size, dtype=np.int64)
-    u, v = np.meshgrid(idx, idx, indexing="ij")
-    return bool(np.array_equal(lam[dom.add(u, v)], val.add(lam[u], lam[v])))
-
-
-# ============================================================
-# serialization
-# ============================================================
-
-
-def dist_fn_to_json(phi: DistFn) -> list[dict]:
-    out = []
-    for (x, y) in sorted(phi.table):
-        u = phi.table[(x, y)]
-        ent = [{"g": g, "w": u.weights[g]} for g in sorted(u.weights)]
-        out.append({"x": x, "y": y, "dist": ent})
-    return out
-
-
-def dist_fn_from_json(
-    params: GroupParams, value_params: GroupParams, data: list[dict]
-) -> DistFn:
-    tab = {}
-    for row in data:
-        weights = {int(e["g"]): float(e["w"]) for e in row["dist"]}
-        tab[(int(row["x"]), int(row["y"]))] = Dist(value_params, weights)
-    return DistFn(params, value_params, tab)

@@ -1,4 +1,4 @@
-"""Derivative operators and the U^k and box norms.
+"""Derivative operators and the U^k norms.
 
 The U^4 norm is always evaluated through the nested identity
 |f|_{U^4}^{16} = E_{a,b} Sigma_r |(d_{a,b} f)^(r)|^4.  Its p^{2n} spectra
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, BudgetError, GroupFn, GroupParams, char_transform
-from ulab.grid import GridFn
+from ulab.core import BudgetError, GroupFn, GroupParams, char_transform
 
 __all__ = [
     "NormReport",
@@ -28,9 +27,6 @@ __all__ = [
     "u4_row_power",
     "uk_norm",
     "norm_from_power",
-    "u4_via_u3",
-    "box_norm2",
-    "box_norm3",
 ]
 
 _IMAG_TOL = 1e-9
@@ -91,10 +87,9 @@ def _derivative2_rows(d1_a: np.ndarray, sub_b: np.ndarray) -> np.ndarray:
     sub_b[j, x] = x - b_j.
 
     The rows are one gather of d1_a, conjugated and multiplied in that
-    buffer, and equal `derivative2(f, a, b_j).values` bit for bit.  Its users
-    are `derivative2_spectra` (every b; `trilinear.u3_lower` reads its
-    spectra) and `trilinear.tri_correlation` (b over a subspace coset); each
-    transforms the rows in one batch.
+    buffer, and equal `derivative2(f, a, b_j).values` bit for bit.
+    `derivative2_spectra` transforms them in one batch; `trilinear.u3_lower`
+    and `trilinear.tri_correlation` read its spectra.
     """
     d2 = d1_a[sub_b]
     np.conjugate(d2, out=d2)
@@ -186,60 +181,3 @@ def norm_from_power(power: float, k: int, method: str = "nested") -> NormReport:
     """The U^k norm from its 2^k-th power, after the realness guard."""
     power = _real_guard(complex(power), "U^%d power" % k)
     return NormReport(k, power ** (1.0 / 2**k), method)
-
-
-def u4_via_u3(f: GroupFn) -> NormReport:
-    """U^4 through the other nesting, E_a |d_a f|_{U^3}^8."""
-    N = f.params.size
-    acc = 0.0
-    for a in range(N):
-        acc += _nested_pow(derivative(f, a), 3)
-    return NormReport(4, (acc / N) ** (1.0 / 16), "nested")
-
-
-# ============================================================
-# box norms
-# ============================================================
-
-
-def _box2_pow4(values: np.ndarray, params: GroupParams) -> float:
-    """E_{x,y,a,b} F(x,y) conj(F(x-a,y)) conj(F(x,y-b)) F(x-a,y-b).
-
-    Row transforms in the first coordinate give M[r, y]; pairing rows of M
-    yields the gram matrix C with the identity box2^4 = sum_{r,r'} |C|^2.
-    """
-    m = char_transform(values, params, axis=0)
-    c = (m @ m.conj().T) / params.size
-    return float((np.abs(c) ** 2).sum())
-
-
-def box_norm2(F: GridFn) -> float:
-    """Two-variable box norm (fourth root of the 4-fold alternating average)."""
-    val = _box2_pow4(F.values, F.params)
-    if val < -_IMAG_TOL:
-        raise ArithmeticError("box norm power is negative: %.3g" % val)
-    return max(val, 0.0) ** 0.25
-
-
-def box_norm3(params: GroupParams, values: np.ndarray) -> float:
-    """Three-variable box norm: eighth root of the 8-fold alternating average.
-
-    values has shape (N, N, N) indexed (x, y, z).  Each (z, c) pair
-    contributes the two-variable power of D(x, y) = F(x,y,z) conj(F(x,y,z-c)).
-    """
-    N = params.size
-    vals = np.asarray(values, dtype=np.complex128)
-    if vals.shape != (N, N, N):
-        raise ValueError("values must have shape (N, N, N)")
-    if N**3 > SIZE_CAP:
-        raise BudgetError("|G|^3 exceeds the size cap %d" % SIZE_CAP)
-    sub = _sub_table(params)
-    acc = 0.0
-    for z in range(N):
-        for c in range(N):
-            d = vals[:, :, z] * vals[:, :, sub[z, c]].conj()
-            acc += _box2_pow4(d, params)
-    val = acc / N**2
-    if val < -_IMAG_TOL:
-        raise ArithmeticError("box norm power is negative: %.3g" % val)
-    return max(val, 0.0) ** 0.125

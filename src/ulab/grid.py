@@ -14,9 +14,8 @@ character slices of an algebra-valued function through one pass.
 The Monte-Carlo counts sample arrangements through `sample_blocks`, one
 seeded stream per block: it forms every vertex in digit space from the
 drawn parameters and hands the vertices out one at a time, in Morse order,
-so a consumer (`arr2_estimate`, and `respect_stats` and
-`rare_zero_fraction` in `ulab.arrange`) folds each into a per-sample
-accumulator and never holds a block's 8 or 32 points at once.
+so a consumer (`respect_stats` in `ulab.arrange`) folds each into a
+per-sample accumulator and never holds a block's 8 or 32 points at once.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ulab.core import (
-    GroupElem,
     GroupFn,
     GroupParams,
     _digit_table,
@@ -39,7 +37,6 @@ from ulab.core import (
 
 __all__ = [
     "GridFn",
-    "Parallelogram",
     "vert_conv",
     "horiz_conv",
     "mixed_conv",
@@ -50,7 +47,6 @@ __all__ = [
     "arr_functional",
     "arr_functional_stack",
     "arr2_exact",
-    "arr2_estimate",
     "sample_blocks",
     "MORSE8",
     "MORSE32",
@@ -110,36 +106,6 @@ class GridFn:
 
     def inner(self, other: "GridFn") -> complex:
         return complex((self.values * other.values.conj()).mean())
-
-
-@dataclass(frozen=True)
-class Parallelogram:
-    """Vertical parallelogram with vertices (x,y), (x,y+h), (x+w,y'), (x+w,y'+h)."""
-
-    w: GroupElem
-    h: GroupElem
-    x: GroupElem
-    y: GroupElem
-    y2: GroupElem
-
-    def vertices(self) -> tuple[tuple[GroupElem, GroupElem], ...]:
-        x2 = self.x + self.w
-        return (
-            (self.x, self.y),
-            (self.x, self.y + self.h),
-            (x2, self.y2),
-            (x2, self.y2 + self.h),
-        )
-
-    @classmethod
-    def from_vertices(cls, pts) -> "Parallelogram":
-        (x1, y1), (x1b, y1b), (x2, y2), (x2b, y2b) = pts
-        if x1b.index != x1.index or x2b.index != x2.index:
-            raise ValueError("left/right vertex pairs must share x coordinates")
-        h = y1b - y1
-        if (y2b - y2).index != h.index:
-            raise ValueError("the two sides must have equal height")
-        return cls(w=x2 - x1, h=h, x=x1, y=y1, y2=y2)
 
 
 def _check(f: GridFn, g: GridFn) -> None:
@@ -301,30 +267,6 @@ def sample_blocks(params: GroupParams, order: int, samples: int, seed: int):
     for block, start in enumerate(range(0, samples, _MC_BLOCK)):
         m = min(_MC_BLOCK, samples - start)
         yield m, vertices(np.random.default_rng(np.random.SeedSequence([seed, block])), m)
-
-
-def arr2_estimate(f: GridFn, samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of arr2_exact over the 32 free parameters.
-
-    Deterministic for a fixed seed (see sample_blocks).  Returns
-    (estimate, stderr).
-    """
-    N = f.params.size
-    flat = f.values.reshape(-1)
-    total = 0.0
-    total_sq = 0.0
-    for m, vertices in sample_blocks(f.params, 2, samples, seed):
-        prod = np.ones(m, dtype=np.complex128)
-        for s, (x, y) in zip(MORSE32, vertices):
-            v = flat[x * N + y]
-            prod *= v if s > 0 else v.conj()
-        prod = prod.real
-        total += float(prod.sum())
-        total_sq += float((prod**2).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean**2, 0.0)
-    stderr = float(np.sqrt(var / samples))
-    return mean, stderr
 
 
 def grid_fn_to_json(f: GridFn) -> dict:

@@ -23,8 +23,8 @@ polynomial it correlates with:
 7.  rounding    - consensus-round each value from the affine line votes of
                   its row and column, measuring the vote stability.  The
                   votes are N^2 theta, theta = phi * phi * phi^adj on each
-                  line by `galg.line_triple_conv` (the kernel of
-                  `galg.round_stability`); ties go to the lowest value.
+                  line by `galg.line_triple_conv`; ties go to the lowest
+                  value.
 8.  extend      - fit an exact bi-affine model on the rounded data and
                   verify, exhaustively in both variables, that the extension
                   to all of G^2 is affine in each argument.  Each of the
@@ -398,10 +398,9 @@ def consensus_rounding(phi: PartialMap) -> tuple[PartialMap, dict]:
     Rows and columns of a bi-affine map are affine, so for domain points
     b1, b2, b3 of a common row with b1 + b2 - b3 = b, V[b1] + V[b2] - V[b3]
     votes for the value at b; columns vote the same way.  The histograms of
-    every row and column are counted at once by `galg.line_triple_conv`, the
-    kernel of `galg.round_stability`.  The winner is the most-voted value, the
-    lowest one on ties, and its share of the votes is the rounding stability
-    at that point.
+    every row and column are counted at once by `galg.line_triple_conv`.
+    The winner is the most-voted value, the lowest one on ties, and its share
+    of the votes is the rounding stability at that point.
     """
     params, vp = phi.params, phi.value_params
     dom, vmap = phi.domain, phi.values

@@ -1,6 +1,6 @@
 """Trilinear forms over F_p^n: exact analytic rank, symmetrization, the
-structure of low-rank slice families, coset restriction of correlation
-inequalities, cubic phase extraction, and exhaustive quadratic phase search.
+symmetry correlation, cubic phase extraction, and exhaustive quadratic
+phase search.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ from ulab.core import (
     GroupFn,
     GroupParams,
     PolyPhase,
-    Subspace,
-    _gf_matinv,
     _json_fields,
     _json_index,
     _json_params,
     char_transform,
-    gf_nullspace,
     gf_rank,
-    gf_rowreduce,
 )
-from ulab.gowers import _batch_hat_abs, _derivative2_rows, derivative, derivative2_spectra, uk_norm
+from ulab.gowers import derivative2_spectra, uk_norm
 from ulab.grid import GridFn
 
 __all__ = [
@@ -40,12 +36,9 @@ __all__ = [
     "analytic_rank_tri",
     "slice_rank_mean",
     "symmetrize",
-    "subadditivity_check",
     "box3_value",
     "box3_criterion",
-    "lowrank_subspaces",
     "tri_correlation",
-    "pass_to_subspace",
     "symmetry_pipeline",
     "kappa_from_sigma",
     "u3_lower",
@@ -225,27 +218,6 @@ def symmetrize(tau: TrilinearForm) -> tuple[TrilinearForm, TrilinearForm]:
     return sym, tau - sym
 
 
-def subadditivity_check(
-    sigma: TrilinearForm, tau: TrilinearForm
-) -> tuple[bool, float, float, float]:
-    """Whether rank(sigma + tau) <= 8 (rank(sigma) + rank(tau)).
-
-    The comparison is done on exact rational character means (mean of the sum
-    at least the 8th power of the product of the means), so no floating-point
-    logs are involved; the returned ranks are floats for reporting only.
-    """
-    m1 = analytic_mean_tri(sigma)
-    m2 = analytic_mean_tri(tau)
-    m12 = analytic_mean_tri(sigma + tau)
-    ok = m12 >= (m1 * m2) ** 8
-    logp = math.log(sigma.params.p)
-
-    def _rank(m: Fraction) -> float:
-        return (math.log(m.denominator) - math.log(m.numerator)) / logp
-
-    return ok, _rank(m1), _rank(m2), _rank(m12)
-
-
 # ============================================================
 # box-norm rank criterion
 # ============================================================
@@ -280,74 +252,6 @@ def box3_criterion(tau: TrilinearForm, u: GridFn, v: GridFn, w: GridFn) -> bool:
     val = abs(box3_value(tau, u, v, w))
     r = analytic_rank_tri(tau)
     return val <= tau.params.p ** (-r / 8) + 1e-9
-
-
-# ============================================================
-# structure of low-rank slice families
-# ============================================================
-
-
-def _full_space(params: GroupParams) -> Subspace:
-    return Subspace.from_generators(params, [params.p**s for s in range(params.n)])
-
-
-def lowrank_subspaces(fam: SliceFamily, k: int) -> tuple[Subspace, Subspace, Subspace]:
-    """Subspaces (W, E, F) with T_x u in F for every x in W and u in E.
-
-    Requires every slice to have rank at most k.  W has codimension at most
-    k^2, E codimension at most k, and F dimension at most k; the containment
-    is re-verified exhaustively before returning.
-    """
-    params = fam.params
-    p, n, N = params.p, params.n, params.size
-    ranks = [gf_rank(p, fam.slice_at(x)) for x in range(N)]
-    kstar = max(ranks)
-    if kstar > k:
-        raise ValueError("a slice has rank %d above the bound %d" % (kstar, k))
-    if kstar == 0:
-        return _full_space(params), _full_space(params), Subspace(params, ())
-
-    xstar = ranks.index(kstar)
-    M = fam.slice_at(xstar)
-    _, colpivs = gf_rowreduce(p, M)
-    # X-basis: pivot-column units of M, then a kernel basis; the two spans
-    # meet only at 0, so the matrix is invertible.
-    ker = gf_nullspace(p, M)
-    Q = np.zeros((n, n), dtype=np.int64)
-    for j, c in enumerate(colpivs):
-        Q[c, j] = 1
-    if ker.shape[0]:
-        Q[:, kstar:] = ker.T % p
-    # Y-basis: the images of the pivot columns, extended greedily by units.
-    Y = np.zeros((n, n), dtype=np.int64)
-    Y[:, :kstar] = M[:, colpivs] % p
-    filled = kstar
-    for j in range(n):
-        if filled == n:
-            break
-        cand = Y.copy()
-        cand[j, filled] = 1
-        if gf_rank(p, cand[:, : filled + 1].T) == filled + 1:
-            Y[j, filled] = 1
-            filled += 1
-    Yinv = _gf_matinv(p, Y)
-    reduced = np.stack([(Yinv @ fam.mats[s] @ Q) % p for s in range(n)])
-    # W: the slices whose top-left kstar x kstar block vanishes in the new bases.
-    constraints = reduced[:, :kstar, :kstar].reshape(n, kstar * kstar).T % p
-    wbasis = gf_nullspace(p, constraints)
-    W = Subspace.from_generators(params, params.index(wbasis % p) if wbasis.shape[0] else [])
-    E = Subspace.from_generators(params, params.index(Q[:, kstar:].T % p) if kstar < n else [])
-    F = Subspace.from_generators(params, params.index(Y[:, :kstar].T % p))
-    if W.codim > kstar * kstar or E.codim != kstar or F.dim != kstar:
-        raise RuntimeError("subspace dimensions fell outside the guaranteed bounds")
-    for x in W.member_indices():
-        Tx = fam.slice_at(int(x))
-        for u in E.member_indices():
-            du = params.digits(np.asarray([u], dtype=np.int64))[0]
-            img = int(params.index((Tx @ du) % p))
-            if not F.contains(img):
-                raise RuntimeError("a slice image escaped the target subspace")
-    return W, E, F
 
 
 # ============================================================
@@ -410,169 +314,38 @@ class PhaseProduct:
     def evaluate(self, a, b, c):
         return np.exp(2j * np.pi * self.exponent(a, b, c) / self.params.p)
 
-    def combine(self, other: "PhaseProduct") -> "PhaseProduct":
-        if other.params != self.params:
-            raise ValueError("mismatched group parameters")
-        return PhaseProduct(
-            self.params,
-            self.ab + other.ab,
-            self.bc + other.bc,
-            self.ac + other.ac,
-            self.la + other.la,
-            self.lb + other.lb,
-            self.lc + other.lc,
-            self.const + other.const,
-        )
-
-    def shifted(self, a0: int, b0: int, c0: int) -> "PhaseProduct":
-        """The phase (a,b,c) -> self(a+a0, b+b0, c+c0)."""
-        params = self.params
-        da = params.digits(np.asarray([a0], dtype=np.int64))[0]
-        db = params.digits(np.asarray([b0], dtype=np.int64))[0]
-        dc = params.digits(np.asarray([c0], dtype=np.int64))[0]
-        la = self.la + self.ab @ db + self.ac @ dc
-        lb = self.lb + self.ab.T @ da + self.bc @ dc
-        lc = self.lc + self.bc.T @ db + self.ac.T @ da
-        const = (
-            self.const
-            + da @ self.ab @ db
-            + db @ self.bc @ dc
-            + da @ self.ac @ dc
-            + self.la @ da
-            + self.lb @ db
-            + self.lc @ dc
-        )
-        return PhaseProduct(params, self.ab, self.bc, self.ac, la, lb, lc, int(const))
-
-
-def _tau_cross_phase(tau: TrilinearForm, a0: int, b0: int, c0: int) -> PhaseProduct:
-    """Phase with exponent -(tau(a+a0, b+b0, c+c0) - tau(a, b, c))."""
-    params = tau.params
-    t = tau.coeffs
-    da = params.digits(np.asarray([a0], dtype=np.int64))[0]
-    db = params.digits(np.asarray([b0], dtype=np.int64))[0]
-    dc = params.digits(np.asarray([c0], dtype=np.int64))[0]
-    bc = np.einsum("i,ijk->jk", da, t)
-    ac = np.einsum("j,ijk->ik", db, t)
-    ab = np.einsum("k,ijk->ij", dc, t)
-    lc = np.einsum("i,j,ijk->k", da, db, t)
-    lb = np.einsum("i,k,ijk->j", da, dc, t)
-    la = np.einsum("j,k,ijk->i", db, dc, t)
-    const = int(np.einsum("i,j,k,ijk->", da, db, dc, t))
-    return PhaseProduct(params, -ab, -bc, -ac, -la, -lb, -lc, -const)
-
-
-def tri_correlation(
-    f: GroupFn,
-    h: PhaseProduct,
-    tau: TrilinearForm,
-    space: Subspace | None = None,
-    shifts: tuple[int, int, int] = (0, 0, 0),
-) -> complex:
-    """E_x E_{a,b,c in space} h(a,b,c) D_{a+s1,b+s2,c+s3} f(x) omega^{-tau(a,b,c)}.
-
-    D denotes the third multiplicative difference; space defaults to the whole
-    group and shifts to zero, giving the plain correlation functional.
+def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
+    """E_x E_{a,b,c} h(a,b,c) D_{a,b,c} f(x) omega^{-tau(a,b,c)}, where D
+    denotes the third multiplicative difference.
 
     For fixed (a, b) the phase is affine in c: h omega^{-tau} =
     omega^{e0(a,b) + L(a,b).c}, L = BC^T b + AC^T a + lc - tau(a,b,.).  With
-    g = d_{a+s1,b+s2} f, the autocorrelation identity E_x g(x)
-    conj(g(x - c)) = Sigma_r |g_hat(r)|^2 omega^{r.c} turns the average over
-    c in V = space into a sum over one coset of the annihilator:
+    g = d_{a,b} f, the autocorrelation identity E_x g(x) conj(g(x - c)) =
+    Sigma_r |g_hat(r)|^2 omega^{r.c} turns the average over c into one
+    value of the spectrum:
 
-        E_{a,b in V} omega^{e0(a,b)} Sigma_{r in -L(a,b) + V^perp}
-            |g_hat_{a,b}(r)|^2 omega^{r.s3}.
+        E_{a,b} omega^{e0(a,b)} |g_hat_{a,b}(-L(a,b))|^2.
 
-    On the whole group V^perp = {0}, one gathered value per (a, b).  Row a's
-    second derivatives come from one gather (`gowers._derivative2_rows`) and
-    one batched transform (`gowers._batch_hat_abs`), as in
-    `gowers.derivative2_spectra`, so a row costs O(|V| N log N) time and
-    O(|V| N) memory: N^3 log N time and O(N^2) memory per row on the whole
-    group.
+    The spectra come one row a at a time from `gowers.derivative2_spectra`,
+    so the correlation takes N^3 log N time and O(N^2) memory.
     """
     params = f.params
     if h.params != params or tau.params != params:
         raise ValueError("mismatched group parameters")
-    space = space if space is not None else _full_space(params)
-    idx = space.member_indices()
-    a0, b0, c0 = shifts
     p, N = params.p, params.size
-    all_x = np.arange(N, dtype=np.int64)
-    sub_b = params.sub(all_x[None, :], params.add(idx, b0)[:, None])
-    dig_v = params.digits(idx)
-    perp = params.digits(space.annihilator().member_indices())
-    # omega^{r.s3} for every frequency r
-    weight = np.exp(2j * np.pi * params.dot(all_x, c0) / p)
+    all_b = np.arange(N, dtype=np.int64)
+    dig = params.digits(all_b)
     # e0(a, b) = b.(AB^T a + lb) + la.a + const and
     # L(a, b) = b.(BC - T_a) + AC^T a + lc, with T_a[j, k] = sum_i a_i tau_ijk
-    e_part = dig_v @ h.ab + h.lb
-    l_part = dig_v @ h.ac + h.lc
+    e_part = dig @ h.ab + h.lb
+    l_part = dig @ h.ac + h.lc
     total = 0.0 + 0.0j
-    for a, da, e_a, l_a in zip(idx, dig_v, e_part, l_part):
-        d1_a = derivative(f, int(params.add(a, a0))).values
-        power = _batch_hat_abs(_derivative2_rows(d1_a, sub_b), params) ** 2
-        L = dig_v @ (h.bc - np.tensordot(da, tau.coeffs, axes=(0, 0))) + l_a
-        coset = params.index(perp[None, :, :] - L[:, None, :])
-        e0 = dig_v @ e_a + da @ h.la + h.const
-        inner = (np.take_along_axis(power, coset, axis=1) * weight[coset]).sum(axis=1)
-        total += (np.exp(2j * np.pi * (e0 % p) / p) * inner).sum()
-    return complex(total / len(idx) ** 2)
-
-
-# ============================================================
-# coset restriction of a correlation inequality
-# ============================================================
-
-
-def _coset_reps(big: Subspace, small: Subspace) -> np.ndarray:
-    """Canonical (minimal-index) representatives of small-cosets inside big."""
-    params = big.params
-    members = big.member_indices()
-    base = small.member_indices()
-    reps = sorted({int(params.add(np.full(len(base), m), base).min()) for m in members})
-    return np.asarray(reps, dtype=np.int64)
-
-
-def pass_to_subspace(
-    f: GroupFn,
-    h: PhaseProduct,
-    tau: TrilinearForm,
-    big: Subspace,
-    small: Subspace,
-) -> tuple[int, PhaseProduct, float]:
-    """Restrict a correlation inequality from one subspace to a smaller one.
-
-    Scans all coset triples of small inside big for the one carrying the
-    largest piece of the correlation; since the pieces average exactly to the
-    value over big, the maximum is at least it.  Returns the combined shift
-    w = a0+b0+c0, the phase with the coset expansion of tau and of h folded
-    in, and the retained correlation value.
-    """
-    params = f.params
-    for s in small.basis:
-        if not big.contains(s):
-            raise ValueError("the target subspace is not contained in the source")
-    alpha0 = abs(tri_correlation(f, h, tau, big))
-    reps = _coset_reps(big, small)
-    best = None
-    best_val = -1.0
-    for a0 in reps:
-        for b0 in reps:
-            for c0 in reps:
-                piece = tri_correlation(
-                    f, h.shifted(int(a0), int(b0), int(c0)).combine(_tau_cross_phase(tau, int(a0), int(b0), int(c0))),
-                    tau, small, shifts=(int(a0), int(b0), int(c0)),
-                )
-                if abs(piece) > best_val:
-                    best_val = abs(piece)
-                    best = (int(a0), int(b0), int(c0))
-    assert best is not None
-    if best_val < alpha0 - 1e-9:
-        raise RuntimeError("no coset kept the correlation; averaging was violated")
-    a0, b0, c0 = best
-    w = int(params.add(params.add(np.asarray([a0]), b0), c0)[0])
-    h1 = h.shifted(a0, b0, c0).combine(_tau_cross_phase(tau, a0, b0, c0))
-    return w, h1, best_val
+    for spec, da, e_a, l_a in zip(derivative2_spectra(f), dig, e_part, l_part):
+        L = dig @ (h.bc - np.tensordot(da, tau.coeffs, axes=(0, 0))) + l_a
+        e0 = dig @ e_a + da @ h.la + h.const
+        power = spec[all_b, params.index(-L)] ** 2
+        total += (np.exp(2j * np.pi * (e0 % p) / p) * power).sum()
+    return complex(total / N**2)
 
 
 # ============================================================

@@ -3,9 +3,10 @@
 These are the direct dict-loop versions that `ulab.galg` replaced with its
 character-stack route.  In the mixed convolution each cell accumulates
 `dist_product(u, adjoint(v))` over the matching points of one column or
-row; on a line, `line_conv` makes N^2 `dist_product` calls, `hom_defect`
-walks all N^3 additive quadruples, and `round_stability` takes its argmax
-from two `line_conv` calls.  `respected_density` is the character route
+row, with `adjoint` the pointwise u*(a) = u(-a); on a line, `line_conv`
+makes N^2 `dist_product` calls, and two of them with `line_adjoint` give
+the theta = phi * phi * phi^adj that `ulab.galg.line_triple_conv` forms
+through characters.  `respected_density` is the character route
 before it was stacked: one `arr_functional` per character slice, each the
 mean of |mixed_self|^2 with its final inverse transform taken, where
 `ulab.galg.respected_density` now makes one `ulab.grid.arr_functional_stack`
@@ -18,18 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from ulab.core import GroupParams, char_transform
-from ulab.galg import (
-    _TOTAL_TOL,
-    Dist,
-    DistFn,
-    RoundingResult,
-    adjoint,
-    ddist,
-    dist_product,
-    grid_inner_dist,
-    line_adjoint,
-)
+from ulab.galg import Dist, DistFn, dist_product, grid_inner_dist
 from ulab.grid import GridFn, mixed_self
+
+
+def adjoint(u: Dist) -> Dist:
+    """u*(a) = u(-a); weights are real so conjugation is trivial."""
+    neg = u.params.neg
+    return Dist(u.params, {int(neg(np.int64(g))): w for g, w in u.weights.items()})
+
+
+def line_adjoint(phi: list[Dist], params: GroupParams) -> list[Dist]:
+    """phi*(x) = phi(-x)*."""
+    neg = params.neg
+    return [adjoint(phi[int(neg(np.int64(x)))]) for x in range(params.size)]
 
 
 def vert_conv_dist(f: DistFn, g: DistFn) -> DistFn:
@@ -146,51 +149,3 @@ def line_conv(phi: list[Dist], psi: list[Dist], params: GroupParams) -> list[Dis
                 acc[c] += w
         out.append(Dist.from_dense(vp, acc / N))
     return out
-
-
-def hom_defect(phi: list[Dist], params: GroupParams) -> float:
-    """E over additive quadruples x - y = z - w of d(phi(x)phi(y)*, phi(z)phi(w)*)."""
-    N = params.size
-    add, sub = params.add, params.sub
-    pairs = {}
-    for x in range(N):
-        for y in range(N):
-            pairs[(x, y)] = dist_product(phi[x], adjoint(phi[y]))
-    total = 0.0
-    for x in range(N):
-        for y in range(N):
-            left = pairs[(x, y)]
-            for z in range(N):
-                w = int(sub(np.int64(z), sub(np.int64(x), np.int64(y))))
-                total += ddist(left, pairs[(z, w)])
-    return total / N**3
-
-
-def round_stability(phi: list[Dist], params: GroupParams, eta: float) -> RoundingResult:
-    """Round a near-homomorphism G -> Sigma(A) to a concrete map G -> group.
-
-    Forms psi = phi * phi^adj and theta = phi * psi^adj, then takes the
-    per-point argmax of theta.  For a (1 - eta)-homomorphism with eta < 1/18
-    the result is an exact Freiman homomorphism with agreement at most 5 eta.
-    """
-    if not eta < 1 / 18:
-        raise ValueError("eta must be < 1/18")
-    if len(phi) != params.size:
-        raise ValueError("phi must be defined on all of G")
-    for u in phi:
-        t = u.total()
-        if abs(t - 1.0) > _TOTAL_TOL:
-            raise ValueError("phi values must be distributions; got total %r" % t)
-    psi = line_conv(phi, line_adjoint(phi, params), params)
-    theta = line_conv(phi, line_adjoint(psi, params), params)
-    omega = np.zeros(params.size, dtype=np.int64)
-    tied = False
-    for x in range(params.size):
-        g, t = theta[x].argmax()
-        omega[x] = g
-        tied = tied or t
-    vp = phi[0].params
-    agree = float(
-        np.mean([ddist(phi[x], Dist.delta(vp, int(omega[x]))) for x in range(params.size)])
-    )
-    return RoundingResult(omega, agree, tied)

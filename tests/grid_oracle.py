@@ -1,15 +1,14 @@
 """Reference implementations of the Monte-Carlo arrangement sampler and its
-three consumers.
+consumer.
 
 `sample_arrangement_points` materialises each block as an (m, 8, 2) or
-(m, 32, 2) array of vertex indices built by `GroupParams.sub`, and the
-consumers gather from it: `_mc_respect` forms the Morse-signed value sum by
-32 passes of group arithmetic (`_signed_value_sum`), `arr2_estimate` takes
-the product of an (m, 32) gather, and `rare_zero_fraction` reads the digits
-of every vertex.  `ulab.grid.sample_blocks` replaced this with vertices
-formed in digit space and consumed one at a time, from the same draws of
-the same per-block streams, so the library must reproduce these numbers
-exactly.  Nothing in the package imports this module.
+(m, 32, 2) array of vertex indices built by `GroupParams.sub`, and
+`_mc_respect` gathers from it, forming the Morse-signed value sum by 32
+passes of group arithmetic (`_signed_value_sum`).  `ulab.grid.sample_blocks`
+replaced this with vertices formed in digit space and consumed one at a
+time, from the same draws of the same per-block streams, so the library must
+reproduce these numbers exactly.  Nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from ulab.arrange import PartialMap
 from ulab.core import GroupParams
-from ulab.grid import _MC_BLOCK, MORSE8, MORSE32, GridFn
+from ulab.grid import _MC_BLOCK, MORSE8, MORSE32
 
 
 def sample_arrangement_points(
@@ -117,58 +116,3 @@ def _mc_respect(
     resp_ratio = resp_sum / samples
     var = max(resp_sq / samples - resp_ratio**2, 0.0)
     return tot_ratio, resp_ratio, float(np.sqrt(var / samples))
-
-
-def arr2_estimate(f: GridFn, samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of arr2_exact over the 32 free parameters.
-
-    Deterministic for a fixed seed (see sample_blocks).  Returns
-    (estimate, stderr).
-    """
-    N = f.params.size
-    flat = f.values.reshape(-1)
-    conj_mask = MORSE32 < 0
-    total = 0.0
-    total_sq = 0.0
-    for pts in sample_blocks(f.params, 2, samples, seed):
-        vals = flat[pts[:, :, 0] * N + pts[:, :, 1]]
-        vals[:, conj_mask] = vals[:, conj_mask].conj()
-        prod = vals.prod(axis=1).real
-        total += float(prod.sum())
-        total_sq += float((prod**2).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean**2, 0.0)
-    stderr = float(np.sqrt(var / samples))
-    return mean, stderr
-
-
-def rare_zero_fraction(
-    params: GroupParams, eps, samples: int = 100_000, seed: int = 0
-) -> tuple[float, float]:
-    """Fraction of second-order arrangements whose eps-signed tensor sum
-    vanishes, with its standard error.  eps must not be a Morse multiple
-    (those vanish identically)."""
-    e = np.asarray(eps, dtype=np.int64)
-    if e.shape != (32,):
-        raise ValueError("eps must have length 32")
-    if not e.any():
-        raise ValueError("eps = 0 vanishes identically; excluded")
-    if np.array_equal(e, MORSE32) or np.array_equal(e, -MORSE32):
-        raise ValueError("Morse multiples vanish identically; excluded")
-    p, n = params.p, params.n
-    zero_sum = 0.0
-    zero_sq = 0.0
-    for pts in sample_blocks(params, 2, samples, seed):
-        acc = np.zeros((pts.shape[0], n, n), dtype=np.int64)
-        for j in range(32):
-            if e[j] == 0:
-                continue
-            da = params.digits(pts[:, j, 0])
-            db = params.digits(pts[:, j, 1])
-            acc += int(e[j]) * np.einsum("ms,mt->mst", da, db)
-        hit = (acc % p == 0).all(axis=(1, 2)).astype(np.float64)
-        zero_sum += float(hit.sum())
-        zero_sq += float((hit**2).sum())
-    frac = zero_sum / samples
-    var = max(zero_sq / samples - frac**2, 0.0)
-    return frac, float(np.sqrt(var / samples))

@@ -1,5 +1,5 @@
-"""Tests for arrangement statistics, sign-pattern uniqueness, densification,
-and the per-row Freiman filter."""
+"""Tests for arrangement statistics, densification, and the per-row Freiman
+filter."""
 
 from __future__ import annotations
 
@@ -10,16 +10,14 @@ from ulab.arrange import (
     ArrangementStats,
     PartialMap,
     densify,
-    morse_sign_scan,
     partial_map_from_json,
     partial_map_to_json,
-    rare_zero_fraction,
     respect_stats,
     row_freiman_filter,
 )
 from ulab.core import GroupParams, PolyPhase, dft, poly_phase_fn
 from ulab.gowers import derivative2
-from ulab.grid import MORSE8, MORSE32
+from ulab.grid import MORSE8
 
 P3 = GroupParams(3, 1)
 P5 = GroupParams(5, 1)
@@ -185,62 +183,6 @@ def test_mc_deterministic_under_seed():
     a = respect_stats(phi, order=2, mode="mc", samples=30_000, seed=9)
     b = respect_stats(phi, order=2, mode="mc", samples=30_000, seed=9)
     assert (a.total, a.respected, a.stderr) == (b.total, b.respected, b.stderr)
-
-
-# ============================================================
-# sign patterns
-# ============================================================
-
-
-def test_morse_sign_scan():
-    res = morse_sign_scan()
-    assert len(res) == 3
-    as_tuples = {tuple(int(v) for v in e) for e in res}
-    zero = tuple([0] * 8)
-    assert as_tuples == {zero, tuple(MORSE8), tuple(-MORSE8)}
-    assert (1, 0, 0, 0, 0, 0, 0, 0) not in as_tuples
-    with pytest.raises(ValueError):
-        morse_sign_scan(order1_only=False)
-
-
-def test_rare_zero_morse_flip_p5():
-    eps = MORSE32.copy()
-    eps[31] = -eps[31]
-    frac, se = rare_zero_fraction(P5, eps, samples=40_000, seed=1)
-    assert frac <= 2 / 5 + 3 * se + 1e-12
-    # flipped last sign leaves 2 a32 (x) b32, zero iff a32 b32 = 0: 9/25
-    assert abs(frac - 9 / 25) <= 5 * se
-
-
-def test_rare_zero_nonmorse_p7():
-    p7 = GroupParams(7, 1)
-    single = np.zeros(32, dtype=np.int64)
-    single[0] = 1
-    frac, se = rare_zero_fraction(p7, single, samples=40_000, seed=2)
-    assert frac <= 2 / 7 + 3 * se + 1e-12
-    mixed = np.zeros(32, dtype=np.int64)
-    mixed[[0, 5, 12, 20]] = [1, -1, 1, -1]
-    frac2, se2 = rare_zero_fraction(p7, mixed, samples=40_000, seed=3)
-    assert frac2 <= 2 / 7 + 3 * se2 + 1e-12
-
-
-def test_rare_zero_validation():
-    with pytest.raises(ValueError):
-        rare_zero_fraction(P5, np.zeros(32, dtype=np.int64))
-    with pytest.raises(ValueError):
-        rare_zero_fraction(P5, MORSE32)
-    with pytest.raises(ValueError):
-        rare_zero_fraction(P5, -MORSE32)
-    with pytest.raises(ValueError):
-        rare_zero_fraction(P5, np.ones(31, dtype=np.int64))
-
-
-def test_rare_zero_deterministic():
-    eps = np.zeros(32, dtype=np.int64)
-    eps[[3, 17]] = [1, 1]
-    a = rare_zero_fraction(P5, eps, samples=20_000, seed=5)
-    b = rare_zero_fraction(P5, eps, samples=20_000, seed=5)
-    assert a == b
 
 
 # ============================================================

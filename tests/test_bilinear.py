@@ -1,37 +1,23 @@
-"""Tests for bi-affine maps, rank certificates, high-rank Bohr decompositions,
-averaging projections, Bogolyubov-type approximations, and sampling checks."""
+"""Tests for bi-affine maps, map ranks, high-rank Bohr decompositions,
+averaging projections, and Bogolyubov-type approximations."""
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ulab.bilinear import (
     BiAffineMap,
-    PeelStep,
-    RankCertificate,
-    algebraic_rank,
-    analytic_rank_bilinear,
-    arrangement_cell_probability,
+    _mats_map_rank,
     avg_projection,
     biaffine_from_json,
-    biaffine_parts,
     biaffine_to_json,
     bogolyubov_bilinear,
     bohr_decompose,
-    indstep,
-    map_rank,
-    map_rank_scan,
-    normality,
-    qr_sample_check,
-    row_surjectivity_fraction,
-    weak_bog_linear,
 )
-from ulab.core import GroupFn, GroupParams, Subspace, conv, dft
+from ulab.core import GroupParams, gf_rank
 from ulab.grid import GridFn
 
 P3 = GroupParams(3, 1)
@@ -144,79 +130,15 @@ def test_restrict_agrees_with_evaluation():
 
 
 # ============================================================
-# black-box decomposition into parts
-# ============================================================
-
-
-def test_parts_of_xy_plus_x_plus_y_plus_one():
-    beta = BiAffineMap(
-        P5,
-        np.array([[[1]]], np.int64),
-        np.array([[1]], np.int64),
-        np.array([[1]], np.int64),
-        np.array([1], np.int64),
-    )
-    gamma, A, B, z = biaffine_parts(beta)
-    assert np.array_equal(gamma.T, np.array([[[1]]]))
-    assert np.array_equal(A, np.array([[1]]))
-    assert np.array_equal(B, np.array([[1]]))
-    assert np.array_equal(z, np.array([1]))
-
-
-def test_parts_recompose_random_map():
-    rng = np.random.default_rng(23)
-    beta = _random_biaffine(P33, 3, rng)
-    gamma, A, B, z = biaffine_parts(beta)
-    assert np.array_equal(gamma.T, beta.T)
-    assert np.array_equal(A, beta.b)  # x-part
-    assert np.array_equal(B, beta.a)  # y-part
-    assert np.array_equal(z, beta.lam)
-
-
-def test_parts_of_pure_bilinear_have_no_affine_piece():
-    gamma, A, B, z = biaffine_parts(_dot_map(P33))
-    assert np.array_equal(gamma.T, _dot_map(P33).T)
-    assert not A.any() and not B.any() and not z.any()
-
-
-# ============================================================
 # ranks of forms
 # ============================================================
 
 
 def test_algebraic_rank_examples():
-    assert algebraic_rank(5, np.eye(3, dtype=np.int64)) == 3
-    assert algebraic_rank(5, np.zeros((3, 3), np.int64)) == 0
-    assert algebraic_rank(3, np.array([[1, 2], [2, 1]], np.int64)) == 1  # det = -3 = 0 mod 3
-    assert algebraic_rank(3, np.array([[1, 2], [2, 2]], np.int64)) == 2  # det = -2 = 1 mod 3
-
-
-def test_analytic_rank_matches_algebraic_on_dot_form():
-    assert analytic_rank_bilinear(_dot_map(P53)) == 3
-
-
-def test_analytic_rank_zero_form():
-    beta = BiAffineMap.bilinear(P53, np.zeros((3, 3), np.int64))
-    assert analytic_rank_bilinear(beta) == 0
-
-
-def test_analytic_rank_conjugated_rank_two():
-    # S diag(1,1,0) R with invertible S, R keeps rank 2.
-    S = np.array([[1, 2, 0], [0, 1, 1], [0, 0, 1]], np.int64)
-    R = np.array([[1, 0, 3], [0, 1, 0], [2, 0, 1]], np.int64)
-    M = S @ np.diag([1, 1, 0]).astype(np.int64) @ R % 5
-    assert algebraic_rank(5, M) == 2
-    assert analytic_rank_bilinear(BiAffineMap.bilinear(P53, M)) == 2
-
-
-def test_analytic_rank_rejects_non_bilinear_and_multi_form():
-    with pytest.raises(ValueError):
-        analytic_rank_bilinear(_random_biaffine(P33, 2, np.random.default_rng(0)))
-    shifted = BiAffineMap(
-        P33, np.eye(3, dtype=np.int64)[None], np.zeros((1, 3), np.int64), np.zeros((1, 3), np.int64), np.array([1])
-    )
-    with pytest.raises(ValueError):
-        analytic_rank_bilinear(shifted)
+    assert gf_rank(5, np.eye(3, dtype=np.int64)) == 3
+    assert gf_rank(5, np.zeros((3, 3), np.int64)) == 0
+    assert gf_rank(3, np.array([[1, 2], [2, 1]], np.int64)) == 1  # det = -3 = 0 mod 3
+    assert gf_rank(3, np.array([[1, 2], [2, 2]], np.int64)) == 2  # det = -2 = 1 mod 3
 
 
 # ============================================================
@@ -231,75 +153,29 @@ def test_map_rank_shared_row_space():
     m2 = np.zeros((3, 3), np.int64)
     m2[0, 1] = 1
     beta = BiAffineMap.bilinear(P33, np.stack([m1, m2]))
-    assert map_rank(beta) == 1
+    assert _mats_map_rank(3, beta.T)[0] == 1
 
 
 def test_map_rank_duplicate_forms_is_zero():
     m = np.eye(3, dtype=np.int64)
     beta = BiAffineMap.bilinear(P33, np.stack([m, m]))
-    assert map_rank(beta) == 0
+    assert _mats_map_rank(3, beta.T)[0] == 0
 
 
 def test_map_rank_single_full_form():
-    assert map_rank(_dot_map(P53)) == 3
+    assert _mats_map_rank(5, _dot_map(P53).T)[0] == 3
 
 
 def test_map_rank_scan_length():
     beta = _random_biaffine(P33, 2, np.random.default_rng(1))
-    scan = map_rank_scan(beta)
+    scan = _mats_map_rank(3, beta.T)[1]
     assert len(scan) == 3**2 - 1
-    assert map_rank(beta) == min(scan)
+    assert _mats_map_rank(3, beta.T)[0] == min(scan)
 
 
 # ============================================================
-# normality of point tuples
+# the Bohr decomposition
 # ============================================================
-
-
-def test_normality_single_points_dot_form():
-    beta = _dot_map(P33)
-    flags = [normality([x], beta, "x") for x in range(27)]
-    assert flags.count(True) == 26
-    assert not flags[0]
-
-
-def test_normality_pairs():
-    beta = _dot_map(P33)
-    assert normality([1, 3], beta, "x")  # e1, e2: independent functionals
-    assert not normality([1, 2], beta, "x")  # e1, 2*e1: dependent
-    assert normality([1, 3], beta, "y")
-    with pytest.raises(ValueError):
-        normality([1], beta, "z")
-
-
-# ============================================================
-# one peeling step and full decomposition
-# ============================================================
-
-
-def test_indstep_returns_certificate_at_high_rank():
-    out = indstep(_dot_map(P52), 2)
-    assert isinstance(out, RankCertificate)
-    assert out.min_rank == 2
-    assert out.threshold == 2
-
-
-def test_indstep_peels_low_rank_combination():
-    m = np.zeros((2, 2), np.int64)
-    m[0, 0] = 1  # x1*y1
-    beta = BiAffineMap.bilinear(P52, m)
-    out = indstep(beta, 2)
-    assert isinstance(out, PeelStep)
-    assert out.u == (1,)
-    assert out.rank == 1
-    assert out.V.basis == (5,)  # {x : x1 = 0} = span(e2)
-    assert out.W.basis == (5,)
-    # The peeled combination is constant on every translate of V x W.
-    for v in range(25):
-        for w in range(25):
-            xs = np.array([P52.add(np.array([v] * 5), np.array([0, 5, 10, 15, 20]))]).reshape(-1)
-            vals = beta.evaluate(xs.repeat(5), np.tile(np.array([P52.add(np.array([w] * 5), np.array([0, 5, 10, 15, 20]))]).reshape(-1), 5))
-            assert len(set(vals[:, 0].tolist())) == 1
 
 
 def test_bohr_decompose_no_peel():
@@ -448,180 +324,6 @@ def test_bogolyubov_input_validation():
     with pytest.raises(ValueError):
         bogolyubov_bilinear(GridFn.constant(P3, 1.0), 0.0)
     with pytest.raises(ValueError):
+        bogolyubov_bilinear(GridFn.constant(P3, 1.0), float("nan"))
+    with pytest.raises(ValueError):
         bogolyubov_bilinear(GridFn.constant(P3, 1.0), 0.1, cover_method="magic")
-
-
-# ============================================================
-# weak linear Bogolyubov for products of transforms
-# ============================================================
-
-
-def test_weak_bog_character_pair():
-    r = 7
-    om = np.exp(2j * np.pi / 5)
-    vals = om ** (P52.dot(np.arange(25), r) % 5)
-    f = GroupFn(P52, vals)
-    B = weak_bog_linear(f, f, 0.3)
-    assert B.basis == Subspace.from_generators(P52, [r]).annihilator().basis
-    assert B.codim == 1
-
-
-def test_weak_bog_subspace_indicator():
-    V = Subspace.from_generators(P32, [1])
-    f = GroupFn(P32, V.indicator().astype(complex))
-    B = weak_bog_linear(f, f, 0.2)
-    assert B.basis == V.basis
-
-
-def test_weak_bog_error_certified_by_direct_convolution():
-    rng = np.random.default_rng(3)
-    f = GroupFn(P52, np.sqrt(rng.random(25)) * np.exp(2j * np.pi * rng.random(25)))
-    g = GroupFn(P52, np.sqrt(rng.random(25)) * np.exp(2j * np.pi * rng.random(25)))
-    eps = 0.2
-    B = weak_bog_linear(f, g, eps)
-    assert B.codim <= 4 / eps + 1e-9
-    c = conv(f, g)
-    density = GroupFn(P52, B.indicator().astype(complex) * (25 / B.indicator().sum()))
-    smoothed = conv(density, c)
-    err = np.sqrt((np.abs(c.values - smoothed.values) ** 2).mean())
-    assert err <= eps + 1e-9
-
-
-def test_weak_bog_validation():
-    f = GroupFn(P32, np.ones(9, complex))
-    with pytest.raises(ValueError):
-        weak_bog_linear(f, f, 0.0)
-    with pytest.raises(ValueError):
-        weak_bog_linear(f, GroupFn(P33, np.ones(27, complex)), 0.1)
-
-
-# ============================================================
-# quasirandom sampling check
-# ============================================================
-
-
-def test_qr_sample_fiber_family_exact_statistics():
-    D = P33.digits(np.arange(27))
-    sets = (D @ D.T % 3 == 0)  # row x: {y : x . y = 0}
-    f = np.random.default_rng(5).random(27)
-    rep = qr_sample_check(sets, f, 1.0)
-    assert rep.alpha == Fraction(1, 3)
-    assert rep.eps1 == Fraction(1, 27)
-    assert rep.eps2 == Fraction(35, 243)
-    assert rep.exceptions == 0
-    assert rep.bound == pytest.approx(float((2 * Fraction(1, 3) * Fraction(1, 27) + Fraction(35, 243)) * 27))
-    # independent recount of the exceptional rows
-    target = float(rep.alpha) * f.mean()
-    bad = sum(1 for i in range(27) if abs(sets[i] @ f / 27 - target) > 1.0)
-    assert bad == rep.exceptions
-
-
-def test_qr_sample_tight_threshold_still_clean():
-    D = P33.digits(np.arange(27))
-    sets = (D @ D.T % 3 == 0)
-    f = np.random.default_rng(5).random(27)
-    rep = qr_sample_check(sets, f, 0.35)
-    assert rep.exceptions == 0
-
-
-def test_qr_sample_full_sets_have_no_defects():
-    sets = np.ones((5, 12), dtype=bool)
-    rep = qr_sample_check(sets, np.linspace(0, 1, 12), 0.05)
-    assert rep.alpha == 1 and rep.eps1 == 0 and rep.eps2 == 0
-    assert rep.exceptions == 0 and rep.bound == 0.0
-
-
-def test_qr_sample_validation():
-    sets = np.ones((2, 4), dtype=bool)
-    with pytest.raises(ValueError):
-        qr_sample_check(sets, np.array([0.0, 0.5, 1.5, 0.2]), 0.1)
-    with pytest.raises(ValueError):
-        qr_sample_check(sets, np.zeros(4), 0.0)
-
-
-# ============================================================
-# row surjectivity fractions
-# ============================================================
-
-
-def test_row_surjectivity_full_spaces():
-    full = Subspace.from_generators(P33, [1, 3, 9])
-    assert row_surjectivity_fraction(_dot_map(P33), full, full) == Fraction(26, 27)
-
-
-def test_row_surjectivity_restricted_spaces():
-    U = Subspace.from_generators(P33, [3, 9])
-    V = Subspace.from_generators(P33, [1, 9])
-    assert row_surjectivity_fraction(_dot_map(P33), U, V) == Fraction(2, 3)
-
-
-def test_row_surjectivity_zero_map():
-    full = Subspace.from_generators(P33, [1, 3, 9])
-    assert row_surjectivity_fraction(BiAffineMap.zero(P33, 1), full, full) == 0
-
-
-# ============================================================
-# arrangement probabilities across decomposition cells
-# ============================================================
-
-
-def _brute_arrangement(dec, triples) -> Fraction:
-    xl, yl, zt = dec.cell_tables()
-    N = dec.beta.params.size
-    params = dec.beta.params
-    count = 0
-    for x1, x2, x3, y1, y2, y3, y4, h in itertools.product(range(N), repeat=8):
-        d = int(params.sub(np.array([x1]), np.array([x2]))[0])
-        x4 = int(params.sub(np.array([x3]), np.array([d]))[0])
-        xs = (x1, x2, x3, x4)
-        ys = (y1, y2, y3, y4)
-        ok = True
-        for j in range(4):
-            v, w, z = triples[2 * j]
-            if not (xl[xs[j]] == v and yl[ys[j]] == w and zt[xs[j], ys[j]] == z):
-                ok = False
-                break
-            v, w, z = triples[2 * j + 1]
-            yy = int(params.sub(np.array([ys[j]]), np.array([h]))[0])
-            if not (xl[xs[j]] == v and yl[yy] == w and zt[xs[j], yy] == z):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return Fraction(count, N**8)
-
-
-def test_arrangement_probability_matches_brute_force():
-    beta = BiAffineMap.bilinear(P3, np.array([[1]], np.int64))
-    dec = bohr_decompose(beta, 1)
-    all_zero = [(0, 0, 0)] * 8
-    assert arrangement_cell_probability(dec, all_zero) == Fraction(127, 2187)
-    assert _brute_arrangement(dec, all_zero) == Fraction(127, 2187)
-    mixed = [(0, 0, z) for z in (1, 0, 2, 1, 1, 0, 2, 1)]
-    assert arrangement_cell_probability(dec, mixed) == Fraction(2, 6561)
-    assert _brute_arrangement(dec, mixed) == Fraction(2, 6561)
-    broken = [(0, 0, 0)] * 7 + [(0, 0, 1)]
-    assert arrangement_cell_probability(dec, broken) == 0
-    assert _brute_arrangement(dec, broken) == 0
-
-
-def test_arrangement_probability_high_rank_deviation_bound():
-    params = GroupParams(3, 4)
-    beta = BiAffineMap.bilinear(params, np.eye(4, dtype=np.int64))
-    dec = bohr_decompose(beta, 4)
-    assert dec.certified_rank == 4
-    r, s, k = dec.X0.dim, dec.Y0.dim, beta.k
-    main = Fraction(1, 3 ** (3 * r + 5 * s + 7 * k))
-    bound = Fraction(1, 3 ** (3 * r + 5 * s)) * (
-        3 * Fraction(3 ** (2 * k), 3**4) + Fraction(3**k, 3**4)
-    )
-    for zs in [(0,) * 8, (1, 0, 2, 1, 1, 0, 2, 1)]:
-        prob = arrangement_cell_probability(dec, [(0, 0, z) for z in zs])
-        assert abs(prob - main) <= bound
-
-
-def test_arrangement_probability_needs_eight_triples():
-    beta = BiAffineMap.bilinear(P3, np.array([[1]], np.int64))
-    dec = bohr_decompose(beta, 1)
-    with pytest.raises(ValueError):
-        arrangement_cell_probability(dec, [(0, 0, 0)] * 7)

@@ -691,6 +691,31 @@ def test_cmd_pipeline_missing_report_directory_exits_before_running(files, capsy
     assert not out_path.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["norms", "pipeline"])
+def test_cmd_directory_path_exits_2_with_one_line(files, capsys, monkeypatch, command):
+    def sentinel(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(ulab.cli, "run_inverse_pipeline", sentinel)
+    argv = {
+        "norms": ["norms", "--input", str(files["dir"]), "--k", "2"],
+        "pipeline": ["pipeline", "--input", str(files["f1"]), "--out", str(files["dir"])],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(files["dir"]) in captured.err
+
+
+def test_cmd_bog2_rejects_a_nan_target(files, capsys):
+    assert main(["bog2", "--input", str(files["f1"]), "--zeta", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "target must be positive" in captured.err
+
+
 def test_cmd_pipeline_gate_exit_code(files, tmp_path, capsys):
     rng = np.random.default_rng(77)
     f = GroupFn(P52, np.exp(2j * np.pi * rng.random(25)))

@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trilinear_oracle import CharacterSum
 from ulab.core import (
-    CharacterSum,
     GroupFn,
     GroupParams,
     PolyPhase,

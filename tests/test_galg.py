@@ -1,28 +1,22 @@
-"""Tests for group-algebra elements, the distance d, and stability rounding."""
+"""Tests for group-algebra elements, the distance d, and algebra-valued
+mixed convolutions."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from galg_oracle import adjoint
 from ulab.core import GroupParams
 from ulab.galg import (
     Dist,
     DistFn,
-    adjoint,
     bihom_defect,
     ddist,
-    dist_fn_from_json,
-    dist_fn_to_json,
     dist_product,
     gen_inner,
-    hom_defect,
-    is_freiman_hom,
-    line_adjoint,
-    line_conv,
     mixed_conv_dist,
     grid_inner_dist,
-    round_stability,
 )
 from ulab.grid import MORSE8, GridFn, arr_functional, mixed_self
 
@@ -92,8 +86,6 @@ def test_dist_validation():
         Dist(params, {0: -0.5})
     with pytest.raises(ValueError):
         Dist.delta(params, 0).scale(-1.0)
-    with pytest.raises(ValueError):
-        Dist.zero(params).argmax()
     assert Dist.delta(params, 1).is_distribution()
     assert Dist.zero(params).is_distribution()
     assert not Dist.delta(params, 1, 0.7).is_distribution()
@@ -284,37 +276,6 @@ def test_adjoint_shift_identity():
         assert abs(lhs - rhs) < 1e-12
 
 
-def _perturbed_affine_line(params, vp, rng, n_bad, eps):
-    """delta-valued affine map with eps of mass moved at n_bad points."""
-    t = int(rng.integers(1, vp.size))
-    c = int(rng.integers(vp.size))
-    line = []
-    for x in range(params.size):
-        g = int(vp.add(np.int64((x * t) % vp.size), np.int64(c)))
-        line.append(Dist.delta(vp, g))
-    bad = rng.choice(params.size, size=n_bad, replace=False)
-    for x in bad:
-        g_rand = int(rng.integers(vp.size))
-        dense = (1 - eps) * line[x].dense() + eps * Dist.delta(vp, g_rand).dense()
-        line[int(x)] = Dist.from_dense(vp, dense)
-    return line
-
-
-def test_almost_additive_for_all_pairs():
-    params = GroupParams(5, 1)
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        phi = _perturbed_affine_line(params, params, rng, n_bad=1, eps=0.1)
-        eta = hom_defect(phi, params)
-        psi = line_conv(phi, line_adjoint(phi, params), params)
-        for u in range(5):
-            for v in range(5):
-                lhs = ddist(
-                    dist_product(psi[u], psi[v]), psi[int(params.add(np.int64(u), np.int64(v)))]
-                )
-                assert lhs <= 2 * eta + 1e-12
-
-
 def test_perturbation_of_measure():
     params = GroupParams(3, 1)
     rng = np.random.default_rng(11)
@@ -330,97 +291,3 @@ def test_perturbation_of_measure():
         gap = abs(grid_inner_dist(Fa, Fa) - grid_inner_dist(Fb, Fb))
         l2 = float(np.sqrt(np.mean(np.abs(mu.values - nu.values) ** 2)))
         assert gap <= 8 * l2 + 1e-12
-
-
-# ============================================================
-# stability rounding
-# ============================================================
-
-
-def test_round_stability_recovers_exact_affine():
-    params = GroupParams(5, 1)
-    line = [Dist.delta(params, (3 * x + 2) % 5) for x in range(5)]
-    res = round_stability(line, params, eta=0.01)
-    assert [int(g) for g in res.omega] == [(3 * x + 2) % 5 for x in range(5)]
-    assert res.agreement < 1e-12
-    assert not res.tie_flagged
-    assert is_freiman_hom(params, params, res.omega)
-
-
-def test_round_stability_single_reassigned_point():
-    params = GroupParams(5, 2)
-    vp = params
-    affine = [(7 * x + 3) % 25 for x in range(25)]  # additive in index arithmetic? no:
-    # build a genuine affine map via digit arithmetic instead
-    t = np.array([[1, 2], [0, 3]])
-    c = np.array([4, 1])
-    digs = np.stack([params.digits(x) for x in range(25)])
-    imgs = params.index((digs @ t.T + c) % 5)
-    line = [Dist.delta(vp, int(g)) for g in imgs]
-    wrong = (int(imgs[7]) + 1) % 25
-    line[7] = Dist.delta(vp, wrong)
-    res = round_stability(line, params, eta=0.05)
-    assert [int(g) for g in res.omega] == [int(g) for g in imgs]
-    assert abs(res.agreement - 1 / 25) < 1e-12
-    assert is_freiman_hom(params, vp, res.omega)
-
-
-def test_round_stability_agreement_bound_and_quadruples():
-    params = GroupParams(5, 1)
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        phi = _perturbed_affine_line(params, params, rng, n_bad=1, eps=0.05)
-        eta = hom_defect(phi, params)
-        assert eta < 1 / 18
-        res = round_stability(phi, params, eta)
-        assert res.agreement <= 5 * eta + 1e-12
-        assert is_freiman_hom(params, params, res.omega)
-        # quadruple form of exactness
-        om = res.omega
-        for a in range(5):
-            for b in range(5):
-                for c in range(5):
-                    d = int(params.sub(np.int64(c), params.sub(np.int64(a), np.int64(b))))
-                    lhs = params.sub(np.int64(om[a]), np.int64(om[b]))
-                    rhs = params.sub(np.int64(om[c]), np.int64(om[d]))
-                    assert int(lhs) == int(rhs)
-
-
-def test_round_stability_flags_ties():
-    params = GroupParams(3, 1)
-    line = [Dist.uniform(params) for _ in range(3)]
-    res = round_stability(line, params, eta=0.05)
-    assert res.tie_flagged
-    assert [int(g) for g in res.omega] == [0, 0, 0]
-
-
-def test_round_stability_validation():
-    params = GroupParams(3, 1)
-    line = [Dist.delta(params, 0)] * 3
-    with pytest.raises(ValueError):
-        round_stability(line, params, eta=0.2)
-    with pytest.raises(ValueError):
-        round_stability(line[:2], params, eta=0.01)
-    with pytest.raises(ValueError):
-        round_stability([Dist.delta(params, 0, 0.5)] * 3, params, eta=0.01)
-
-
-# ============================================================
-# serialization
-# ============================================================
-
-
-def test_dist_fn_json_round_trip():
-    params = GroupParams(3, 1)
-    rng = np.random.default_rng(13)
-    tab = {}
-    for x in range(3):
-        for y in range(3):
-            if rng.random() < 0.6:
-                tab[(x, y)] = _random_sparse(params, rng, k=2)
-    phi = DistFn(params, params, tab)
-    data = dist_fn_to_json(phi)
-    back = dist_fn_from_json(params, params, data)
-    assert back.table.keys() == phi.table.keys()
-    for k in phi.table:
-        assert np.allclose(back.table[k].dense(), phi.table[k].dense(), atol=1e-15)

@@ -4,10 +4,9 @@ dict-loop oracle in `galg_oracle`.
 Parseval over the value group H turns the algebra-valued mixed convolution
 into |H| scalar ones; these tests draw non-negative multi-point tables, a
 non-uniform mu, and value groups equal to and different from the domain.
-On a line, the character transform over G x H carries `line_conv`,
-`hom_defect` and the rounding kernel theta = phi * phi * phi^adj; these
-tests draw sparse random, perturbed affine, uniform and two-point lines,
-whose theta ties, so the rounded map and its tie flag must be identical.
+On a line, the character transform over G x H carries the rounding kernel
+theta = phi * phi * phi^adj; these tests draw sparse random, perturbed
+affine, uniform and two-point lines, whose theta ties.
 """
 
 from __future__ import annotations
@@ -27,12 +26,8 @@ from ulab.galg import (
     bihom_defect,
     gen_inner,
     grid_inner_dist,
-    hom_defect,
-    line_adjoint,
-    line_conv,
     line_triple_conv,
     mixed_conv_dist,
-    round_stability,
 )
 from ulab.grid import GridFn
 
@@ -183,25 +178,16 @@ def _line_dense(phi: list[Dist]) -> np.ndarray:
 
 def _oracle_theta(phi: list[Dist], params: GroupParams) -> np.ndarray:
     """theta = phi * (phi * phi^adj)^adj by the oracle's dict loops."""
-    psi = oracle.line_conv(phi, line_adjoint(phi, params), params)
-    return _line_dense(oracle.line_conv(phi, line_adjoint(psi, params), params))
+    psi = oracle.line_conv(phi, oracle.line_adjoint(phi, params), params)
+    return _line_dense(oracle.line_conv(phi, oracle.line_adjoint(psi, params), params))
 
 
 @settings(SETTINGS, max_examples=60)
 @given(lines())
 def test_line_algebra_matches_oracle(case):
     params, phi = case
-    vp = phi[0].params
-    adj = line_adjoint(phi, params)
-    got = _line_dense(line_conv(phi, adj, params))
-    assert np.max(np.abs(got - _line_dense(oracle.line_conv(phi, adj, params)))) <= TOL
-    theta = line_triple_conv(_line_dense(phi)[None], params, vp)[0]
+    theta = line_triple_conv(_line_dense(phi)[None], params, phi[0].params)[0]
     assert np.max(np.abs(theta - _oracle_theta(phi, params))) <= TOL
-    assert abs(hom_defect(phi, params) - oracle.hom_defect(phi, params)) <= TOL
-    res, want = round_stability(phi, params, 0.01), oracle.round_stability(phi, params, 0.01)
-    assert np.array_equal(res.omega, want.omega)
-    assert res.tie_flagged == want.tie_flagged
-    assert abs(res.agreement - want.agreement) <= TOL
 
 
 def test_line_triple_conv_blocks_match_the_oracle(monkeypatch):

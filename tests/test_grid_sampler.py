@@ -3,10 +3,8 @@ against the point-array sampler in `grid_oracle`.
 
 `grid.sample_blocks` forms each vertex in digit space from the same draws,
 in the same order and from the same per-block streams as the oracle's
-(m, 32, 2) blocks, so the vertices, the respect counts and the rare-zero
-fraction must be identical; `arr2_estimate` multiplies the same values in
-the same order, but numpy's elementwise complex product may round
-differently from its reduction, so it agrees within 1e-12.  Two more tests
+(m, 32, 2) blocks, so the vertices and the respect counts must be
+identical.  Two more tests
 need no oracle: a bi-affine map respects every arrangement, and one call
 stays within a memory budget that the point-array blocks exceed.
 """
@@ -16,13 +14,13 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import grid_oracle as oracle
-from ulab.arrange import ArrangementStats, PartialMap, rare_zero_fraction, respect_stats
+from ulab.arrange import ArrangementStats, PartialMap, respect_stats
 from ulab.core import GroupParams
-from ulab.grid import MORSE32, GridFn, arr2_estimate, sample_blocks
+from ulab.grid import sample_blocks
 
 # every F_p^n with p^n <= 49
 GROUPS = [
@@ -90,28 +88,6 @@ def test_mc_respect_stats_match_the_oracle(phi, samples, seed):
     for order in (1, 2):
         got = respect_stats(phi, order=order, mode="mc", samples=samples, seed=seed)
         assert got == _oracle_stats(phi, order, samples, seed)
-
-
-@SETTINGS
-@given(
-    params=st.sampled_from(GROUPS).map(lambda g: GroupParams(*g)),
-    samples=st.sampled_from(SAMPLES),
-    seed=st.integers(0, 2**32 - 1),
-    f_seed=st.integers(0, 2**32 - 1),
-    eps=st.lists(st.sampled_from([-1, 0, 1]), min_size=32, max_size=32),
-)
-def test_arr2_estimate_and_rare_zero_match_the_oracle(params, samples, seed, f_seed, eps):
-    e = np.array(eps, dtype=np.int64)
-    assume(e.any() and not np.array_equal(e, MORSE32) and not np.array_equal(e, -MORSE32))
-    N = params.size
-    rng = np.random.default_rng(f_seed)
-    f = GridFn(params, np.exp(2j * np.pi * rng.random((N, N))) * rng.random((N, N)))
-    est, err = arr2_estimate(f, samples=samples, seed=seed)
-    want_est, want_err = oracle.arr2_estimate(f, samples=samples, seed=seed)
-    assert abs(est - want_est) <= 1e-12 and abs(err - want_err) <= 1e-12
-    assert rare_zero_fraction(params, e, samples, seed) == oracle.rare_zero_fraction(
-        params, e, samples, seed
-    )
 
 
 def _biaffine_map(params: GroupParams, vp: GroupParams, rng: np.random.Generator) -> PartialMap:

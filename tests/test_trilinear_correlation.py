@@ -3,11 +3,10 @@ against the loops and tables in `trilinear_oracle`, and identities checked
 where the oracle loops are too slow.
 
 The correlation reads each (a, b) term off the spectrum of the second
-derivative by the autocorrelation (Parseval) identity, over one coset of
-the annihilator of the subspace, so it sums other terms than the oracle's
-loop, not the same terms in another order.  The two must agree within
-1e-12 on random bounded f, random phase products and forms, over the whole
-group and over proper subspaces with non-zero shifts.  `u3_lower` takes its
+derivative by the autocorrelation (Parseval) identity, at one frequency,
+so it sums other terms than the oracle's loop, not the same terms in
+another order.  The two must agree within 1e-12 on random bounded f,
+random phase products and forms.  `u3_lower` takes its
 autocorrelations as the inverse transform of the power spectrum
 (Wiener-Khinchin), within 1e-12 of the oracle's gather.  On F_11^2 and
 F_5^3, with h = 1 and tau = 0, both equal the U^3 norm to the eighth power,
@@ -27,8 +26,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trilinear_oracle as oracle
-from ulab import trilinear
-from ulab.core import GroupFn, GroupParams, PolyPhase, Subspace, poly_phase_fn
+from ulab import gowers, trilinear
+from ulab.core import GroupFn, GroupParams, PolyPhase, poly_phase_fn
 from ulab.gowers import uk_norm
 from ulab.grid import GridFn
 from ulab.trilinear import PhaseProduct, TrilinearForm, quad_phase_search, tri_correlation, u3_lower
@@ -61,34 +60,23 @@ def _random_inputs(params: GroupParams, rng: np.random.Generator):
 
 
 @SETTINGS
-@given(st.sampled_from(GROUPS), st.integers(0, 2**32 - 1), st.booleans())
-def test_tri_correlation_matches_the_pair_loop(group, seed, whole):
+@given(st.sampled_from(GROUPS), st.integers(0, 2**32 - 1))
+def test_tri_correlation_matches_the_pair_loop(group, seed):
     params = GroupParams(*group)
-    rng = np.random.default_rng(seed)
-    f, h, tau = _random_inputs(params, rng)
-    if whole or params.n == 1:
-        space, shifts = None, (0, 0, 0)
-    else:
-        gens = rng.integers(1, params.size, size=int(rng.integers(1, params.n)))
-        space = Subspace.from_generators(params, gens)
-        shifts = tuple(int(s) for s in rng.integers(1, params.size, size=3))
-    got = tri_correlation(f, h, tau, space, shifts)
-    want = oracle.tri_correlation(f, h, tau, space, shifts)
-    assert abs(got - want) < TOL
+    f, h, tau = _random_inputs(params, np.random.default_rng(seed))
+    assert abs(tri_correlation(f, h, tau) - oracle.tri_correlation(f, h, tau)) < TOL
 
 
 def test_tri_correlation_gathers_once_per_row(monkeypatch):
-    # a subspace with shifts goes through the whole-group kernel: one
-    # second-derivative gather per row a of the k = 5 point subspace
+    # one second-derivative gather per row a of the N = 25 point group
     params = GroupParams(5, 2)
     f, h, tau = _random_inputs(params, np.random.default_rng(3))
-    space = Subspace.from_generators(params, [7])
-    want = oracle.tri_correlation(f, h, tau, space, (1, 4, 7))
+    want = oracle.tri_correlation(f, h, tau)
     calls = []
-    gather = trilinear._derivative2_rows
-    monkeypatch.setattr(trilinear, "_derivative2_rows", lambda *args: calls.append(1) or gather(*args))
-    got = tri_correlation(f, h, tau, space, (1, 4, 7))
-    assert len(calls) == 5
+    gather = gowers._derivative2_rows
+    monkeypatch.setattr(gowers, "_derivative2_rows", lambda *args: calls.append(1) or gather(*args))
+    got = tri_correlation(f, h, tau)
+    assert len(calls) == params.size
     assert abs(got - want) < TOL
 
 

@@ -5,8 +5,8 @@ bound, the quadratic search and the cubic's certificate.
 autocorrelation and one phase evaluation per pair, that
 `ulab.trilinear.tri_correlation` replaced with a gather from the spectra of
 the second derivatives: by the autocorrelation (Parseval) identity the sum
-over c collapses to one coset of frequencies, so the library sums other
-terms than this loop does, not the same terms in another order.
+over c collapses to one frequency, so the library sums other terms than
+this loop does, not the same terms in another order.
 `u3_lower_alpha` is the four-way gather of the autocorrelations that
 `ulab.trilinear.u3_lower` replaced with the inverse transform of the power
 spectrum (Wiener-Khinchin), and `quad_phase_search` the candidate table that
@@ -18,21 +18,64 @@ that `ulab.trilinear.kappa_from_sigma` replaced with a symbolic
 polarisation certificate; `alternating_sum_constant` is that check alone, so
 a test can hand it a changed cubic.  `analytic_mean_tri` counts the values
 of tau over all p^{3n} triples, which `ulab.trilinear.analytic_mean_tri`
-replaced with the ranks of the slices T_a.  Tests compare the library
-against them; nothing in the package imports this module.
+replaced with the ranks of the slices T_a, and keeps those counts exact
+in a `CharacterSum`.  Tests compare the library against them; nothing in
+the package imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, BudgetError, CharacterSum, GroupFn, PolyPhase, Subspace, gf_rank
+from ulab.core import SIZE_CAP, BudgetError, GroupFn, PolyPhase, gf_rank
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
 from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm
+
+
+@dataclass(eq=False)
+class CharacterSum:
+    """Exact sum of p-th roots of unity, kept as integer counts per residue.
+
+    counts[c] is the number of summands equal to omega^c; the complex value
+    only materializes at the boundary, so rank computations can stay in
+    integer or rational arithmetic.
+    """
+
+    p: int
+    counts: np.ndarray
+
+    @classmethod
+    def from_values(cls, p: int, vals) -> "CharacterSum":
+        v = np.asarray(vals, dtype=np.int64) % p
+        return cls(p, np.bincount(v.ravel(), minlength=p).astype(np.int64))
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    def complex_value(self) -> complex:
+        return complex(self.counts @ np.exp(2j * np.pi * np.arange(self.p) / self.p))
+
+    def complex_mean(self) -> complex:
+        return self.complex_value() / self.total
+
+    def rational_mean(self) -> Fraction:
+        """Exact rational value of the mean.
+
+        Valid only when counts[1:] are all equal, in which case the
+        nontrivial roots collapse: the mean equals
+        (counts[0] - counts[1]) / total.  Raises otherwise.
+        """
+        rest = self.counts[1:]
+        if rest.size and np.any(rest != rest[0]):
+            raise ValueError("character sum is not rational: counts %r" % (self.counts.tolist(),))
+        c1 = int(rest[0]) if rest.size else 0
+        return Fraction(int(self.counts[0]) - c1, self.total)
 
 
 def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
@@ -59,33 +102,22 @@ def slice_rank_mean(fam: SliceFamily) -> Fraction:
     return total / params.size
 
 
-def tri_correlation(
-    f: GroupFn,
-    h: PhaseProduct,
-    tau: TrilinearForm,
-    space: Subspace | None = None,
-    shifts: tuple[int, int, int] = (0, 0, 0),
-) -> complex:
+def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
     """The correlation functional, one `derivative2` call per (a, b) pair."""
     params = f.params
-    idx = space.member_indices() if space is not None else np.arange(params.size)
-    a0, b0, c0 = shifts
     N = params.size
     om = np.exp(-2j * np.pi / params.p)
-    all_x = np.arange(N, dtype=np.int64)
-    shifted_c = params.add(np.asarray(idx, dtype=np.int64), c0)
-    sub_rows = params.sub(all_x[None, :], shifted_c[:, None])
+    idx = np.arange(N, dtype=np.int64)
+    sub_rows = params.sub(idx[None, :], idx[:, None])
     total = 0.0 + 0.0j
-    for a in idx:
-        aa = int(params.add(np.asarray([a]), a0)[0])
-        for b in idx:
-            bb = int(params.add(np.asarray([b]), b0)[0])
-            g = derivative2(f, aa, bb).values
+    for a in range(N):
+        for b in range(N):
+            g = derivative2(f, a, b).values
             ac = (g[None, :] * np.conj(g[sub_rows])).mean(axis=1)
-            ph = h.exponent(np.full(len(idx), a), np.full(len(idx), b), idx)
-            te = tau.evaluate(np.full(len(idx), a), np.full(len(idx), b), idx)
+            ph = h.exponent(np.full(N, a), np.full(N, b), idx)
+            te = tau.evaluate(np.full(N, a), np.full(N, b), idx)
             total += (np.exp(2j * np.pi * ph / params.p) * (om**te) * ac).sum()
-    return complex(total / len(idx) ** 3)
+    return complex(total / N**3)
 
 
 def u3_lower_alpha(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> float:
