@@ -17,8 +17,10 @@ from ulab.bilinear import (
     bogolyubov_bilinear,
     bohr_decompose,
 )
+from ulab.arrange import PartialMap
 from ulab.core import GroupParams, gf_rank
 from ulab.grid import GridFn
+from ulab.pipeline import biaffine_value_table, fit_biaffine
 
 P3 = GroupParams(3, 1)
 P5 = GroupParams(5, 1)
@@ -127,6 +129,55 @@ def test_restrict_agrees_with_evaluation():
                     ti = t0 + 3 * t1
                     got = res.evaluate(np.array([si]), np.array([ti]))[0]
                     assert np.array_equal(got, want)
+
+
+# ============================================================
+# parts: the pipeline's exact fit splits a bi-affine map into its bilinear
+# part T, x-part s, y-part t and constant e
+# ============================================================
+
+
+def _fit_full_map(beta: BiAffineMap):
+    """fit_biaffine of beta's value table on the whole grid."""
+    params, N = beta.params, beta.params.size
+    vp = GroupParams(params.p, beta.k)
+    vals = vp.index(beta.value_table().reshape(-1, beta.k)).reshape(N, N).astype(np.int64)
+    return fit_biaffine(PartialMap(params, vp, np.ones((N, N), dtype=bool), vals))
+
+
+def test_parts_of_xy_plus_x_plus_y_plus_one():
+    beta = BiAffineMap(
+        P5,
+        np.array([[[1]]], np.int64),
+        np.array([[1]], np.int64),
+        np.array([[1]], np.int64),
+        np.array([1], np.int64),
+    )
+    fit = _fit_full_map(beta)
+    assert fit.agreement == 1.0
+    assert np.array_equal(fit.T, np.array([[[1]]]))
+    assert np.array_equal(fit.s, np.array([[1]]))
+    assert np.array_equal(fit.t, np.array([[1]]))
+    assert np.array_equal(fit.e, np.array([1]))
+
+
+def test_parts_recompose_random_map():
+    rng = np.random.default_rng(23)
+    beta = _random_biaffine(P33, 3, rng)
+    fit = _fit_full_map(beta)
+    assert fit.agreement == 1.0
+    assert np.array_equal(fit.T, beta.T)
+    assert np.array_equal(fit.s, beta.b)  # x-part
+    assert np.array_equal(fit.t, beta.a)  # y-part
+    assert np.array_equal(fit.e, beta.lam)
+    assert np.array_equal(biaffine_value_table(P33, fit), beta.value_table())
+
+
+def test_parts_of_pure_bilinear_have_no_affine_piece():
+    fit = _fit_full_map(_dot_map(P33))
+    assert fit.agreement == 1.0
+    assert np.array_equal(fit.T, _dot_map(P33).T)
+    assert not fit.s.any() and not fit.t.any() and not fit.e.any()
 
 
 # ============================================================

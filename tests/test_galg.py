@@ -1,12 +1,14 @@
-"""Tests for group-algebra elements, the distance d, and algebra-valued
-mixed convolutions."""
+"""Tests for group-algebra elements, the distance d, algebra-valued mixed
+convolutions, and stability rounding by line votes."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from cli_oracle import vote_histogram
 from galg_oracle import adjoint
+from ulab.arrange import PartialMap
 from ulab.core import GroupParams
 from ulab.galg import (
     Dist,
@@ -19,6 +21,7 @@ from ulab.galg import (
     grid_inner_dist,
 )
 from ulab.grid import MORSE8, GridFn, arr_functional, mixed_self
+from ulab.pipeline import affine_in_each_variable, consensus_rounding
 
 
 def _random_dist(params: GroupParams, rng: np.random.Generator) -> Dist:
@@ -291,3 +294,87 @@ def test_perturbation_of_measure():
         gap = abs(grid_inner_dist(Fa, Fa) - grid_inner_dist(Fb, Fb))
         l2 = float(np.sqrt(np.mean(np.abs(mu.values - nu.values) ** 2)))
         assert gap <= 8 * l2 + 1e-12
+
+
+# ============================================================
+# stability rounding: `consensus_rounding` rounds each value to the winner of
+# its row and column votes, which `line_triple_conv` counts
+# ============================================================
+
+
+def _biaffine_map(params: GroupParams, rng: np.random.Generator) -> PartialMap:
+    """A random bi-affine map G x G -> G on the full grid, in digit arithmetic."""
+    p, n, N = params.p, params.n, params.size
+    T = rng.integers(0, p, (n, n, n))
+    s = rng.integers(0, p, (n, n))
+    t = rng.integers(0, p, (n, n))
+    e = rng.integers(0, p, n)
+    dig = params.digits(np.arange(N, dtype=np.int64))
+    table = (
+        np.einsum("ai,cij,bj->abc", dig, T, dig) + (dig @ s.T)[:, None, :] + (dig @ t.T)[None, :, :] + e
+    ) % p
+    vals = params.index(table.reshape(-1, n)).reshape(N, N).astype(np.int64)
+    return PartialMap(params, params, np.ones((N, N), dtype=bool), vals)
+
+
+def _is_biaffine(phi: PartialMap) -> bool:
+    """Every row and column difference is constant: the quadruple identities."""
+    N = phi.params.size
+    table = phi.value_params.digits(phi.values.reshape(-1)).reshape(N, N, -1)
+    return affine_in_each_variable(phi.params, table)
+
+
+def test_round_stability_recovers_exact_affine():
+    params = GroupParams(5, 2)
+    phi = _biaffine_map(params, np.random.default_rng(14))
+    assert _is_biaffine(phi)
+    rounded, stats = consensus_rounding(phi)
+    assert np.array_equal(rounded.values, phi.values)
+    assert stats["changed"] == 0
+    assert stats["stability_min"] == 1.0
+    assert stats["voted"] == params.size**2
+
+
+def test_round_stability_single_reassigned_point():
+    params = GroupParams(5, 2)
+    truth = _biaffine_map(params, np.random.default_rng(15))
+    vals = truth.values.copy()
+    vals[7, 3] = (vals[7, 3] + 1) % params.size
+    broken = PartialMap(params, params, truth.domain, vals)
+    assert not _is_biaffine(broken)
+    rounded, stats = consensus_rounding(broken)
+    assert np.array_equal(rounded.values, truth.values)
+    assert stats["changed"] == 1
+    assert stats["stability_min"] < 1.0
+
+
+def test_round_stability_agreement_bound_and_quadruples():
+    params = GroupParams(5, 1)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        truth = _biaffine_map(params, rng)
+        vals = truth.values.copy()
+        a, b = rng.integers(0, 5, 2)
+        vals[a, b] = (vals[a, b] + rng.integers(1, 5)) % 5
+        broken = PartialMap(params, params, truth.domain, vals)
+        rounded, stats = consensus_rounding(broken)
+        # no more values move than were reassigned, and the result is exact
+        assert stats["changed"] <= 1
+        assert np.array_equal(rounded.values, truth.values)
+        assert _is_biaffine(rounded)
+
+
+def test_round_stability_flags_ties():
+    # (2, 4) alone in its row but for (2, 1); its row and column votes tie
+    # between 1 and 4, and the lowest tied value wins
+    params = GroupParams(5, 1)
+    pts = {(2, 1): 0, (2, 4): 4, (0, 4): 3, (1, 4): 2, (3, 4): 0, (4, 4): 4}
+    phi = PartialMap.from_points(params, params, pts)
+    hist = vote_histogram(phi)
+    assert hist[2, 4].tolist() == [0, 12, 0, 4, 12]
+    rounded, stats = consensus_rounding(phi)
+    assert rounded.values[2, 4] == 1
+    assert stats["stability_min"] < 0.5
+    for (x, y) in pts:
+        top = np.flatnonzero(hist[x, y] == hist[x, y].max())
+        assert rounded.values[x, y] == top[0]

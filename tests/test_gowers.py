@@ -1,4 +1,5 @@
-"""Tests for derivative operators and the U^k norms."""
+"""Tests for derivative operators and the U^k norms, including the box-norm
+identities |f|_{U^2} = |f(x+y)|_box and |f|_{U^3} = |f(x+y+z)|_box."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 from ulab.core import GroupFn, GroupParams, PolyPhase, poly_phase_fn
 from ulab.gowers import derivative, derivative2, uk_norm
+from ulab.grid import GridFn
 
 
 # ============================================================
@@ -39,6 +41,58 @@ def _uk_oracle(f: GroupFn, k: int) -> float:
     return abs(total / count) ** (1.0 / 2**k) if k == 0 else (total / count).real ** (
         1.0 / 2**k
     )
+
+
+def _box2_oracle(F: GridFn) -> float:
+    params = F.params
+    N = params.size
+    v = F.values
+    total = 0.0 + 0.0j
+    for x in range(N):
+        for y in range(N):
+            for a in range(N):
+                for b in range(N):
+                    xa = int(params.sub(np.int64(x), np.int64(a)))
+                    yb = int(params.sub(np.int64(y), np.int64(b)))
+                    total += v[x, y] * v[xa, y].conjugate() * v[x, yb].conjugate() * v[xa, yb]
+    return (total / N**4).real ** 0.25
+
+
+def _box3_oracle(params: GroupParams, vals: np.ndarray) -> float:
+    N = params.size
+    total = 0.0 + 0.0j
+    for x in range(N):
+        for y in range(N):
+            for z in range(N):
+                for a in range(N):
+                    for b in range(N):
+                        for c in range(N):
+                            xa = int(params.sub(np.int64(x), np.int64(a)))
+                            yb = int(params.sub(np.int64(y), np.int64(b)))
+                            zc = int(params.sub(np.int64(z), np.int64(c)))
+                            prod = 1.0 + 0.0j
+                            for e1, pt1 in ((0, x), (1, xa)):
+                                for e2, pt2 in ((0, y), (1, yb)):
+                                    for e3, pt3 in ((0, z), (1, zc)):
+                                        w = vals[pt1, pt2, pt3]
+                                        if (e1 + e2 + e3) % 2:
+                                            w = w.conjugate()
+                                        prod *= w
+                            total += prod
+    return (total / N**6).real ** 0.125
+
+
+def _sum_grid(f: GroupFn) -> GridFn:
+    """F(x, y) = f(x + y)."""
+    idx = np.arange(f.params.size, dtype=np.int64)
+    return GridFn(f.params, f.values[f.params.add(idx[:, None], idx[None, :])])
+
+
+def _sum_cube(f: GroupFn) -> np.ndarray:
+    """F(x, y, z) = f(x + y + z), shape (N, N, N)."""
+    idx = np.arange(f.params.size, dtype=np.int64)
+    xy = f.params.add(idx[:, None], idx[None, :])
+    return f.values[f.params.add(xy[:, :, None], idx[None, None, :])]
 
 
 def _random_bounded(params: GroupParams, rng: np.random.Generator) -> GroupFn:
@@ -189,3 +243,56 @@ def test_uk_method_errors():
     big = GroupFn.constant(GroupParams(5, 3), 1.0)
     with pytest.raises(ValueError):
         uk_norm(big, 2, "direct")
+
+
+# ============================================================
+# box norms: with x - x', y - y' (and z - z') as the shifts, the box average
+# of f(x + y) is the U^2 average of f, and that of f(x + y + z) the U^3 one
+# ============================================================
+
+
+def test_box2_constant_is_one():
+    params = GroupParams(3, 1)
+    one = GroupFn.constant(params, 1.0)
+    assert abs(_box2_oracle(_sum_grid(one)) - 1.0) < 1e-12
+    assert abs(uk_norm(one, 2).value - 1.0) < 1e-12
+
+
+def test_box2_bilinear_phase_frozen():
+    # F(x, y) = omega^{xy} over F_5: fourth power is exactly 1/5.  Since
+    # xy = 3(x + y)^2 - 3x^2 - 3y^2 mod 5 and phases in one variable cancel
+    # in the box average, |F|_box = |omega^{3s^2}|_{U^2}.
+    params = GroupParams(5, 1)
+    x = np.arange(5)
+    F = GridFn.from_phases(params, np.outer(x, x) % 5)
+    assert abs(_box2_oracle(F) - (1 / 5) ** 0.25) < 1e-12
+    q = poly_phase_fn(PolyPhase.from_coeffs(params, {(0, 0): 3}))
+    assert abs(uk_norm(q, 2).value - (1 / 5) ** 0.25) < 1e-12
+
+
+def test_box2_matches_literal_oracle():
+    rng = np.random.default_rng(7)
+    for params in (GroupParams(3, 1), GroupParams(5, 1), GroupParams(3, 2)):
+        f = _random_bounded(params, rng)
+        assert abs(uk_norm(f, 2).value - _box2_oracle(_sum_grid(f))) < 1e-10
+
+
+def test_box3_trilinear_phase_frozen():
+    # F = omega^{xyz} over F_5: eighth power is the zero-set density 9/25.
+    # (x + y + z)^3 = 6xyz = xyz mod 5 up to phases in at most two of the
+    # variables, which cancel in the box average, so |F|_box = |omega^{s^3}|_{U^3}.
+    params = GroupParams(5, 1)
+    x = np.arange(5)
+    cube = np.einsum("i,j,k->ijk", x, x, x) % 5
+    vals = np.exp(2j * np.pi * cube / 5)
+    assert abs(_box3_oracle(params, vals) - (9 / 25) ** 0.125) < 1e-12
+    c = poly_phase_fn(PolyPhase.from_coeffs(params, {(0, 0, 0): 1}))
+    assert abs(uk_norm(c, 3).value - (9 / 25) ** 0.125) < 1e-12
+
+
+def test_box3_matches_literal_oracle():
+    params = GroupParams(3, 1)
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        f = _random_bounded(params, rng)
+        assert abs(uk_norm(f, 3).value - _box3_oracle(params, _sum_cube(f))) < 1e-10
