@@ -1,13 +1,18 @@
 """Derivative operators and the U^k norms.
 
 The U^4 norm is always evaluated through the nested identity
-|f|_{U^4}^{16} = E_{a,b} Sigma_r |(d_{a,b} f)^(r)|^4.  Its p^{2n} spectra
-come from `derivative2_spectra`, one batched `core.char_transform` of p^n
-rows per first shift a, so memory stays O(p^{2n}); the pipeline reads its
-gate and its peak map off the same pass.  The direct 5-fold sum exists
-only as an oracle for |G| <= 32.  The defining averages are provably real,
-so any imaginary residue above 1e-9 raises instead of being dropped
-silently.
+|f|_{U^4}^{16} = E_{a,b} Sigma_r |(d_{a,b} f)^(r)|^4.  Since
+d_{a,b} f(x) = f(x) conj(f(x - a)) conj(f(x - b)) f(x - a - b), the eight
+pairs (+-a, +-b), (+-b, +-a) share one spectrum |(d_{a,b} f)^|, mirrored
+r -> -r for the pairs with one sign flipped: swapping a and b changes
+nothing, negating both translates, and negating one conjugates a translate.
+`derivative2_peaks` transforms one representative per orbit, in batches of
+p^n rows, and scatters the power and the peak to every pair, so memory
+stays O(p^{2n}); `uk_norm(f, 4)` and the pipeline's gate and peak map read
+the same arrays.  `derivative2_spectra` yields whole rows of spectra for
+the trilinear kernels.  The direct 5-fold sum exists only as an oracle for
+|G| <= 32.  The defining averages are provably real, so any imaginary
+residue above 1e-9 raises instead of being dropped silently.
 """
 
 from __future__ import annotations
@@ -24,13 +29,16 @@ __all__ = [
     "derivative",
     "derivative2",
     "derivative2_spectra",
-    "u4_row_power",
+    "derivative2_peaks",
     "uk_norm",
     "norm_from_power",
 ]
 
 _IMAG_TOL = 1e-9
 _DIRECT_CAP = 32
+# a spectrum's peak is the lowest frequency within this of its maximum, so
+# exact ties (common on corrupted inputs) do not depend on rounding
+PEAK_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,19 +89,20 @@ def _first_derivatives(f: GroupFn) -> tuple[np.ndarray, np.ndarray]:
     return f.values[None, :] * f.values[sub_t].conj(), sub_t
 
 
-def _derivative2_rows(d1_a: np.ndarray, sub_b: np.ndarray) -> np.ndarray:
-    """The second derivatives d_{a,b} f of one first shift a, one row per b:
-    D2[j, x] = d1_a[x] conj(d1_a[x - b_j]), where d1_a = (d_a f).values and
-    sub_b[j, x] = x - b_j.
+def _derivative2_rows(d1: np.ndarray, sub_t: np.ndarray, a, b) -> np.ndarray:
+    """Second derivatives from the first-derivative table d1 and the gather
+    table sub_t of `_first_derivatives`, one row per shift pair:
+    D2[j, x] = d1[a_j, x] conj(d1[a_j, x - b_j]).
 
-    The rows are one gather of d1_a, conjugated and multiplied in that
-    buffer, and equal `derivative2(f, a, b_j).values` bit for bit.
-    `derivative2_spectra` transforms them in one batch; `trilinear.u3_lower`
-    and `trilinear.tri_correlation` read its spectra.
+    a is one first shift or an index array, b an index array (or a slice of
+    sub_t's rows) of the second shifts.  The rows are one gather of d1,
+    conjugated and multiplied in that buffer, and equal
+    `derivative2(f, a_j, b_j).values` bit for bit.
     """
-    d2 = d1_a[sub_b]
+    a = np.asarray(a)
+    d2 = d1[a[..., None], sub_t[b]]
     np.conjugate(d2, out=d2)
-    np.multiply(d1_a[None, :], d2, out=d2)
+    np.multiply(d1[a], d2, out=d2)
     return d2
 
 
@@ -104,26 +113,97 @@ def derivative2_spectra(f: GroupFn) -> Iterator[np.ndarray]:
     The first-derivative table is built once; row a's N second derivatives
     come from one gather of it (`_derivative2_rows`) and go through one
     batched transform.  Only one row is alive at a time, so memory is
-    O(N^2), never O(N^3).
+    O(N^2), never O(N^3).  `trilinear.u3_lower` and
+    `trilinear.tri_correlation` read whole spectra from it; the U^4 norm and
+    the peak map use `derivative2_peaks`.
     """
     d1, sub_t = _first_derivatives(f)
     for a in range(f.params.size):
-        yield _batch_hat_abs(_derivative2_rows(d1[a], sub_t), f.params)
+        yield _batch_hat_abs(_derivative2_rows(d1, sub_t, a, slice(None)), f.params)
 
 
-def u4_row_power(spec: np.ndarray) -> float:
-    """E_b Sigma_r S[b, r]^4 for one row of `derivative2_spectra`; the sum
-    of these over a, divided by N, is |f|_{U^4}^16."""
-    # squared twice in one buffer: the same bits as (spec**2)**2
-    sq = np.square(spec)
-    np.square(sq, out=sq)
-    return float(sq.sum(axis=1).mean())
+def _orbit_table(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
+    """For each (a, b), the key a' N + b' of its orbit's representative, the
+    least key among the eight images (+-a, +-b), (+-b, +-a), and whether its
+    spectrum is the representative's mirrored r -> -r (one sign flipped).
+
+    A running minimum over the images, in int32, so the table costs O(N^2)
+    and never holds the eight images at once.
+    """
+    N = params.size
+    idx = np.arange(N, dtype=np.int32)
+    neg = params.neg(idx).astype(np.int32)
+    rep = idx[:, None] * np.int32(N) + idx[None, :]
+    mirror = np.zeros((N, N), dtype=bool)
+    less = np.empty((N, N), dtype=bool)
+    for u, v, flip in ((idx, idx, False), (idx, neg, True), (neg, idx, True), (neg, neg, False)):
+        # the images (u(a), v(b)) and (v(b), u(a))
+        for key in (u[:, None] * np.int32(N) + v[None, :], v[None, :] * np.int32(N) + u[:, None]):
+            np.less(key, rep, out=less)
+            np.copyto(rep, key, where=less)
+            mirror[less] = flip
+    return rep, mirror
+
+
+def _orbit_peaks(f: GroupFn, reps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Power Sigma_r S^4 and the peaks of the representatives' spectra S,
+    N rows per batch: the lowest r within PEAK_TIE_TOL of the maximum, and
+    the lowest r whose mirror -r is, each with its magnitude."""
+    params = f.params
+    N = params.size
+    neg = params.neg(np.arange(N))
+    d1, sub_t = _first_derivatives(f)
+    power = np.empty(len(reps))
+    lo, hi = np.empty(len(reps), dtype=np.int64), np.empty(len(reps), dtype=np.int64)
+    mag_lo, mag_hi = np.empty(len(reps)), np.empty(len(reps))
+    for s in range(0, len(reps), N):
+        a, b = np.divmod(reps[s : s + N], N)
+        d2 = _derivative2_rows(d1, sub_t, a, b)
+        spec = np.abs(char_transform(d2, params, axis=1, out=d2))
+        # each batch buffer is dropped once read, so no more than two of
+        # them are alive at once
+        del d2
+        rows = np.arange(len(spec))
+        # squared twice in one buffer: the same bits as (spec**2)**2
+        sq = np.square(spec)
+        np.square(sq, out=sq)
+        power[s : s + N] = sq.sum(axis=1)
+        del sq
+        cand = spec >= spec.max(axis=1, keepdims=True) - PEAK_TIE_TOL
+        lo[s : s + N] = r = np.argmax(cand, axis=1)
+        mag_lo[s : s + N] = spec[rows, r]
+        hi[s : s + N] = r = np.argmax(cand[:, neg], axis=1)
+        mag_hi[s : s + N] = spec[rows, neg[r]]
+    return power, lo, hi, mag_lo, mag_hi
+
+
+def derivative2_peaks(f: GroupFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three (N, N) arrays over the shift pairs (a, b), read off the spectra
+    S = |(d_{a,b} f)^|: the power Sigma_r S(r)^4, whose mean is
+    |f|_{U^4}^16; the peak, the lowest r with S(r) within PEAK_TIE_TOL of
+    max S; and the peak magnitude S(peak).
+
+    One spectrum per orbit of (a, b) under the eight sign changes and swaps
+    (`_orbit_table`) is transformed, and its results go to every pair of the
+    orbit; a mirrored pair takes the lowest r whose -r is a candidate, so
+    the tie rule is the one each pair's own spectrum would give.
+    """
+    N = f.params.size
+    rep, mirror = _orbit_table(f.params)
+    is_rep = rep.ravel() == np.arange(N * N, dtype=np.int32)
+    power, lo, hi, mag_lo, mag_hi = _orbit_peaks(f, np.flatnonzero(is_rep))
+    # each pair's slot among the representatives, which are in key order
+    slot = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
+    del rep, is_rep
+    peak, mag = lo[slot], mag_lo[slot]
+    flipped = slot[mirror]
+    peak[mirror], mag[mirror] = hi[flipped], mag_hi[flipped]
+    return power[slot], peak, mag
 
 
 def _nested_pow(f: GroupFn, k: int) -> float:
     """U^k norm to the power 2^k via the nested recursion."""
     params = f.params
-    N = params.size
     if k == 1:
         return abs(f.values.mean()) ** 2
     if k == 2:
@@ -132,10 +212,7 @@ def _nested_pow(f: GroupFn, k: int) -> float:
         d1, _ = _first_derivatives(f)
         return float(np.mean([_u2_pow4(r) for r in _batch_hat_abs(d1, params) ** 2]))
     if k == 4:
-        acc = 0.0
-        for spec in derivative2_spectra(f):
-            acc += u4_row_power(spec)
-        return acc / N
+        return float(derivative2_peaks(f)[0].mean())
     raise ValueError("k must be in 1..4")
 
 

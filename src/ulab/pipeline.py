@@ -97,7 +97,7 @@ from .core import (
     inv_mod,
 )
 from .galg import bihom_defect, line_triple_conv
-from .gowers import derivative2_spectra, norm_from_power, u4_row_power
+from .gowers import derivative2_peaks, norm_from_power
 from .grid import GridFn
 from .trilinear import (
     TrilinearForm,
@@ -127,10 +127,6 @@ STAGES = (
     "gate", "peaks", "densify", "defect", "cover", "cells",
     "rounding", "extend", "backfit", "symmetry", "cubic", "quadratic",
 )
-# a spectrum's peak is the lowest frequency within this of its maximum, so
-# exact ties (common on corrupted inputs) do not depend on rounding
-PEAK_TIE_TOL = 1e-9
-
 _log = logging.getLogger("ulab")
 
 # reference constants from the quantitative analysis, echoed in reports so a
@@ -282,7 +278,7 @@ def _json_safe(obj):
     return obj
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     name: str
     seconds: float
@@ -302,10 +298,10 @@ class PipelineHalt(Exception):
         self.data = data or {}
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineReport:
     schema: str
-    config: dict
+    config: PipelineConfig
     stages: list
     halted: bool
     halt_stage: str | None
@@ -316,7 +312,7 @@ class PipelineReport:
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
-            "config": _json_safe(self.config),
+            "config": _json_safe(self.config.to_dict()),
             "stages": [
                 {"name": s.name, "seconds": s.seconds, "data": _json_safe(s.data)}
                 for s in self.stages
@@ -350,36 +346,25 @@ def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict, float]
     derivative, kept when its transform magnitude reaches c1; also returns
     the fourth uniformity norm, read off the same spectra.
 
-    One pass over `derivative2_spectra` serves both: each row a gives the
-    peaks of its N spectra and its term of |f|_{U^4}^16, accumulated in the
-    order `uk_norm(f, 4)` uses, so the norm equals `uk_norm(f, 4).value` bit
-    for bit.  The peak of a spectrum is the lowest r whose magnitude is
-    within PEAK_TIE_TOL of the spectrum's maximum.  The pipeline's gate
+    Both come from one `gowers.derivative2_peaks` pass, which transforms
+    one spectrum per symmetry orbit of (a, b).  The norm is the mean of its
+    power array, as in `uk_norm(f, 4)`, so it equals `uk_norm(f, 4).value`
+    bit for bit.  The peak of a spectrum is the lowest r whose magnitude is
+    within `gowers.PEAK_TIE_TOL` of the maximum.  The pipeline's gate
     makes this one call, so the gate's seconds include the whole pass.
     """
     params = f.params
-    N = params.size
-    dom = np.zeros((N, N), dtype=bool)
-    vals = np.zeros((N, N), dtype=np.int64)
-    rows = np.arange(N)
-    kept = []
-    acc = 0.0
-    for a, spec in enumerate(derivative2_spectra(f)):
-        acc += u4_row_power(spec)
-        r = np.argmax(spec >= spec.max(axis=1, keepdims=True) - PEAK_TIE_TOL, axis=1)
-        mag = spec[rows, r]
-        dom[a] = mag >= c1
-        vals[a] = np.where(dom[a], r, 0)
-        kept.append(mag[dom[a]])
-    kept_peaks = np.concatenate(kept)
+    power, peak, mag = derivative2_peaks(f)
+    dom = mag >= c1
+    kept_peaks = mag[dom]
     stats = {
         "density": float(dom.mean()),
         "kept": int(dom.sum()),
         "min_kept_peak": float(kept_peaks.min()) if kept_peaks.size else None,
         "mean_kept_peak": float(np.mean(kept_peaks)) if kept_peaks.size else None,
     }
-    u4 = norm_from_power(acc / N, 4).value
-    return PartialMap(params, params, dom, vals), stats, u4
+    u4 = norm_from_power(float(power.mean()), 4).value
+    return PartialMap(params, params, dom, np.where(dom, peak, 0)), stats, u4
 
 
 def _vote_histogram(phi: PartialMap) -> np.ndarray:
@@ -643,7 +628,7 @@ def run_inverse_pipeline(f: GroupFn, cfg: PipelineConfig) -> PipelineReport:
     stages: list[StageRecord] = []
     report = PipelineReport(
         schema=REPORT_SCHEMA,
-        config=cfg.to_dict(),
+        config=cfg,
         stages=stages,
         halted=False,
         halt_stage=None,
@@ -669,7 +654,9 @@ def run_inverse_pipeline(f: GroupFn, cfg: PipelineConfig) -> PipelineReport:
     try:
         _pipeline_stages(f, cfg, record)
     except PipelineHalt as err:
-        halt = err
+        # without its traceback: the traceback's frames hold the run's arrays
+        # and, through `halt`, a reference cycle only the collector would free
+        halt = err.with_traceback(None)
     except BudgetError as err:
         halt = PipelineHalt("budget", str(err))
     else:

@@ -8,7 +8,10 @@ pass.  `consensus_rounding` and `fit_biaffine` are the two stages on these
 routes, the fit with one `gf_solve` per output digit.
 `extract_affine_parts` is the backfit's per-point loop over the domain,
 which `ulab.pipeline.extract_affine_parts` replaced with array passes and
-one `np.bincount` of the votes.  `best_cubic_phase`
+one `np.bincount` of the votes.  `derivative_peak_map` reads the gate and
+the peak map off all N^2 spectra, one row a of `derivative2_spectra` at a
+time, where `ulab.pipeline.derivative_peak_map` transforms one spectrum
+per symmetry orbit of (a, b).  `best_cubic_phase`
 is the pipeline's target found by exhaustion: the cubic q maximising
 |E f omega^{-q}|.  Tests compare the library against them; nothing in the
 package imports this module.
@@ -23,7 +26,39 @@ import numpy as np
 
 from ulab.arrange import PartialMap
 from ulab.core import GroupFn, PolyPhase, char_transform, gf_rowreduce, gf_solve
+from ulab.gowers import PEAK_TIE_TOL, derivative2_spectra, norm_from_power
 from ulab.pipeline import BiAffineFit, exhaustive_affine_fit
+
+
+def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict, float]:
+    """The peak map at floor c1, its stats and the U^4 norm, from every
+    row a of `derivative2_spectra`: each row gives the peaks of its N
+    spectra and its term E_b Sigma_r S^4 of |f|_{U^4}^16."""
+    params = f.params
+    N = params.size
+    dom = np.zeros((N, N), dtype=bool)
+    vals = np.zeros((N, N), dtype=np.int64)
+    rows = np.arange(N)
+    kept = []
+    acc = 0.0
+    for a, spec in enumerate(derivative2_spectra(f)):
+        sq = np.square(spec)
+        np.square(sq, out=sq)
+        acc += float(sq.sum(axis=1).mean())
+        r = np.argmax(spec >= spec.max(axis=1, keepdims=True) - PEAK_TIE_TOL, axis=1)
+        mag = spec[rows, r]
+        dom[a] = mag >= c1
+        vals[a] = np.where(dom[a], r, 0)
+        kept.append(mag[dom[a]])
+    kept_peaks = np.concatenate(kept)
+    stats = {
+        "density": float(dom.mean()),
+        "kept": int(dom.sum()),
+        "min_kept_peak": float(kept_peaks.min()) if kept_peaks.size else None,
+        "mean_kept_peak": float(np.mean(kept_peaks)) if kept_peaks.size else None,
+    }
+    u4 = norm_from_power(acc / N, 4).value
+    return PartialMap(params, params, dom, vals), stats, u4
 
 
 def vote_histogram(phi: PartialMap) -> np.ndarray:

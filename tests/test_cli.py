@@ -2,6 +2,7 @@
 phase recovery pipeline with its halt paths, the invariant verification
 suite, and the subcommands."""
 
+import gc
 import json
 import logging
 
@@ -26,9 +27,8 @@ from ulab.core import (
     group_fn_to_json,
     poly_phase_fn,
 )
-from ulab.gowers import derivative2, uk_norm
+from ulab.gowers import PEAK_TIE_TOL, derivative2, uk_norm
 from ulab.pipeline import (
-    PEAK_TIE_TOL,
     REPORT_SCHEMA,
     PipelineConfig,
     affine_in_each_variable,
@@ -191,7 +191,7 @@ def _assert_peak_map_matches_oracle(f: GroupFn, c1: float = 0.35) -> None:
     if kept:
         assert abs(stats["min_kept_peak"] - min(kept)) < 1e-12
         assert abs(stats["mean_kept_peak"] - np.mean(kept)) < 1e-12
-    # same accumulation order and realness guard as the gate's old route
+    # the gate and uk_norm read the same power array through the same guard
     assert u4 == uk_norm(f, 4).value
     if f.params.size <= 32:
         assert abs(u4 - uk_norm(f, 4, "direct").value) < 1e-12
@@ -412,6 +412,22 @@ def test_pipeline_gate_halts_below_threshold():
     # the halting stage is timed too, and timing stays out of the canonical bytes
     assert report.stages[-1].seconds > 0
     assert report.canonical_bytes() == run_inverse_pipeline(f, cfg).canonical_bytes()
+
+
+def test_a_halted_run_leaves_no_reference_cycle():
+    # a cycle through the halt's traceback would keep the run's frames, and
+    # their (N, N) arrays, alive until the garbage collector next runs
+    rng = np.random.default_rng(77)
+    f = GroupFn(P52, np.exp(2j * np.pi * rng.random(25)))
+    cfg = PipelineConfig(p=5, n=2, u4_threshold=0.95)
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_inverse_pipeline(f, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert report.halted and report.halt_stage == "gate"
 
 
 def test_pipeline_rejects_unbounded_input():
