@@ -91,10 +91,6 @@ class ArrangementStats:
         if self.respected > self.total + 1e-9:
             raise ValueError("respected exceeds total")
 
-    @property
-    def ratio(self) -> float:
-        return self.respected / self.total if self.total > 0 else 0.0
-
 
 def _mc_respect(
     phi: PartialMap, order: int, samples: int, seed: int

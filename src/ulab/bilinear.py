@@ -101,18 +101,6 @@ class BiAffineMap:
             np.zeros(k, dtype=np.int64),
         )
 
-    def is_bilinear(self) -> bool:
-        return not (self.a.any() or self.b.any() or self.lam.any())
-
-    def evaluate(self, x, y) -> np.ndarray:
-        """Value digits, shape broadcast(x, y) + (k,)."""
-        p = self.params.p
-        dx = self.params.digits(np.asarray(x, dtype=np.int64))
-        dy = self.params.digits(np.asarray(y, dtype=np.int64))
-        bil = np.einsum("...s,kst,...t->...k", dx, self.T, dy)
-        lin = dy @ self.a.T + dx @ self.b.T
-        return (bil + lin + self.lam) % p
-
     def value_table(self) -> np.ndarray:
         """Digits of beta on the full grid, shape (N, N, k)."""
         p, N = self.params.p, self.params.size
@@ -131,16 +119,6 @@ class BiAffineMap:
             return np.zeros((N, N), dtype=np.int64)
         pows = p ** np.arange(k, dtype=np.int64)
         return self.value_table() @ pows
-
-    def combine(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Coordinate data of the single form u.beta, for u in F_p^k digits."""
-        p = self.params.p
-        ud = np.asarray(u, dtype=np.int64) % p
-        T = np.tensordot(ud, self.T, axes=(0, 0)) % p
-        a = ud @ self.a % p
-        b = ud @ self.b % p
-        lam = int(ud @ self.lam % p)
-        return T, a, b, lam
 
     def restrict(self, bx: np.ndarray, by: np.ndarray, v: int = 0, w: int = 0) -> "BiAffineMap":
         """Restriction to (row span of bx + v) x (row span of by + w).

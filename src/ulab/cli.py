@@ -21,7 +21,13 @@ from .core import _json_fields, group_fn_from_json
 from .gowers import uk_norm
 from .grid import GridFn
 from .pipeline import PipelineConfig, _json_safe, run_inverse_pipeline
-from .trilinear import quad_phase_search, symmetry_pipeline, trilinear_from_json, trilinear_to_json
+from .trilinear import (
+    quad_phase_search,
+    quad_search_size,
+    symmetry_pipeline,
+    trilinear_from_json,
+    trilinear_to_json,
+)
 from .verify import verify_suite
 
 # Names the benchmark under bench/ looks up on this module and nothing here
@@ -153,6 +159,9 @@ def _cmd_symmetrize(args) -> int:
 
 def _cmd_quadsearch(args) -> int:
     f = group_fn_from_json(_load_json(args.input))
+    need, cap = quad_search_size(f.params.p, f.params.n), PipelineConfig.size_cap
+    if need > cap:
+        raise ValueError("the quadratic search scores %d values, over the size budget %d" % (need, cap))
     q, corr = quad_phase_search(f)
     _print_json({"terms": [[list(m), c] for m, c in q.terms], "correlation": corr})
     return 0

@@ -21,14 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-# Hard ceiling on p^n (`GroupParams` refuses beyond it) and the size budget of
-# the kernels: those that raise `BudgetError` before allocating, and the
-# blocked passes, which hold about this many values at once.
+# Hard ceiling on p^n (`GroupParams` refuses beyond it) and the block size of
+# the blocked passes, which hold about this many values at once.  No kernel
+# refuses on it: the pipeline's work budget is `PipelineConfig.size_cap`,
+# checked once before a run.
 SIZE_CAP = 10**6
 
 __all__ = [
     "SIZE_CAP",
-    "BudgetError",
     "GroupParams",
     "GroupElem",
     "Subspace",
@@ -49,12 +49,6 @@ __all__ = [
     "group_fn_to_json",
     "group_fn_from_json",
 ]
-
-
-class BudgetError(ValueError):
-    """A computation would exceed a fixed size budget (such as `SIZE_CAP`)
-    and was refused before allocating; the pipeline reports it as a
-    "budget" halt."""
 
 
 def _is_prime(m: int) -> bool:
@@ -135,9 +129,6 @@ class GroupParams:
     def dot(self, a, b):
         """Pairing x.y = sum_i x_i y_i mod p, vectorized over indices."""
         return (self.digits(a) * self.digits(b)).sum(axis=-1) % self.p
-
-    def elem(self, index: int) -> "GroupElem":
-        return GroupElem(self, int(index) % self.size)
 
 
 @dataclass(frozen=True)
@@ -345,10 +336,6 @@ class PolyPhase:
     @property
     def coeffs(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
-
-    @property
-    def degree(self) -> int:
-        return max((len(m) for m, _ in self.terms), default=0)
 
     def phase_table(self) -> np.ndarray:
         """Values mod p at every point, shape (p^n,)."""

@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _TRUNC = 1e-15
-_TOTAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,6 @@ class Dist:
         return cls(params, {})
 
     @classmethod
-    def uniform(cls, params: GroupParams) -> "Dist":
-        w = 1.0 / params.size
-        return cls(params, {g: w for g in range(params.size)})
-
-    @classmethod
     def from_dense(cls, params: GroupParams, vec: np.ndarray) -> "Dist":
         (support,) = np.nonzero(vec >= _TRUNC)
         return cls(params, {int(g): float(vec[g]) for g in support})
@@ -93,17 +87,6 @@ class Dist:
 
     def total(self) -> float:
         return float(sum(self.weights.values()))
-
-    def is_distribution(self) -> bool:
-        t = self.total()
-        return t == 0.0 or abs(t - 1.0) <= _TOTAL_TOL
-
-    def scale(self, c: float) -> "Dist":
-        if c == 0.0:
-            return Dist.zero(self.params)
-        if c < 0:
-            raise ValueError("scale factor must be non-negative")
-        return Dist(self.params, {g: w * c for g, w in self.weights.items()})
 
     def inner(self, other: "Dist") -> float:
         a, b = self.weights, other.weights
@@ -154,19 +137,6 @@ class DistFn:
 
     def get(self, x: int, y: int) -> Dist:
         return self.table.get((x, y), Dist.zero(self.value_params))
-
-    def scaled_by(self, mu: GridFn) -> "DistFn":
-        """Pointwise scaling by a non-negative scalar grid function."""
-        vals = mu.values.real
-        tab = {}
-        for (x, y), u in self.table.items():
-            c = float(vals[x, y])
-            if c > 0:
-                tab[(x, y)] = u.scale(c)
-        return DistFn(self.params, self.value_params, tab)
-
-    def totals_ok(self) -> bool:
-        return all(u.is_distribution() for u in self.table.values())
 
 
 def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:

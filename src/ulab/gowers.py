@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ulab.core import BudgetError, GroupFn, GroupParams, char_transform
+from ulab.core import GroupFn, GroupParams, char_transform
 
 __all__ = [
     "NormReport",
@@ -222,7 +222,7 @@ def _direct_pow(f: GroupFn, k: int) -> float:
     params = f.params
     N = params.size
     if N > _DIRECT_CAP:
-        raise BudgetError("direct method limited to |G| <= %d" % _DIRECT_CAP)
+        raise ValueError("direct method limited to |G| <= %d" % _DIRECT_CAP)
     sub = _sub_table(params)
     t = f.values  # shape (N,), axis 0 is x
     for _ in range(k - 1):

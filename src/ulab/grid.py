@@ -89,9 +89,6 @@ class GridFn:
     def row(self, x: int) -> GroupFn:
         return GroupFn(self.params, self.values[x, :].copy())
 
-    def col(self, y: int) -> GroupFn:
-        return GroupFn(self.params, self.values[:, y].copy())
-
     def mean(self) -> complex:
         return complex(self.values.mean())
 

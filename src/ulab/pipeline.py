@@ -52,23 +52,25 @@ polynomial it correlates with:
 12. quadratic   - exhaustively locate the best quadratic phase for the
                   remainder and report the full cubic polynomial together
                   with its correlation against the input.  One character
-                  transform per quadratic part scores every linear part;
-                  ties within 1e-12 go to the lexicographically first
-                  candidate.
+                  transform per quadratic part scores every linear part,
+                  in blocks of about `core.SIZE_CAP` values; ties within
+                  1e-12 go to the lexicographically first candidate.
 
 Every stage records its measurements; any measured quantity falling below
 its configured floor halts the run with diagnostics rather than continuing
-on meaningless data, and a kernel that refuses its size budget halts the
-run in the "budget" category.  Each recorded or halted stage logs one INFO
-line on the "ulab" logger.  Reports are deterministic for a fixed
+on meaningless data (category "precondition"), and a failed exhaustive
+verification halts it in the "verification" category.  The work budget
+`size_cap` is checked once, by `PipelineConfig.validate` before the run;
+no kernel refuses on size after that.  Each recorded or halted stage logs
+one INFO line on the "ulab" logger.  Reports are deterministic for a fixed
 configuration, excluding wall-clock fields.
 
 The running stage.  Stages are recorded in `STAGES` order, so the stage
 running at any moment is `STAGES[len(recorded)]`, and no stage code names
 itself.  Recording a stage names it by that rule and times it from the end
 of the previous stage (the gate from the start of the run), so the stage
-seconds are back to back; a halt, whether a floor's `PipelineHalt` or a
-kernel's `BudgetError`, is charged to the running stage in the same way.
+seconds are back to back; a halt is charged to the running stage in the
+same way.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ import numpy as np
 from .arrange import PartialMap, densify, row_freiman_filter
 from .bilinear import bogolyubov_bilinear, bohr_decompose
 from .core import (
-    BudgetError,
     GroupFn,
     GroupParams,
     PolyPhase,
@@ -103,6 +104,7 @@ from .trilinear import (
     TrilinearForm,
     kappa_from_sigma,
     quad_phase_search,
+    quad_search_size,
     symmetry_pipeline,
     u3_lower,
 )
@@ -168,8 +170,8 @@ class PipelineConfig:
     t: int | None = None  # None: max(3k + 2, 7) from the cover's codomain
     # sample counts
     densify_samples: int = 20_000
-    # budgets: size_cap gates the start (N^3, the largest kernel's work) and
-    # the cells stage; the kernels refuse on core.SIZE_CAP
+    # the one work budget: validate refuses max(N^3, the quadratic search's
+    # p^{n(n+1)/2} N) above it, and the cells stage its codomain p^k
     size_cap: int = 1_000_000
     max_maps: int = 48
     candidate_cap: int = 4096
@@ -236,6 +238,12 @@ class PipelineConfig:
                 "p^{3n} = %d exceeds the size budget %d; the pipeline loops "
                 "over triples and refuses to start" % (N**3, self.size_cap)
             )
+        search = quad_search_size(self.p, self.n)
+        if search > self.size_cap:
+            raise ValueError(
+                "the quadratic search's p^{n(n+1)/2} N = %d values exceed the size "
+                "budget %d; the pipeline refuses to start" % (search, self.size_cap)
+            )
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
@@ -287,9 +295,9 @@ class StageRecord:
 
 class PipelineHalt(Exception):
     """A measured quantity fell below its configured floor (category
-    "precondition"), an exhaustive verification failed (category
-    "verification") or a kernel refused its size budget (category
-    "budget").  The halt belongs to the running stage, so it names none."""
+    "precondition") or an exhaustive verification failed (category
+    "verification").  The halt belongs to the running stage, so it names
+    none."""
 
     def __init__(self, category: str, reason: str, data: dict | None = None):
         super().__init__("%s halt: %s" % (category, reason))
@@ -657,8 +665,6 @@ def run_inverse_pipeline(f: GroupFn, cfg: PipelineConfig) -> PipelineReport:
         # without its traceback: the traceback's frames hold the run's arrays
         # and, through `halt`, a reference cycle only the collector would free
         halt = err.with_traceback(None)
-    except BudgetError as err:
-        halt = PipelineHalt("budget", str(err))
     else:
         report.result = stages[-1].data["result"]
         return report

@@ -14,7 +14,6 @@ import numpy as np
 
 from ulab.core import (
     SIZE_CAP,
-    BudgetError,
     GroupFn,
     GroupParams,
     PolyPhase,
@@ -42,6 +41,7 @@ __all__ = [
     "symmetry_pipeline",
     "kappa_from_sigma",
     "u3_lower",
+    "quad_search_size",
     "quad_phase_search",
     "trilinear_to_json",
     "trilinear_from_json",
@@ -90,14 +90,6 @@ class TrilinearForm:
             raise ValueError("need n component matrices of shape (n, n)")
         return cls(params, np.moveaxis(m, 0, 2))
 
-    def evaluate(self, a, b, c):
-        """Values mod p; a, b, c are point indices (scalars or arrays)."""
-        da = self.params.digits(np.atleast_1d(np.asarray(a, dtype=np.int64)))
-        db = self.params.digits(np.atleast_1d(np.asarray(b, dtype=np.int64)))
-        dc = self.params.digits(np.atleast_1d(np.asarray(c, dtype=np.int64)))
-        out = np.einsum("xi,xj,xk,ijk->x", da, db, dc, self.coeffs) % self.params.p
-        return out if np.ndim(a) or np.ndim(b) or np.ndim(c) else int(out[0])
-
     def permute_args(self, perm) -> "TrilinearForm":
         """Form whose value at (a0, a1, a2) is this form at (a_perm[0], a_perm[1], a_perm[2])."""
         perm = tuple(int(q) for q in perm)
@@ -105,9 +97,6 @@ class TrilinearForm:
             raise ValueError("perm must rearrange (0, 1, 2)")
         inverse = tuple(perm.index(t) for t in range(3))
         return TrilinearForm(self.params, np.transpose(self.coeffs, inverse))
-
-    def scaled(self, lam: int) -> "TrilinearForm":
-        return TrilinearForm(self.params, self.coeffs * (int(lam) % self.params.p))
 
     def __add__(self, other: "TrilinearForm") -> "TrilinearForm":
         if other.params != self.params:
@@ -148,19 +137,10 @@ class SliceFamily:
         m.setflags(write=False)
         object.__setattr__(self, "mats", m)
 
-    def slice_at(self, x: int) -> np.ndarray:
-        d = self.params.digits(np.asarray([x], dtype=np.int64))[0]
-        return np.tensordot(d, self.mats, axes=(0, 0)) % self.params.p
-
 
 # ============================================================
 # analytic rank
 # ============================================================
-
-
-def _tri_budget(params: GroupParams) -> None:
-    if params.size**3 > SIZE_CAP:
-        raise BudgetError("p^{3n} = %d exceeds the size cap %d" % (params.size**3, SIZE_CAP))
 
 
 def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
@@ -235,7 +215,6 @@ def box3_value(tau: TrilinearForm, u: GridFn, v: GridFn, w: GridFn) -> complex:
         if g.params != params:
             raise ValueError("mismatched group parameters")
         _check_bounded_grid(g, "box3_value")
-    _tri_budget(params)
     p, N = params.p, params.size
     dig = params.digits(np.arange(N, dtype=np.int64))
     om = np.exp(-2j * np.pi / p)
@@ -288,31 +267,6 @@ class PhaseProduct:
             object.__setattr__(self, name, vec)
         object.__setattr__(self, "const", int(self.const) % p)
 
-    @classmethod
-    def one(cls, params: GroupParams) -> "PhaseProduct":
-        n = params.n
-        z = np.zeros((n, n), dtype=np.int64)
-        v = np.zeros(n, dtype=np.int64)
-        return cls(params, z, z, z, v, v, v, 0)
-
-    def exponent(self, a, b, c):
-        """Values mod p at index triples (vectorized)."""
-        da = self.params.digits(np.atleast_1d(np.asarray(a, dtype=np.int64)))
-        db = self.params.digits(np.atleast_1d(np.asarray(b, dtype=np.int64)))
-        dc = self.params.digits(np.atleast_1d(np.asarray(c, dtype=np.int64)))
-        out = (
-            np.einsum("xi,ij,xj->x", da, self.ab, db)
-            + np.einsum("xi,ij,xj->x", db, self.bc, dc)
-            + np.einsum("xi,ij,xj->x", da, self.ac, dc)
-            + da @ self.la
-            + db @ self.lb
-            + dc @ self.lc
-            + self.const
-        ) % self.params.p
-        return out if np.ndim(a) or np.ndim(b) or np.ndim(c) else int(out[0])
-
-    def evaluate(self, a, b, c):
-        return np.exp(2j * np.pi * self.exponent(a, b, c) / self.params.p)
 
 def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
     """E_x E_{a,b,c} h(a,b,c) D_{a,b,c} f(x) omega^{-tau(a,b,c)}, where D
@@ -477,7 +431,6 @@ def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]
         if grid.params != params:
             raise ValueError("mismatched group parameters")
         _check_bounded_grid(grid, "u3_lower")
-    _tri_budget(params)
     N = params.size
     total = 0.0 + 0.0j
     for a, spec in enumerate(derivative2_spectra(g)):
@@ -495,6 +448,12 @@ def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]
 # ============================================================
 
 
+def quad_search_size(p: int, n: int) -> int:
+    """Values `quad_phase_search` scores on F_p^n: p^{n(n+1)/2} quadratic
+    parts times p^n linear parts."""
+    return p ** (n * (n + 1) // 2 + n)
+
+
 def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     """Argmax of |E g(x) omega^{-q(x)}| over all quadratics q.
 
@@ -505,29 +464,36 @@ def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     out and the winner's constant is always 0.
 
     For each quadratic part Q, `char_transform` of g omega^{-Q} scores
-    every linear part at once; all Q go through one batched transform.
-    Its columns are indexed by `params.index` (r_0 least significant), so
-    they are gathered into the candidate order (r_0 most significant)
-    before the tie rule is applied.  The transform holds p^{n(n+1)/2} * N
-    values, which must fit in `SIZE_CAP`.
+    every linear part at once.  Its columns are indexed by `params.index`
+    (r_0 least significant), so they are gathered into the candidate order
+    (r_0 most significant).  The quadratic parts go through the transform
+    in blocks of at most SIZE_CAP // N, so a block holds about SIZE_CAP
+    values.  Each block keeps its candidates within 1e-12 of its own
+    maximum; the earliest candidate within 1e-12 of the global maximum is
+    among them, so the winner is the one the whole table would give.
     """
     params = g.params
     p, n, N = params.p, params.n, params.size
     monos = [(i, j) for i in range(n) for j in range(i, n)]
-    if p ** len(monos) * N > SIZE_CAP:
-        raise BudgetError(
-            "p^%d quadratic parts times N = %d values exceed the size cap %d" % (len(monos), N, SIZE_CAP)
-        )
     dig = params.digits(np.arange(N, dtype=np.int64))
     quad_basis = np.stack([dig[:, i] * dig[:, j] for (i, j) in monos], axis=1)
     quads = np.asarray(list(itertools.product(range(p), repeat=len(monos))), dtype=np.int64)
     lins = np.asarray(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
-    twisted = g.values[None, :] * np.exp(-2j * np.pi * ((quads @ quad_basis.T) % p) / p)
-    hat = char_transform(twisted, params, axis=1)
-    corrs = np.abs(hat[:, params.index(lins)]).ravel()
-    top = float(corrs.max())
-    winner = int(np.flatnonzero(corrs >= top - _TIE_TOL)[0])
-    qi, ri = divmod(winner, N)
+    order = params.index(lins)
+    # omega^{-k} for each exponent k, the same expression as on every value
+    twist = np.exp(-2j * np.pi * np.arange(p) / p)
+    block = SIZE_CAP // N
+    kept_idx, kept_corr = [], []
+    for lo in range(0, len(quads), block):
+        expo = (quads[lo : lo + block] @ quad_basis.T) % p
+        hat = char_transform(g.values[None, :] * twist[expo], params, axis=1)
+        corrs = np.abs(hat[:, order]).ravel()
+        keep = np.flatnonzero(corrs >= corrs.max() - _TIE_TOL)
+        kept_idx.append(keep + lo * N)
+        kept_corr.append(corrs[keep])
+    idx, corr = np.concatenate(kept_idx), np.concatenate(kept_corr)
+    first = int(np.flatnonzero(corr >= corr.max() - _TIE_TOL)[0])
+    qi, ri = divmod(int(idx[first]), N)
     coeffs: dict[tuple[int, ...], int] = {}
     for (i, j), c in zip(monos, quads[qi]):
         if c:
@@ -535,7 +501,7 @@ def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     for i, c in enumerate(lins[ri]):
         if c:
             coeffs[(i,)] = int(c)
-    return PolyPhase.from_coeffs(params, coeffs), float(corrs[winner])
+    return PolyPhase.from_coeffs(params, coeffs), float(corr[first])
 
 
 # ============================================================

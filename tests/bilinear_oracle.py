@@ -7,8 +7,9 @@ index of M h + c for every map and every h, then runs the greedy cover on
 that table.  `bohr_decompose` is the peeling loop with its own inline scan
 of the combinations in each round and a second full rank scan of the last
 round's matrices at exit, which `ulab.bilinear` replaced with one
-`_mats_map_rank` call per round.  Tests compare the library against them;
-nothing in the package imports this module.
+`_mats_map_rank` call per round.  `is_bilinear` and `combine` are
+`BiAffineMap` helpers that only tests use.  Tests compare the library
+against them; nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ from ulab.bilinear import (
     _subspace_from_rows,
 )
 from ulab.core import GroupParams, gf_nullspace, gf_rank, gf_rowreduce
+
+
+def is_bilinear(beta: BiAffineMap) -> bool:
+    return not (beta.a.any() or beta.b.any() or beta.lam.any())
+
+
+def combine(beta: BiAffineMap, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Coordinate data of the single form u.beta, for u in F_p^k digits."""
+    p = beta.params.p
+    ud = np.asarray(u, dtype=np.int64) % p
+    T = np.tensordot(ud, beta.T, axes=(0, 0)) % p
+    a = ud @ beta.a % p
+    b = ud @ beta.b % p
+    lam = int(ud @ beta.lam % p)
+    return T, a, b, lam
 
 
 def exact_candidates(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:

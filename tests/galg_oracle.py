@@ -10,8 +10,10 @@ through characters.  `respected_density` is the character route
 before it was stacked: one `arr_functional` per character slice, each the
 mean of |mixed_self|^2 with its final inverse transform taken, where
 `ulab.galg.respected_density` now makes one `ulab.grid.arr_functional_stack`
-pass over all slices.  Tests compare the library against them; nothing in
-the package imports this module.
+pass over all slices.  `uniform`, `scale`, `is_distribution` and
+`scaled_by` are `Dist` and `DistFn` helpers that only tests use.  Tests
+compare the library against them; nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
@@ -21,6 +23,38 @@ import numpy as np
 from ulab.core import GroupParams, char_transform
 from ulab.galg import Dist, DistFn, dist_product, grid_inner_dist
 from ulab.grid import GridFn, mixed_self
+
+
+def uniform(params: GroupParams) -> Dist:
+    """The uniform distribution on the group."""
+    w = 1.0 / params.size
+    return Dist(params, {g: w for g in range(params.size)})
+
+
+def scale(u: Dist, c: float) -> Dist:
+    """c u for a non-negative c."""
+    if c == 0.0:
+        return Dist.zero(u.params)
+    if c < 0:
+        raise ValueError("scale factor must be non-negative")
+    return Dist(u.params, {g: w * c for g, w in u.weights.items()})
+
+
+def is_distribution(u: Dist) -> bool:
+    """Whether u has total weight 0 or 1, within 1e-12."""
+    t = u.total()
+    return t == 0.0 or abs(t - 1.0) <= 1e-12
+
+
+def scaled_by(phi: DistFn, mu: GridFn) -> DistFn:
+    """Pointwise scaling by a non-negative scalar grid function."""
+    vals = mu.values.real
+    tab = {}
+    for (x, y), u in phi.table.items():
+        c = float(vals[x, y])
+        if c > 0:
+            tab[(x, y)] = scale(u, c)
+    return DistFn(phi.params, phi.value_params, tab)
 
 
 def adjoint(u: Dist) -> Dist:
@@ -105,7 +139,7 @@ def bihom_defect(phi: DistFn, mu: GridFn) -> float:
     denom = arr_functional(mu)
     if denom <= 0.0:
         raise ArithmeticError("mixed convolution of mu vanishes; defect undefined")
-    scaled = phi.scaled_by(mu)
+    scaled = scaled_by(phi, mu)
     F = mixed_conv_dist(scaled, scaled, scaled, scaled)
     return 1.0 - grid_inner_dist(F, F) / denom
 

@@ -13,13 +13,10 @@ from hypothesis import strategies as st
 
 import cli_oracle
 import ulab.cli
-import ulab.pipeline
-import ulab.trilinear
 from ulab.arrange import PartialMap, partial_map_to_json
 from ulab.bilinear import BiAffineMap, biaffine_to_json
 from ulab.cli import main
 from ulab.core import (
-    BudgetError,
     GroupFn,
     GroupParams,
     PolyPhase,
@@ -127,9 +124,13 @@ def test_config_enforces_size_budget_before_running():
         cfg.validate()
     # 49^3 = 117,649 triples fit, though 49^4 = 5.8e6 would not
     PipelineConfig(p=7, n=2).validate()
-    # a budget of exactly p^{3n} is enough, however large p or n is
-    for p, n in [(5, 4), (31, 2), (2**31 - 1, 1)]:
+    # p^{3n} is enough where the quadratic search's p^{n(n+1)/2} N is no larger
+    for p, n in [(31, 2), (2**31 - 1, 1)]:
         PipelineConfig(p=p, n=n, size_cap=p ** (3 * n)).validate()
+    # on F_5^4 the search scores 5^10 quadratic parts times 5^4 = 5^14 values
+    with pytest.raises(ValueError, match=r"quadratic search's .* = 6103515625 values"):
+        PipelineConfig(p=5, n=4, size_cap=5**12).validate()
+    PipelineConfig(p=5, n=4, size_cap=5**14).validate()
 
 
 def test_config_from_json_rejects_unknown_fields():
@@ -451,32 +452,6 @@ def test_pipeline_budget_checked_before_allocation():
         )
 
 
-def test_pipeline_budget_halts_at_the_running_stage(monkeypatch):
-    # the box lower bound refuses p^{3n} = 125 triples, past a cap of 100
-    monkeypatch.setattr(ulab.trilinear, "SIZE_CAP", 100)
-    _, f = _cubic_line()
-    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
-    assert report.halted
-    assert (report.halt_category, report.halt_stage) == ("budget", "cubic")
-    assert "125" in report.halt_reason
-    assert [s.name for s in report.stages] == STAGE_NAMES[:11]
-    assert report.stages[-1].seconds > 0
-
-
-def test_pipeline_budget_halts_at_the_last_stage(monkeypatch):
-    def refuse(g):
-        raise BudgetError("quadratic search refused")
-
-    monkeypatch.setattr(ulab.pipeline, "quad_phase_search", refuse)
-    _, f = _cubic_line()
-    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
-    assert report.halted
-    assert (report.halt_category, report.halt_stage) == ("budget", "quadratic")
-    assert report.halt_reason == "quadratic search refused"
-    assert [s.name for s in report.stages] == STAGE_NAMES
-    assert report.stages[-1].seconds > 0
-
-
 def test_pipeline_recovers_exact_cubic_on_f7_squared():
     # p^{4n} = 5.8e6 points (x, a, b, c): the cubic's certificate must not enumerate them
     q = PolyPhase.from_coeffs(
@@ -486,6 +461,19 @@ def test_pipeline_recovers_exact_cubic_on_f7_squared():
     report = run_inverse_pipeline(poly_phase_fn(q), PipelineConfig(p=7, n=2))
     assert not report.halted
     assert [s.name for s in report.stages] == STAGE_NAMES
+    assert _terms_dict(report.result["phase_terms"]) == dict(q.terms)
+    assert report.result["correlation"] >= 0.999
+
+
+def test_pipeline_recovers_exact_cubic_on_f11_squared_once_admitted():
+    # validate admits F_11^2 at size_cap = 11^6 = N^3, which covers the
+    # search's 11^3 * 121 values; no kernel may refuse the run after that
+    q = PolyPhase.from_coeffs(
+        GroupParams(11, 2),
+        {(0, 0, 0): 7, (0, 0, 1): 2, (0, 1, 1): 9, (1, 1, 1): 4, (0, 0): 3, (1, 1): 10, (0,): 5},
+    )
+    report = run_inverse_pipeline(poly_phase_fn(q), PipelineConfig(p=11, n=2, size_cap=11**6))
+    assert not report.halted, report.halt_reason
     assert _terms_dict(report.result["phase_terms"]) == dict(q.terms)
     assert report.result["correlation"] >= 0.999
 
@@ -519,7 +507,7 @@ def test_pipeline_never_raises_on_bounded_input(f, seed, samples):
     cfg = PipelineConfig(p=f.params.p, n=f.params.n, seed=seed, densify_samples=samples)
     report = run_inverse_pipeline(f, cfg)
     if report.halted:
-        assert report.halt_category in {"precondition", "verification", "budget"}
+        assert report.halt_category in {"precondition", "verification"}
         assert report.halt_stage in STAGE_NAMES
         assert report.stages[-1].name == report.halt_stage
     else:
@@ -668,7 +656,7 @@ def test_cmd_symmetrize_on_f5_cubed(files, capsys):
     fpath = files["dir"] / "f53.json"
     fpath.write_text(json.dumps(group_fn_to_json(poly_phase_fn(kappa))))
     tpath = files["dir"] / "tau53.json"
-    tpath.write_text(json.dumps(trilinear_to_json(sigma.scaled(6))))
+    tpath.write_text(json.dumps(trilinear_to_json(TrilinearForm(P53, 6 * sigma.coeffs))))
     assert main(["symmetrize", "--input", str(fpath), "--tau", str(tpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["alpha"] - 1.0) < 1e-9 and out["asserted"] is True
@@ -681,6 +669,20 @@ def test_cmd_quadsearch(files, capsys):
     assert main(["quadsearch", "--input", str(fpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["correlation"] - 1.0) < 1e-9
+    assert {tuple(m): c for m, c in out["terms"]} == dict(q.terms)
+
+
+def test_cmd_quadsearch_refuses_more_values_than_the_default_budget(files, capsys):
+    # F_5^3: 5^6 quadratic parts times 125 = 1,953,125 values; F_11^2: 161,051
+    q = PolyPhase.from_coeffs(GroupParams(11, 2), {(0, 1): 7, (1, 1): 2, (0,): 9})
+    for name, f in [("f53", GroupFn(P53, np.ones(125, dtype=complex))), ("f112", poly_phase_fn(q))]:
+        (files["dir"] / name).write_text(json.dumps(group_fn_to_json(f)))
+    assert main(["quadsearch", "--input", str(files["dir"] / "f53")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the quadratic search scores 1953125 values, over the size budget 1000000\n"
+    assert main(["quadsearch", "--input", str(files["dir"] / "f112")]) == 0
+    out = json.loads(capsys.readouterr().out)
     assert {tuple(m): c for m, c in out["terms"]} == dict(q.terms)
 
 

@@ -1,15 +1,19 @@
-"""Every top-level definition in the package has a user in the package.
+"""Every top-level definition and method in the package has a user in the
+package.
 
-A `def` or `class` at the top of a `src/ulab` module, private or public but
-not dunder, passes when its name appears in some package module outside its
-own definition: as a name, an attribute or an imported name.  Strings do not
-count, so neither does an `__all__` entry.  Code that only tests reach
-belongs in `tests/*_oracle.py` or nowhere.
+A `def` or `class` at the top of a `src/ulab` module, or a method of such a
+class, private or public but not dunder, passes when its name appears in
+some package module outside its own definition: as a name, an attribute or
+an imported name.  Strings do not count, so neither does an `__all__`
+entry.  Code that only tests reach belongs in `tests/*_oracle.py` or
+nowhere.  The check matches names, so a method shares its users with every
+same-named method, and such a method needs a look by hand.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ulab
@@ -32,39 +36,54 @@ ALLOWED = {
     "grid.grid_fn_to_json",
     # the exact order-2 arrangement total for the densify criterion
     "grid.arr2_exact",
+    # Subspace methods of the package API, ulab.__all__
+    "core.Subspace.codim",
+    "core.Subspace.contains",
+    "core.Subspace.annihilator",
+    # the report digest bench/run.py reads
+    "pipeline.PipelineReport.canonical_bytes",
 }
 
 
-def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every name, attribute and imported name in tree, outside `skip`."""
-    used = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+def _names_used(tree: ast.AST) -> Counter:
+    """How often each name, attribute and imported name occurs in tree."""
+    used: Counter = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            used[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            used[node.attr] += 1
         elif isinstance(node, ast.alias):
-            used.add(node.name.rpartition(".")[2])
-        stack.extend(ast.iter_child_nodes(node))
+            used[node.name.rpartition(".")[2]] += 1
     return used
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level definition and each method
+    of a top-level class, dunders left out."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS) or node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
 def _unused(sources: dict[str, str]) -> list[str]:
-    """module.name of each top-level definition no module refers to."""
+    """module.name of each definition no module refers to."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            if not any(node.name in _names_used(t, skip=node) for t in trees.values()):
-                found.append("%s.%s" % (module, node.name))
+        for name, node in _definitions(tree):
+            # every use inside the definition itself is its own
+            if used[node.name] == _names_used(node)[node.name]:
+                found.append("%s.%s" % (module, name))
     return found
 
 
@@ -79,6 +98,8 @@ def test_the_check_sees_every_kind_of_use():
             "def called(): pass\n"
             "class Referenced:\n"
             "    def method(self): pass\n"
+            "    def unused_method(self): return self.unused_method()\n"
+            "    def __len__(self): return 0\n"
             "def imported(): pass\n"
             "def __dunder__(): pass\n"
         ),
@@ -89,7 +110,13 @@ def test_the_check_sees_every_kind_of_use():
             "x = Referenced\n"
         ),
     }
-    assert _unused(sources) == ["a.exported", "a.recursive", "a.named_in_a_string", "b.user"]
+    assert _unused(sources) == [
+        "a.exported",
+        "a.recursive",
+        "a.named_in_a_string",
+        "a.Referenced.unused_method",
+        "b.user",
+    ]
 
 
 def _package_sources() -> dict[str, str]:
@@ -104,9 +131,8 @@ def test_every_package_definition_has_a_user():
 
 def test_every_allowed_definition_exists():
     defined = {
-        "%s.%s" % (module, node.name)
+        "%s.%s" % (module, name)
         for module, text in _package_sources().items()
-        for node in ast.parse(text).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for name, _ in _definitions(ast.parse(text))
     }
     assert ALLOWED - defined == set()

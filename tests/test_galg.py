@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cli_oracle import vote_histogram
-from galg_oracle import adjoint
+from galg_oracle import adjoint, is_distribution, scale, scaled_by, uniform
 from ulab.arrange import PartialMap
 from ulab.core import GroupParams
 from ulab.galg import (
@@ -48,7 +48,7 @@ def test_dist_product_of_deltas():
 
 def test_dist_product_uniform_idempotent():
     params = GroupParams(3, 1)
-    u = Dist.uniform(params)
+    u = uniform(params)
     prod = dist_product(u, u)
     assert np.allclose(prod.dense(), u.dense(), atol=1e-14)
 
@@ -78,7 +78,7 @@ def test_ddist_frozen_values():
     a, b = Dist.delta(params, 1), Dist.delta(params, 3)
     assert ddist(a, a) == 0.0
     assert ddist(a, b) == 1.0
-    u = Dist.uniform(params)
+    u = uniform(params)
     # <u, u> = 5 (1/5)^2 = 1/5
     assert abs(ddist(u, u) - (1 - 1 / 5)) < 1e-14
 
@@ -88,10 +88,10 @@ def test_dist_validation():
     with pytest.raises(ValueError):
         Dist(params, {0: -0.5})
     with pytest.raises(ValueError):
-        Dist.delta(params, 0).scale(-1.0)
-    assert Dist.delta(params, 1).is_distribution()
-    assert Dist.zero(params).is_distribution()
-    assert not Dist.delta(params, 1, 0.7).is_distribution()
+        scale(Dist.delta(params, 0), -1.0)
+    assert is_distribution(Dist.delta(params, 1))
+    assert is_distribution(Dist.zero(params))
+    assert not is_distribution(Dist.delta(params, 1, 0.7))
 
 
 # ============================================================
@@ -287,8 +287,8 @@ def test_perturbation_of_measure():
     for _ in range(10):
         mu = GridFn(params, rng.random((3, 3)).astype(np.complex128))
         nu = GridFn(params, rng.random((3, 3)).astype(np.complex128))
-        a = psi.scaled_by(mu)
-        b = psi.scaled_by(nu)
+        a = scaled_by(psi, mu)
+        b = scaled_by(psi, nu)
         Fa = mixed_conv_dist(a, a, a, a)
         Fb = mixed_conv_dist(b, b, b, b)
         gap = abs(grid_inner_dist(Fa, Fa) - grid_inner_dist(Fb, Fb))

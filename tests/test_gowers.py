@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ulab.core import GroupFn, GroupParams, PolyPhase, poly_phase_fn
+from ulab.core import GroupElem, GroupFn, GroupParams, PolyPhase, poly_phase_fn
 from ulab.gowers import derivative, derivative2, uk_norm
 from ulab.grid import GridFn
 
@@ -118,7 +118,7 @@ def test_derivative_phase_exact_on_cubic():
     # f = omega^{x^3} over F_5; d_1 f = omega^{3x^2 - 3x + 1}
     params = GroupParams(5, 1)
     f = poly_phase_fn(PolyPhase.from_coeffs(params, {(0, 0, 0): 1}))
-    d = derivative(f, params.elem(1))
+    d = derivative(f, GroupElem(params, 1))
     assert d.phases is not None
     expected = np.array([(3 * x * x - 3 * x + 1) % 5 for x in range(5)])
     assert np.array_equal(d.phases, expected)

@@ -5,14 +5,15 @@ A fake clock stands in for `time` inside `ulab.pipeline` and keeps every
 value it hands out, so the tests see each clock read the pipeline makes:
 the stage seconds must be the gaps between consecutive reads (back to back,
 the gate from the start of the run), and a halt raised inside any stage,
-by a floor or by a kernel, must name the stage that was running.
+by a floor or by a failed verification, must name the stage that was
+running.
 """
 
 import pytest
 
 import ulab.pipeline
-from ulab.core import BudgetError, GroupParams, PolyPhase, poly_phase_fn
-from ulab.pipeline import STAGES, PipelineConfig, run_inverse_pipeline
+from ulab.core import GroupParams, PolyPhase, poly_phase_fn
+from ulab.pipeline import STAGES, PipelineConfig, PipelineHalt, run_inverse_pipeline
 
 # the first pipeline function each stage calls, except peaks, which reads
 # the gate's pass and calls nothing
@@ -83,7 +84,10 @@ def _fail(error):
 
 @pytest.mark.parametrize(
     "stage, error, category",
-    [(stage, BudgetError("%s refused" % STAGE_KERNELS[stage]), "budget") for stage in STAGE_KERNELS]
+    [
+        (stage, PipelineHalt("precondition", "%s halted" % kernel), "precondition")
+        for stage, kernel in STAGE_KERNELS.items()
+    ]
     + [("symmetry", RuntimeError("symmetrized coefficients are not symmetric"), "verification")],
     ids=list(STAGE_KERNELS) + ["symmetry-verification"],
 )
@@ -91,7 +95,8 @@ def test_a_halt_inside_a_stage_names_that_stage(clock, monkeypatch, stage, error
     monkeypatch.setattr(ulab.pipeline, STAGE_KERNELS[stage], _fail(error))
     report = run_inverse_pipeline(*_cubic_line())
     assert report.halted
-    assert (report.halt_stage, report.halt_category, report.halt_reason) == (stage, category, str(error))
+    reason = error.reason if isinstance(error, PipelineHalt) else str(error)
+    assert (report.halt_stage, report.halt_category, report.halt_reason) == (stage, category, reason)
     assert [s.name for s in report.stages] == list(STAGES[: STAGES.index(stage) + 1])
     assert report.stages[-1].data == {}
     _assert_back_to_back(report, clock)

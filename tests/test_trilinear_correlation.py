@@ -13,7 +13,9 @@ F_5^3, with h = 1 and tau = 0, both equal the U^3 norm to the eighth power,
 and a planted cubic correlates with its own third difference at 1.  The
 quadratic search scores by FFT what the oracle scores by a candidate table:
 the chosen terms must be identical and the correlations within 1e-12, exact
-ties included.
+ties included.  The search goes through its quadratic parts in blocks of
+SIZE_CAP // N; at every block size it must return the bits of the
+unblocked oracle, also on real inputs, where Q and -Q tie across blocks.
 """
 
 from __future__ import annotations
@@ -106,15 +108,13 @@ def test_tri_correlation_of_one_is_the_u3_power(group):
     params = GroupParams(*group)
     f = _bounded(params, 11)
     want = uk_norm(f, 3).value ** 8
-    got = tri_correlation(f, PhaseProduct.one(params), TrilinearForm.zero(params))
+    got = tri_correlation(f, oracle.phase_one(params), TrilinearForm.zero(params))
     assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("group", IDENTITY_GROUPS)
-def test_u3_lower_of_ones_is_the_u3_power(group, monkeypatch):
-    # the p^{3n} budget refuses these groups; the kernel holds only O(N^2)
+def test_u3_lower_of_ones_is_the_u3_power(group):
     params = GroupParams(*group)
-    monkeypatch.setattr(trilinear, "SIZE_CAP", params.size**3)
     f = _bounded(params, 12)
     ones = GridFn.constant(params, 1.0)
     alpha, norm = u3_lower(f, ones, ones, ones)
@@ -138,7 +138,7 @@ def test_tri_correlation_planted_cubic_on_f11_squared():
     kappa = PolyPhase.from_coeffs(
         params, {(0, 0, 0): 3, (0, 0, 1): 5, (0, 1, 1): 8, (1, 1, 1): 1, (0, 1): 4, (1,): 9}
     )
-    got = tri_correlation(poly_phase_fn(kappa), PhaseProduct.one(params), _third_difference(kappa))
+    got = tri_correlation(poly_phase_fn(kappa), oracle.phase_one(params), _third_difference(kappa))
     assert abs(got - 1) < 1e-10
 
 
@@ -184,3 +184,28 @@ def test_quad_phase_search_matches_the_candidate_table(g):
     want, want_corr = oracle.quad_phase_search(g)
     assert found.terms == want.terms
     assert abs(corr - want_corr) < TOL
+
+
+def _search_input(params: GroupParams, kind: str, rng: np.random.Generator) -> GroupFn:
+    N = params.size
+    if kind == "noise":
+        return GroupFn(params, rng.random(N) * np.exp(2j * np.pi * rng.random(N)))
+    if kind == "planted":
+        return poly_phase_fn(_random_quadratic(params, rng))
+    # real values: |g_hat| at (Q, r) and (-Q, -r) are equal, up to rounding
+    return GroupFn(params, (2 * rng.random(N) - 1).astype(complex))
+
+
+@pytest.mark.parametrize("group", [(5, 2), (7, 2), (5, 3), (11, 2)], ids=lambda g: "F_%d^%d" % g)
+def test_blocked_search_matches_the_unblocked_oracle(group, monkeypatch):
+    params = GroupParams(*group)
+    N, default = params.size, trilinear.SIZE_CAP
+    # the real input of seed 1 ties Q and -Q within 1e-12 on every group,
+    # and on F_11^2 and F_5^3 the later of the two is larger in the last bit
+    for kind, seed in [("noise", 0), ("planted", 0), ("real", 1)]:
+        g = _search_input(params, kind, np.random.default_rng([seed, N]))
+        want, want_corr = oracle.unblocked_quad_phase_search(g)
+        for cap in (N, 3 * N, default):
+            monkeypatch.setattr(trilinear, "SIZE_CAP", cap)
+            found, corr = quad_phase_search(g)
+            assert (found.terms, corr) == (want.terms, want_corr), (kind, cap)

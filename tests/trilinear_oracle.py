@@ -11,6 +11,10 @@ this loop does, not the same terms in another order.
 `ulab.trilinear.u3_lower` replaced with the inverse transform of the power
 spectrum (Wiener-Khinchin), and `quad_phase_search` the candidate table that
 `ulab.trilinear.quad_phase_search` replaced with one FFT per quadratic part.
+`unblocked_quad_phase_search` is that FFT route with every quadratic part
+in one batch and `np.exp` over every phase value, which the library
+replaced with blocks of at most SIZE_CAP // N quadratic parts and a p-entry
+table of phases; it must give the same bits.
 `slice_rank_mean` ranks every slice T_x in turn, which
 `ulab.trilinear.slice_rank_mean` replaced with one einsum for all slices and
 one rank per distinct slice.  `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
@@ -19,8 +23,10 @@ polarisation certificate; `alternating_sum_constant` is that check alone, so
 a test can hand it a changed cubic.  `analytic_mean_tri` counts the values
 of tau over all p^{3n} triples, which `ulab.trilinear.analytic_mean_tri`
 replaced with the ranks of the slices T_a, and keeps those counts exact
-in a `CharacterSum`.  Tests compare the library against them; nothing in
-the package imports this module.
+in a `CharacterSum`.  `form_value`, `scaled`, `slice_at`, `phase_one` and
+`phase_exponent` evaluate and build forms and phase products pointwise, as
+only tests need.  Tests compare the library against them; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -31,10 +37,55 @@ from fractions import Fraction
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, BudgetError, GroupFn, PolyPhase, gf_rank
+from ulab.core import SIZE_CAP, GroupFn, PolyPhase, char_transform, gf_rank
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
 from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm
+
+
+def form_value(tau: TrilinearForm, a, b, c):
+    """Values of tau mod p; a, b, c are point indices (scalars or arrays)."""
+    params = tau.params
+    da = params.digits(np.atleast_1d(np.asarray(a, dtype=np.int64)))
+    db = params.digits(np.atleast_1d(np.asarray(b, dtype=np.int64)))
+    dc = params.digits(np.atleast_1d(np.asarray(c, dtype=np.int64)))
+    out = np.einsum("xi,xj,xk,ijk->x", da, db, dc, tau.coeffs) % params.p
+    return out if np.ndim(a) or np.ndim(b) or np.ndim(c) else int(out[0])
+
+
+def scaled(tau: TrilinearForm, lam: int) -> TrilinearForm:
+    return TrilinearForm(tau.params, tau.coeffs * (int(lam) % tau.params.p))
+
+
+def slice_at(fam: SliceFamily, x: int) -> np.ndarray:
+    """The slice matrix T_x."""
+    d = fam.params.digits(np.asarray([x], dtype=np.int64))[0]
+    return np.tensordot(d, fam.mats, axes=(0, 0)) % fam.params.p
+
+
+def phase_one(params) -> PhaseProduct:
+    """The phase product that is 1 on every triple."""
+    n = params.n
+    z = np.zeros((n, n), dtype=np.int64)
+    v = np.zeros(n, dtype=np.int64)
+    return PhaseProduct(params, z, z, z, v, v, v, 0)
+
+
+def phase_exponent(h: PhaseProduct, a, b, c):
+    """Exponents of h mod p at index triples (vectorized)."""
+    params = h.params
+    da = params.digits(np.atleast_1d(np.asarray(a, dtype=np.int64)))
+    db = params.digits(np.atleast_1d(np.asarray(b, dtype=np.int64)))
+    dc = params.digits(np.atleast_1d(np.asarray(c, dtype=np.int64)))
+    return (
+        np.einsum("xi,ij,xj->x", da, h.ab, db)
+        + np.einsum("xi,ij,xj->x", db, h.bc, dc)
+        + np.einsum("xi,ij,xj->x", da, h.ac, dc)
+        + da @ h.la
+        + db @ h.lb
+        + dc @ h.lc
+        + h.const
+    ) % params.p
 
 
 @dataclass(eq=False)
@@ -98,7 +149,7 @@ def slice_rank_mean(fam: SliceFamily) -> Fraction:
     p = params.p
     total = Fraction(0)
     for x in range(params.size):
-        total += Fraction(1, p ** gf_rank(p, fam.slice_at(x)))
+        total += Fraction(1, p ** gf_rank(p, slice_at(fam, x)))
     return total / params.size
 
 
@@ -114,8 +165,8 @@ def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
         for b in range(N):
             g = derivative2(f, a, b).values
             ac = (g[None, :] * np.conj(g[sub_rows])).mean(axis=1)
-            ph = h.exponent(np.full(N, a), np.full(N, b), idx)
-            te = tau.evaluate(np.full(N, a), np.full(N, b), idx)
+            ph = phase_exponent(h, np.full(N, a), np.full(N, b), idx)
+            te = form_value(tau, np.full(N, a), np.full(N, b), idx)
             total += (np.exp(2j * np.pi * ph / params.p) * (om**te) * ac).sum()
     return complex(total / N**3)
 
@@ -169,6 +220,32 @@ def quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
     return PolyPhase.from_coeffs(params, coeffs), float(corrs[winner])
 
 
+def unblocked_quad_phase_search(g: GroupFn) -> tuple[PolyPhase, float]:
+    """The quadratic search with all p^{n(n+1)/2} quadratic parts in one
+    batched transform; ties within 1e-12 go to the earliest candidate."""
+    params = g.params
+    p, n, N = params.p, params.n, params.size
+    monos = [(i, j) for i in range(n) for j in range(i, n)]
+    dig = params.digits(np.arange(N, dtype=np.int64))
+    quad_basis = np.stack([dig[:, i] * dig[:, j] for (i, j) in monos], axis=1)
+    quads = np.asarray(list(itertools.product(range(p), repeat=len(monos))), dtype=np.int64)
+    lins = np.asarray(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    twisted = g.values[None, :] * np.exp(-2j * np.pi * ((quads @ quad_basis.T) % p) / p)
+    hat = char_transform(twisted, params, axis=1)
+    corrs = np.abs(hat[:, params.index(lins)]).ravel()
+    top = float(corrs.max())
+    winner = int(np.flatnonzero(corrs >= top - 1e-12)[0])
+    qi, ri = divmod(winner, N)
+    coeffs: dict[tuple[int, ...], int] = {}
+    for (i, j), c in zip(monos, quads[qi]):
+        if c:
+            coeffs[(i, j)] = int(c)
+    for i, c in enumerate(lins[ri]):
+        if c:
+            coeffs[(i,)] = int(c)
+    return PolyPhase.from_coeffs(params, coeffs), float(corrs[winner])
+
+
 def kappa_from_sigma(sigma: TrilinearForm) -> tuple[PolyPhase, int]:
     """Cubic q(x) = sigma(x,x,x) and the exact alternating-sum constant.
 
@@ -183,7 +260,7 @@ def kappa_from_sigma(sigma: TrilinearForm) -> tuple[PolyPhase, int]:
     if not sigma.is_symmetric():
         raise ValueError("cubic extraction needs a symmetric form")
     if N**4 > SIZE_CAP:
-        raise BudgetError("p^{4n} = %d exceeds the verification budget %d" % (N**4, SIZE_CAP))
+        raise ValueError("p^{4n} = %d exceeds the verification budget %d" % (N**4, SIZE_CAP))
     terms: dict[tuple[int, ...], int] = {}
     it = np.nditer(sigma.coeffs, flags=["multi_index"])
     for val in it:
@@ -220,7 +297,8 @@ def alternating_sum_constant(kappa: PolyPhase, sigma: TrilinearForm) -> int:
         - ktab[xab] - ktab[xbc] - ktab[xac] + ktab[xabc]
     ) % p
     stab = np.broadcast_to(
-        sigma.evaluate(
+        form_value(
+            sigma,
             np.repeat(all_idx, N * N),
             np.tile(np.repeat(all_idx, N), N),
             np.tile(all_idx, N * N),
