@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ulab.core import GroupParams, _json_fields, _json_index, _json_params
+from ulab.core import (
+    GroupParams,
+    _add_table,
+    _json_fields,
+    _json_index,
+    _json_params,
+    _sub_table,
+)
 from ulab.galg import DistFn, respected_density
 from ulab.grid import MORSE8, MORSE32, GridFn, arr_functional, sample_blocks
 
@@ -98,24 +105,22 @@ def _mc_respect(
     """Returns (total_ratio, respected_ratio, stderr of respected_ratio)."""
     N = phi.params.size
     vp = phi.value_params
-    in_domain = phi.domain.reshape(-1)
-    value_digits = vp.digits(phi.values.reshape(-1))
+    Nv = vp.size
+    # value index per point, and the Cayley tables, with Nv as an absorbing
+    # index for points off the domain
+    values = np.where(phi.domain, phi.values, Nv).reshape(-1)
+    plus = np.pad(_add_table(vp.p, vp.n), (0, 1), constant_values=Nv)
+    minus = np.pad(_sub_table(vp.p, vp.n), (0, 1), constant_values=Nv)
     signs = MORSE8 if order == 1 else MORSE32
     tot_sum = 0.0
     resp_sum = 0.0
     for m, vertices in sample_blocks(phi.params, order, samples, seed):
-        inside = np.ones(m, dtype=bool)
-        acc = np.zeros((m, vp.n), dtype=np.int64)
+        acc = np.zeros(m, dtype=np.int64)
         for s, (x, y) in zip(signs, vertices):
-            flat = x * N + y
-            inside &= np.take(in_domain, flat)
-            if s > 0:
-                acc += np.take(value_digits, flat, axis=0)
-            else:
-                acc -= np.take(value_digits, flat, axis=0)
-        resp = inside & (acc % vp.p == 0).all(axis=1)
-        tot_sum += float(inside.sum())
-        resp_sum += float(resp.sum())
+            v = np.take(values, x * N + y)
+            acc = np.take(plus if s > 0 else minus, acc * (Nv + 1) + v)
+        tot_sum += float(np.count_nonzero(acc != Nv))
+        resp_sum += float(np.count_nonzero(acc == 0))
     tot_ratio = tot_sum / samples
     resp_ratio = resp_sum / samples
     # resp is 0/1, so its sum of squares is resp_sum
@@ -136,15 +141,16 @@ def respect_stats(
     Exact mode (order 1 only) evaluates total / |G|^8 = arr_functional(1_A)
     and respected / |G|^8 as the mean over characters s of the value group
     of arr_functional(1_A omega^{-s.phi}) (galg.respected_density, one
-    stacked pass over all characters), then rounds both to integers.  Both are float ratios scaled by |G|^8, so the
-    mode is limited to |G| <= 9 and raises if either does not round cleanly.
+    stacked pass over all characters), then rounds both to integers.  Both
+    are float ratios scaled by |G|^8, so the mode is limited to |G| <= 9 and
+    raises if either does not round cleanly.
     Monte Carlo mode draws seeded blocks of arrangements at either order
     (grid.sample_blocks) and counts them one vertex at a time: each vertex
-    gathers its domain bit and the digits of its value, which are added to
-    or subtracted from a per-sample digit accumulator by the vertex's Morse
-    sign.  A sample is inside when every vertex is, and respected when it is
-    inside and its accumulator vanishes mod the value group's p, so no
-    group arithmetic runs per vertex.
+    gathers its value index, and one gather from the value group's addition
+    or subtraction table (by the vertex's Morse sign) folds it into a
+    per-sample value index.  Points off the domain carry an absorbing index
+    |H| that both tables keep, so a sample is inside when its accumulator
+    is not |H| and respected when it is 0.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -295,34 +301,33 @@ def row_freiman_filter(phi: PartialMap) -> PartialMap:
     """Greedy maximal subset of each row on which the row map is a Freiman
     homomorphism.
 
-    Points are visited in index order; a point joins the row if none of the
-    pair sums it creates conflicts with an existing pair-sum value.  The
-    pair sums y + y' of one candidate y are distinct, so its new entries
-    never conflict with each other and one vectorised check per point
-    decides it.
+    Each row visits its points in index order; a point joins the row if
+    none of the pair sums it creates conflicts with an existing pair-sum
+    value.  The pair sums y + y' of one candidate y are distinct, so its new
+    entries never conflict with each other, and every row decides its point
+    in column y at once: one step per column, with the pair sums and their
+    values read from the Cayley tables of both groups.
     """
     params, vp = phi.params, phi.value_params
     N = params.size
-    idx = np.arange(N, dtype=np.int64)
-    add_d = params.add(idx[:, None], idx[None, :])
-    vidx = np.arange(vp.size, dtype=np.int64)
-    add_v = vp.add(vidx[:, None], vidx[None, :])
-    keep = np.zeros_like(phi.domain)
-    for x in range(N):
-        row_vals = phi.values[x]
-        sums = np.full(N, -1, dtype=np.int64)  # pair-sum value, -1 where unset
-        chosen = np.zeros(N, dtype=bool)
-        for y in np.nonzero(phi.domain[x])[0]:
-            chosen[y] = True
-            ys = np.nonzero(chosen)[0]
-            keys = add_d[y, ys]
-            vals = add_v[row_vals[y], row_vals[ys]]
-            seen = sums[keys]
-            if ((seen < 0) | (seen == vals)).all():
-                sums[keys] = vals
-            else:
-                chosen[y] = False
-        keep[x] = chosen
+    add_d = _add_table(params.p, params.n)
+    add_v = _add_table(vp.p, vp.n)
+    domain = phi.domain
+    values = np.where(domain, phi.values, 0)
+    keep = np.zeros_like(domain)
+    sums = np.full((N, N), -1, dtype=np.int64)  # value at each row's pair sum, -1 where unset
+    for y in range(N):
+        rows = np.nonzero(domain[:, y])[0]
+        if rows.size == 0:
+            continue
+        keep[rows, y] = True
+        chosen = keep[rows, : y + 1]
+        at = rows[:, None] * N + add_d[y, : y + 1]
+        new = add_v[values[rows, y, None], values[rows, : y + 1]]
+        seen = np.take(sums, at)
+        fits = ((seen < 0) | (seen == new) | ~chosen).all(axis=1)
+        keep[rows[~fits], y] = False
+        np.put(sums, at[fits], np.where(chosen[fits], new[fits], seen[fits]))
     return phi.restrict(keep)
 
 

@@ -279,12 +279,16 @@ class BohrDecomposition:
 def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     """Peel low-rank combinations until the rest have rank at least t >= 1.
 
-    Each round scans the combinations orthogonal to everything already
-    peeled, restricted to the current product V x W, with one
-    `_mats_map_rank` call on the restricted matrices; the minimal-rank one
-    (earliest in index order on ties) is peeled, shrinking V and W by its
-    kernels.  The last round's minimum is the certified rank.  The loop runs
-    at most k rounds before the reduced map is empty.
+    Each round scans the combinations in a complement of the span of
+    everything already peeled, restricted to the current product V x W, with
+    one `_mats_map_rank` call on the restricted matrices; the minimal-rank
+    one (earliest in index order on ties) is peeled, shrinking V and W by its
+    kernels.  The complement is the space orthogonal to the peeled vectors
+    when that is one; over F_p a peeled vector can be orthogonal to itself,
+    and then the unit vectors off their pivot columns are taken instead.
+    Either way every peeled vector is independent of the earlier ones, so
+    the loop runs at most k rounds before the reduced map is empty.  The
+    last round's minimum is the certified rank.
     """
     if t < 1:
         raise ValueError("rank threshold t must be at least 1, got %d" % t)
@@ -297,6 +301,9 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     scans: list[tuple[int, ...]] = []
     for _ in range(k + 1):
         NB = gf_nullspace(p, U) if U.shape[0] else np.eye(k, dtype=np.int64)
+        if gf_rank(p, np.concatenate([U, NB])) < k:
+            pivots = gf_rowreduce(p, U)[1]
+            NB = np.eye(k, dtype=np.int64)[[c for c in range(k) if c not in pivots]]
         Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
         mats = np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p
         min_rank, scan = _mats_map_rank(p, mats)

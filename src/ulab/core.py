@@ -87,6 +87,24 @@ def _digit_table(p: int, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _add_table(p: int, n: int) -> np.ndarray:
+    """(N, N) table of a + b over F_p^n, read-only."""
+    idx = np.arange(p**n, dtype=np.int64)
+    out = GroupParams(p, n).add(idx[:, None], idx[None, :])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sub_table(p: int, n: int) -> np.ndarray:
+    """(N, N) table of a - b over F_p^n, read-only."""
+    idx = np.arange(p**n, dtype=np.int64)
+    out = GroupParams(p, n).sub(idx[:, None], idx[None, :])
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """The group G = F_p^n."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ulab.core import GroupFn, GroupParams, char_transform
+from ulab.core import GroupFn, GroupParams, _sub_table, char_transform
 
 __all__ = [
     "NormReport",
@@ -57,13 +57,6 @@ def _real_guard(x: complex, what: str) -> float:
     return max(v, 0.0)
 
 
-def _sub_table(params: GroupParams) -> np.ndarray:
-    """sub_table[x, a] = x - a, as indices."""
-    N = params.size
-    idx = np.arange(N, dtype=np.int64)
-    return params.sub(idx[:, None], idx[None, :])
-
-
 def derivative(f: GroupFn, a) -> GroupFn:
     """d_a f(x) = f(x) conj(f(x - a)); d_0 f = |f|^2."""
     ai = a.index if hasattr(a, "index") else int(a)
@@ -85,7 +78,7 @@ def _batch_hat_abs(rows: np.ndarray, params: GroupParams) -> np.ndarray:
 
 def _first_derivatives(f: GroupFn) -> tuple[np.ndarray, np.ndarray]:
     """D[a, x] = f(x) conj(f(x - a)), and the gather table T[a, x] = x - a."""
-    sub_t = _sub_table(f.params).T
+    sub_t = _sub_table(f.params.p, f.params.n).T
     return f.values[None, :] * f.values[sub_t].conj(), sub_t
 
 
@@ -223,7 +216,7 @@ def _direct_pow(f: GroupFn, k: int) -> float:
     N = params.size
     if N > _DIRECT_CAP:
         raise ValueError("direct method limited to |G| <= %d" % _DIRECT_CAP)
-    sub = _sub_table(params)
+    sub = _sub_table(params.p, params.n)
     t = f.values  # shape (N,), axis 0 is x
     for _ in range(k - 1):
         # t'[x, a, rest...] = t[x, rest...] conj(t[x - a, rest...])

@@ -12,10 +12,11 @@ convolutions and the arrangement functional also come in stacked forms
 character slices of an algebra-valued function through one pass.
 
 The Monte-Carlo counts sample arrangements through `sample_blocks`, one
-seeded stream per block: it forms every vertex in digit space from the
-drawn parameters and hands the vertices out one at a time, in Morse order,
-so a consumer (`respect_stats` in `ulab.arrange`) folds each into a
-per-sample accumulator and never holds a block's 8 or 32 points at once.
+seeded stream per block: it forms every vertex from the drawn indices by one
+gather from the cached subtraction table and hands the vertices out one at
+a time, in Morse order, so a consumer (`respect_stats` in `ulab.arrange`)
+folds each into a per-sample accumulator and never holds a block's 8 or 32
+points at once.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ import numpy as np
 from ulab.core import (
     GroupFn,
     GroupParams,
-    _digit_table,
     _json_fields,
     _json_params,
-    _powers,
+    _sub_table,
     char_transform,
 )
 
@@ -226,39 +226,40 @@ def sample_blocks(params: GroupParams, order: int, samples: int, seed: int):
       8 slots (a, b) are those corners in the same order; then once per
       slot, shape (3, m): x, y, y', giving the slot's vertices (x, y),
       (x, y - b), (x - a, y'), (x - a, y' - b).
-    Each drawn array is turned into digits once; a difference such as
-    x - (u1 - W) is a signed digit sum followed by one reduction mod p.
+    Every difference such as x - (u1 - W) is formed in index space, one
+    gather `take(sub, x * N + a)` from the subtraction table per difference.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    p, N = params.p, params.size
-    table, powers = _digit_table(p, params.n), _powers(p, params.n)
+    N = params.size
+    sub = _sub_table(params.p, params.n)
+
+    def minus(x, a):
+        return np.take(sub, x * N + a)
 
     def parallelogram(xyy, a, b):
-        # xyy: indices of (x, y, y'); a, b: digit vectors, possibly unreduced
+        # xyy: indices of (x, y, y'); a, b: indices of the width and height
         x, y, yp = xyy
-        dx, dy, dyp = np.take(table, xyy, axis=0)
-        xa = (dx - a) % p @ powers
+        xa = minus(x, a)
         yield x, y
-        yield x, (dy - b) % p @ powers
+        yield x, minus(y, b)
         yield xa, yp
-        yield xa, (dyp - b) % p @ powers
+        yield xa, minus(yp, b)
 
     def vertices(rng, m):
         draws = rng.integers(0, N, size=(8, m), dtype=np.int64)
-        digits = np.take(table, draws, axis=0)
         if order == 1:
-            w, h = digits[2], digits[7]
+            w, h = draws[2], draws[7]
             # (x1, y1, y1') and (x2, y2, y2')
             yield from parallelogram(draws[[0, 3, 4]], w, h)
             yield from parallelogram(draws[[1, 5, 6]], w, h)
             return
-        W, H, u1, v1, v1p, u2, v2, v2p = digits
+        W, H, u1, v1, v1p, u2, v2, v2p = draws
         for u, v, vp in ((u1, v1, v1p), (u2, v2, v2p)):
-            uW = u - W
-            for a, b in ((u, v), (u, v - H), (uW, vp), (uW, vp - H)):
+            uW = minus(u, W)
+            for a, b in ((u, v), (u, minus(v, H)), (uW, vp), (uW, minus(vp, H))):
                 yield from parallelogram(rng.integers(0, N, size=(3, m), dtype=np.int64), a, b)
 
     for block, start in enumerate(range(0, samples, _MC_BLOCK)):

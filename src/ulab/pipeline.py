@@ -92,6 +92,7 @@ from .core import (
     GroupFn,
     GroupParams,
     PolyPhase,
+    _add_table,
     _is_prime,
     correlation,
     gf_rowreduce,
@@ -529,10 +530,8 @@ def affine_in_each_variable(params: GroupParams, table: np.ndarray) -> bool:
     variable is constant in that variable — i.e. all quadruple identities
     hold in each argument."""
     p = params.p
-    N = params.size
-    idx = np.arange(N, dtype=np.int64)
-    add = params.add(idx[:, None], idx[None, :])
-    for h in range(N):
+    add = _add_table(p, params.n)
+    for h in range(params.size):
         dif = (table[:, add[:, h], :] - table) % p
         if not np.all(dif == dif[:, :1, :]):
             return False

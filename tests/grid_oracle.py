@@ -5,10 +5,10 @@ consumer.
 (m, 32, 2) array of vertex indices built by `GroupParams.sub`, and
 `_mc_respect` gathers from it, forming the Morse-signed value sum by 32
 passes of group arithmetic (`_signed_value_sum`).  `ulab.grid.sample_blocks`
-replaced this with vertices formed in digit space and consumed one at a
-time, from the same draws of the same per-block streams, so the library must
-reproduce these numbers exactly.  Nothing in the package imports this
-module.
+replaced this with vertices formed by gathers from the cached subtraction
+table and consumed one at a time, from the same draws of the same per-block
+streams, so the library must reproduce these numbers exactly.  Nothing in
+the package imports this module.
 """
 
 from __future__ import annotations

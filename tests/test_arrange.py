@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import arrange_oracle as oracle
 from ulab.arrange import (
     ArrangementStats,
     PartialMap,
@@ -303,6 +304,58 @@ def test_row_freiman_consistent_and_maximal():
                 ys2 = np.append(ys, np.int64(y))
                 vals2 = np.append(vals, phi.values[x, y])
                 assert not _row_is_hom(P5, P5, ys2, vals2)
+
+
+# every F_p^n with p^n <= 49, and F_11^2
+FILTER_GROUPS = [
+    (p, n)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    for n in range(1, 6)
+    if p**n <= 49
+] + [(11, 2)]
+
+
+def _filter_inputs(params: GroupParams, rng: np.random.Generator):
+    """Maps into the domain's group, a group of another p and, where it has
+    at most 121 elements, a group of the same p and another dimension; each
+    at densities 0.3, 0.9 and 1.0 with a cleared row and column, and on the
+    full grid."""
+    N = params.size
+    others = [g for g in FILTER_GROUPS if g[0] != params.p]
+    other_n = params.n % 2 + 1 if params.n < 3 else 1
+    value_groups = [params, GroupParams(*others[rng.integers(len(others))])]
+    if params.p**other_n <= 121:
+        value_groups.append(GroupParams(params.p, other_n))
+    for vp in value_groups:
+        if vp.p == params.p:
+            # affine rows y -> A_x y + c_x with 10% of the values replaced,
+            # so the greedy runs long before its first conflict
+            A = rng.integers(0, vp.p, size=(N, vp.n, params.n))
+            c = rng.integers(0, vp.p, size=(N, vp.n))
+            dy = params.digits(np.arange(N))
+            values = vp.index(np.einsum("xks,ys->xyk", A, dy) + c[:, None, :])
+            noisy = rng.random((N, N)) < 0.1
+            values[noisy] = rng.integers(0, vp.size, size=int(noisy.sum()))
+        else:
+            values = rng.integers(0, vp.size, size=(N, N), dtype=np.int64)
+        for density in (0.3, 0.9, 1.0):
+            domain = rng.random((N, N)) < density
+            domain[rng.integers(N), :] = False
+            domain[:, rng.integers(N)] = False
+            yield PartialMap(params, vp, domain, values)
+        yield PartialMap(params, vp, np.ones((N, N), dtype=bool), values)
+
+
+@pytest.mark.parametrize("p, n", FILTER_GROUPS)
+def test_row_freiman_filter_matches_the_per_row_oracle(p, n):
+    params = GroupParams(p, n)
+    rng = np.random.default_rng(p * 10 + n)
+    for phi in _filter_inputs(params, rng):
+        got = row_freiman_filter(phi)
+        want = oracle.row_freiman_filter(phi)
+        assert np.array_equal(got.domain, want.domain)
+        assert got.value_params == phi.value_params
+        assert np.array_equal(got.values, phi.values)
 
 
 # ============================================================

@@ -273,6 +273,19 @@ def test_bohr_decompose_random_maps():
         assert dec.verify_cells() >= 1
 
 
+@pytest.mark.parametrize("t", range(1, 13))
+def test_bohr_decompose_self_orthogonal_peel(t):
+    # T = (0), (1), (2) on F_5: after peeling (1, 0, 0) and (0, 3, 1), the
+    # orthogonal space is spanned by (0, 1, 2) = 2 (0, 3, 1), a combination
+    # already peeled, so the next round scans a coordinate complement instead
+    beta = BiAffineMap.bilinear(P5, np.array([[[0]], [[1]], [[2]]]))
+    dec = bohr_decompose(beta, t)
+    peeled = np.array(dec.peeled, dtype=np.int64)
+    assert gf_rank(5, peeled) == len(dec.peeled) <= beta.k
+    assert dec.certified_rank >= t
+    assert dec.verify_cells() >= 1
+
+
 # ============================================================
 # averaging projection onto decomposition cells
 # ============================================================

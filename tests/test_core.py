@@ -18,7 +18,9 @@ from ulab.core import (
     GroupParams,
     PolyPhase,
     Subspace,
+    _add_table,
     _digit_table,
+    _sub_table,
     barconv,
     conv,
     correlation,
@@ -125,6 +127,27 @@ def test_dot_examples():
     assert a.dot(GroupElem(par, 0)) == 0
     e0, e1 = GroupElem(par, 1), GroupElem(par, 5)
     assert e0.dot(e0) == 1 and e1.dot(e1) == 1 and e0.dot(e1) == 0
+
+
+# every F_p^n with p^n <= 49
+SMALL_GROUPS = [
+    (p, n)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    for n in range(1, 6)
+    if p**n <= 49
+]
+
+
+@pytest.mark.parametrize("p,n", SMALL_GROUPS)
+def test_cayley_tables_match_group_arithmetic(p, n):
+    params = GroupParams(p, n)
+    idx = np.arange(params.size, dtype=np.int64)
+    for table, op in ((_add_table(p, n), params.add), (_sub_table(p, n), params.sub)):
+        assert table.dtype == np.int64
+        assert np.array_equal(table, op(idx[:, None], idx[None, :]))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (5, 2), (7, 2), (3, 3)])

@@ -20,7 +20,7 @@ from ulab.galg import (
     mixed_conv_dist,
     grid_inner_dist,
 )
-from ulab.grid import MORSE8, GridFn, arr_functional, mixed_self
+from ulab.grid import MORSE8, GridFn, arr_functional
 from ulab.pipeline import affine_in_each_variable, consensus_rounding
 
 

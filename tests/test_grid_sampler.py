@@ -1,12 +1,13 @@
 """Property tests: the Monte-Carlo arrangement sampler and its consumers
 against the point-array sampler in `grid_oracle`.
 
-`grid.sample_blocks` forms each vertex in digit space from the same draws,
-in the same order and from the same per-block streams as the oracle's
-(m, 32, 2) blocks, so the vertices and the respect counts must be
-identical.  Two more tests
-need no oracle: a bi-affine map respects every arrangement, and one call
-stays within a memory budget that the point-array blocks exceed.
+`grid.sample_blocks` forms each vertex by gathers from the cached
+subtraction table, from the same draws, in the same order and from the same
+per-block streams as the oracle's (m, 32, 2) blocks, and `respect_stats`
+folds each vertex into a value index through the value group's Cayley
+tables, so the vertices and the respect counts must be identical.  Two more
+tests need no oracle: a bi-affine map respects every arrangement, and one
+call stays within a memory budget that the point-array blocks exceed.
 """
 
 from __future__ import annotations
