@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ulab.core import (
-    GroupParams,
-    _add_table,
-    _json_fields,
-    _json_index,
-    _json_params,
-    _sub_table,
-)
+from ulab.core import GroupParams, _add_table, _json_fields, _json_index, _json_params
 from ulab.galg import DistFn, respected_density
 from ulab.grid import MORSE8, MORSE32, GridFn, arr_functional, sample_blocks
 
@@ -105,22 +98,35 @@ def _mc_respect(
     """Returns (total_ratio, respected_ratio, stderr of respected_ratio)."""
     N = phi.params.size
     vp = phi.value_params
-    Nv = vp.size
-    # value index per point, and the Cayley tables, with Nv as an absorbing
-    # index for points off the domain
-    values = np.where(phi.domain, phi.values, Nv).reshape(-1)
-    plus = np.pad(_add_table(vp.p, vp.n), (0, 1), constant_values=Nv)
-    minus = np.pad(_sub_table(vp.p, vp.n), (0, 1), constant_values=Nv)
+    p, n = vp.p, vp.n
     signs = MORSE8 if order == 1 else MORSE32
+    half = signs.size // 2  # vertices of each sign
+    # Each point's code packs one bit field per value digit d into int64
+    # words, d at a plus vertex and p - 1 - d at a minus one, and a last
+    # field that is 1 off the domain.  Summed over a sample's vertices the
+    # fields never carry: digit field j holds sum(s * d_j) + half * (p - 1),
+    # below 2^width, and the last one counts the vertices off the domain.
+    width = (2 * half * (p - 1)).bit_length()
+    field = np.arange(n + 1)
+    word, shift = field // (63 // width), width * (field % (63 // width))
+    off = ~phi.domain.reshape(-1, 1)
+    digits = np.where(off, 0, vp.digits(phi.values.reshape(-1)))
+    fields = np.stack([np.hstack([digits, off]), np.hstack([np.where(off, 0, p - 1 - digits), off])])
+    codes = np.zeros((2, word[-1] + 1, N * N), dtype=np.int64)
+    for j in field:
+        codes[:, word[j]] += fields[:, :, j] << shift[j]
     tot_sum = 0.0
     resp_sum = 0.0
     for m, vertices in sample_blocks(phi.params, order, samples, seed):
-        acc = np.zeros(m, dtype=np.int64)
+        acc = np.zeros((word[-1] + 1, m), dtype=np.int64)
         for s, (x, y) in zip(signs, vertices):
-            v = np.take(values, x * N + y)
-            acc = np.take(plus if s > 0 else minus, acc * (Nv + 1) + v)
-        tot_sum += float(np.count_nonzero(acc != Nv))
-        resp_sum += float(np.count_nonzero(acc == 0))
+            acc += np.take(codes[int(s < 0)], x * N + y, axis=1)
+        sums = (acc[word] >> shift[:, None]) & ((1 << width) - 1)
+        inside = sums[n] == 0
+        # sum(s * d_j) = 0 mod p  <=>  field j = half * (p - 1) = -half mod p
+        resp = inside & ((sums[:n] + half) % p == 0).all(axis=0)
+        tot_sum += float(np.count_nonzero(inside))
+        resp_sum += float(np.count_nonzero(resp))
     tot_ratio = tot_sum / samples
     resp_ratio = resp_sum / samples
     # resp is 0/1, so its sum of squares is resp_sum
@@ -146,11 +152,12 @@ def respect_stats(
     raises if either does not round cleanly.
     Monte Carlo mode draws seeded blocks of arrangements at either order
     (grid.sample_blocks) and counts them one vertex at a time: each vertex
-    gathers its value index, and one gather from the value group's addition
-    or subtraction table (by the vertex's Morse sign) folds it into a
-    per-sample value index.  Points off the domain carry an absorbing index
-    |H| that both tables keep, so a sample is inside when its accumulator
-    is not |H| and respected when it is 0.
+    gathers one packed code per point (int64 words with a bit field per
+    value digit, signed by the vertex's Morse sign, and one for being off
+    the domain) and adds it to a per-sample accumulator.  The fields never
+    carry, so no table of the value group is read: a sample is inside when
+    its off-domain field is 0 and respected when, besides, every digit
+    field is the Morse offset mod p.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -311,7 +318,9 @@ def row_freiman_filter(phi: PartialMap) -> PartialMap:
     params, vp = phi.params, phi.value_params
     N = params.size
     add_d = _add_table(params.p, params.n)
-    add_v = _add_table(vp.p, vp.n)
+    # built per call, not cached: a value group can be far larger than G
+    vidx = np.arange(vp.size, dtype=np.int64)
+    add_v = vp.add(vidx[:, None], vidx[None, :])
     domain = phi.domain
     values = np.where(domain, phi.values, 0)
     keep = np.zeros_like(domain)

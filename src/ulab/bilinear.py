@@ -300,10 +300,12 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     peeled: list[tuple[int, ...]] = []
     scans: list[tuple[int, ...]] = []
     for _ in range(k + 1):
-        NB = gf_nullspace(p, U) if U.shape[0] else np.eye(k, dtype=np.int64)
-        if gf_rank(p, np.concatenate([U, NB])) < k:
-            pivots = gf_rowreduce(p, U)[1]
-            NB = np.eye(k, dtype=np.int64)[[c for c in range(k) if c not in pivots]]
+        NB = np.eye(k, dtype=np.int64)
+        if U.shape[0]:
+            NB = gf_nullspace(p, U)
+            if gf_rank(p, np.concatenate([U, NB])) < k:
+                pivots = gf_rowreduce(p, U)[1]
+                NB = np.eye(k, dtype=np.int64)[[c for c in range(k) if c not in pivots]]
         Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
         mats = np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p
         min_rank, scan = _mats_map_rank(p, mats)

@@ -88,21 +88,22 @@ def _digit_table(p: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _cayley_table(p: int, n: int, op: str) -> np.ndarray:
+    """(N, N) read-only table of GroupParams(p, n).add or .sub (op) on indices."""
+    idx = np.arange(p**n, dtype=np.int64)
+    out = getattr(GroupParams(p, n), op)(idx[:, None], idx[None, :])
+    out.setflags(write=False)
+    return out
+
+
 def _add_table(p: int, n: int) -> np.ndarray:
     """(N, N) table of a + b over F_p^n, read-only."""
-    idx = np.arange(p**n, dtype=np.int64)
-    out = GroupParams(p, n).add(idx[:, None], idx[None, :])
-    out.setflags(write=False)
-    return out
+    return _cayley_table(p, n, "add")
 
 
-@lru_cache(maxsize=None)
 def _sub_table(p: int, n: int) -> np.ndarray:
     """(N, N) table of a - b over F_p^n, read-only."""
-    idx = np.arange(p**n, dtype=np.int64)
-    out = GroupParams(p, n).sub(idx[:, None], idx[None, :])
-    out.setflags(write=False)
-    return out
+    return _cayley_table(p, n, "sub")
 
 
 @dataclass(frozen=True)

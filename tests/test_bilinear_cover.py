@@ -12,16 +12,17 @@ be identical.
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bilinear_oracle as oracle
 from ulab.bilinear import BiAffineMap, _exact_cover, bogolyubov_bilinear, bohr_decompose
-from ulab.core import GroupParams
+from ulab.core import GroupParams, gf_rank
 from ulab.grid import GridFn
 
 # every F_p^n with p^n <= 25, and F_2^3 (exact covers may be forced at n = 3)
@@ -96,15 +97,24 @@ def bohr_inputs(draw):
 
 @SETTINGS
 @given(bohr_inputs())
+# T = (0), (1), (2) on F_5 exhausts the oracle's k rounds
+@example((BiAffineMap.bilinear(GroupParams(5, 1), np.array([[[0]], [[1]], [[2]]])), 1))
 def test_bohr_decompose_matches_the_inline_scan(case):
     beta, t = case
     try:
         want = oracle.bohr_decompose(beta, t)
     except RuntimeError as err:
-        # dependent forms can peel a combination already in the span of the
-        # peeled ones; both routes must then fail the same way
-        with pytest.raises(RuntimeError, match=str(err)):
-            bohr_decompose(beta, t)
+        if "exceeded k rounds" not in str(err):
+            with pytest.raises(RuntimeError, match=re.escape(str(err))):
+                bohr_decompose(beta, t)
+            return
+        # dependent forms make the oracle's orthogonal complement meet the
+        # peeled span, so it peels a combination already peeled; the live
+        # route scans a coordinate complement there and must return
+        got = bohr_decompose(beta, t)
+        peeled = np.array(got.peeled, dtype=np.int64).reshape(-1, beta.k)
+        assert gf_rank(beta.params.p, peeled) == len(got.peeled)
+        assert got.verify_cells() >= 1
         return
     got = bohr_decompose(beta, t)
     for name in ("X0", "X1", "Y0", "Y1", "rank_certificate", "certified_rank", "peeled", "round_scans"):

@@ -4,10 +4,12 @@ against the point-array sampler in `grid_oracle`.
 `grid.sample_blocks` forms each vertex by gathers from the cached
 subtraction table, from the same draws, in the same order and from the same
 per-block streams as the oracle's (m, 32, 2) blocks, and `respect_stats`
-folds each vertex into a value index through the value group's Cayley
-tables, so the vertices and the respect counts must be identical.  Two more
-tests need no oracle: a bi-affine map respects every arrangement, and one
-call stays within a memory budget that the point-array blocks exceed.
+adds each vertex's packed digit code into a per-sample accumulator, so the
+vertices and the respect counts must be identical, also when the codes span
+several int64 words.  Three more tests need no oracle: a bi-affine map
+respects every arrangement, one call stays within a memory budget that the
+point-array blocks exceed, and a large value group costs no more than its
+digit table.
 """
 
 from __future__ import annotations
@@ -128,3 +130,39 @@ def test_mc_respect_memory_on_f7_squared():
         tracemalloc.stop()
     assert st_.total == 49.0**32
     assert peak < 8 * 2**20
+
+
+def test_mc_packed_codes_span_several_words():
+    # 17 fields of 4 bits at order 1 on F_2^16, 11 of 6 bits at order 2 on
+    # F_2^10 and 10 of 7 bits on F_3^9 do not fit one 63-bit word; the
+    # bi-affine maps need a value group of the domain's characteristic
+    rng = np.random.default_rng(7)
+    for p, n, vn in [(2, 2, 16), (2, 3, 10), (3, 2, 9)]:
+        params, vp = GroupParams(p, n), GroupParams(p, vn)
+        N = params.size
+        affine = _biaffine_map(params, vp, rng)
+        noisy = PartialMap(params, vp, rng.random((N, N)) < 0.9, rng.integers(0, vp.size, size=(N, N)))
+        for phi in (affine, affine.restrict(rng.random((N, N)) < 0.9), noisy):
+            for order in (1, 2):
+                got = respect_stats(phi, order=order, mode="mc", samples=3000, seed=vn)
+                assert got == _oracle_stats(phi, order, 3000, vn)
+                if phi is affine:
+                    assert got.respected == got.total == float(N) ** (8 if order == 1 else 32)
+
+
+def test_mc_respect_memory_for_a_large_value_group():
+    # a Cayley table of F_1031 alone holds 8.5 MB; the packed codes of a map
+    # on F_5 need a few hundred bytes (0.2 MB traced peak with the digit
+    # accumulator they replace)
+    params, vp = GroupParams(5, 1), GroupParams(1031, 1)
+    rng = np.random.default_rng(0)
+    phi = PartialMap(params, vp, np.ones((5, 5), dtype=bool), rng.integers(0, vp.size, size=(5, 5)))
+    for order in (1, 2):
+        tracemalloc.start()
+        try:
+            st_ = respect_stats(phi, order=order, mode="mc", samples=1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st_.total == 5.0 ** (8 if order == 1 else 32)
+        assert peak < 2**19
