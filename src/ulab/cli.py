@@ -34,8 +34,9 @@ from .verify import verify_suite
 # calls: bench/tracer.py wraps the pipeline's functions through these
 # bindings (PipelineConfig and run_inverse_pipeline, which this module uses,
 # are imported above), and bench/tests/test_tracer.py checks that the copies
-# of dft and derivative2 are wrapped.  This block goes once the benchmark
-# looks the pipeline up on ulab.pipeline.
+# of dft and derivative2 are wrapped.  No stage calls
+# affine_in_each_variable; it is here only for the tracer.  This block goes
+# once the benchmark looks the pipeline up on ulab.pipeline.
 from .core import dft  # noqa: F401
 from .gowers import derivative2  # noqa: F401
 from .pipeline import (  # noqa: F401

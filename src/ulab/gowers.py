@@ -229,17 +229,12 @@ def uk_norm(f: GroupFn, k: int, method: str = "nested") -> NormReport:
     """U^k norm for k in 1..4.
 
     method "nested" uses the derivative recursion ending at the transform
-    identity for U^2; "fourier" is the transform route for k = 2 only;
-    "direct" is the literal sum oracle for |G| <= 32.
+    identity for U^2; "direct" is the literal sum oracle for |G| <= 32.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be in 1..4")
     if method == "direct":
         power = _direct_pow(f, k)
-    elif method == "fourier":
-        if k != 2:
-            raise ValueError("fourier method applies to k = 2 only")
-        power = _nested_pow(f, 2)
     elif method == "nested":
         power = _nested_pow(f, k)
     else:

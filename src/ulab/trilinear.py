@@ -314,6 +314,7 @@ class SymmetryReport:
     residual_rank: float
     bound: float | None
     asserted: bool
+    phase: PhaseProduct  # the h that alpha = |tri_correlation(f, h, tau)| was measured with
 
 
 def symmetry_pipeline(
@@ -354,8 +355,8 @@ def symmetry_pipeline(
                 "swap-difference rank %.6f exceeds the correlation bound %.6f"
                 % (swap_rank, bound)
             )
-        return sigma, SymmetryReport(alpha, tuple(perm_ranks), residual_rank, bound, True)
-    return sigma, SymmetryReport(alpha, tuple(perm_ranks), residual_rank, None, False)
+        return sigma, SymmetryReport(alpha, tuple(perm_ranks), residual_rank, bound, True, h)
+    return sigma, SymmetryReport(alpha, tuple(perm_ranks), residual_rank, None, False, h)
 
 
 # ============================================================
@@ -423,6 +424,10 @@ def u3_lower(g: GroupFn, u: GridFn, v: GridFn, w: GridFn) -> tuple[float, float]
     omega^{r.c} at every c are the inverse transform of their squares along
     the frequency axis.  So a row costs O(N^2 log N) time and O(N^2) memory:
     N^3 log N in all.
+
+    No stage calls it: the cubic stage reads the norm from `uk_norm` and
+    the correlation from `tri_correlation`.  The benchmark's tracer wraps
+    it by name.
     """
     params = g.params
     if float(np.abs(g.values).max(initial=0.0)) > 1 + 1e-9:

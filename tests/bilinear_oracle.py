@@ -7,7 +7,11 @@ index of M h + c for every map and every h, then runs the greedy cover on
 that table.  `bohr_decompose` is the peeling loop with its own inline scan
 of the combinations in each round and a second full rank scan of the last
 round's matrices at exit, which `ulab.bilinear` replaced with one
-`_mats_map_rank` call per round.  `is_bilinear` and `combine` are
+`_mats_map_rank` call per round.  `verify_cells` restricts and ranks the
+reduced map again on every occupied translate (v, w) and counts each
+translate's cells with its own `np.unique`, where
+`BohrDecomposition.verify_cells` ranks once and counts the cells in one
+pass.  `is_bilinear` and `combine` are
 `BiAffineMap` helpers that only tests use.  Tests compare the library
 against them; nothing in the package imports this module.
 """
@@ -124,3 +128,29 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
         U = np.concatenate([U, u.reshape(1, -1)], axis=0)
         peeled.append(tuple(int(c) for c in u))
     raise RuntimeError("peeling exceeded k rounds; the reduction invariant failed")
+
+
+def verify_cells(dec: BohrDecomposition, t: int | None = None) -> int:
+    """The per-translate loop of `BohrDecomposition.verify_cells`."""
+    threshold = dec.rank_certificate if t is None else t
+    p = dec.beta.params.p
+    xl, yl, zt = dec.cell_tables()
+    checked = 0
+    for v in dec.X0.member_indices():
+        xs = np.nonzero(xl == v)[0]
+        for w in dec.Y0.member_indices():
+            ys = np.nonzero(yl == w)[0]
+            zs = np.unique(zt[np.ix_(xs, ys)])
+            if zs.size == 0:
+                continue
+            if dec.reduced.k == 0:
+                rank: float = math.inf
+            else:
+                restricted = dec.reduced.restrict(dec.X1.matrix(), dec.Y1.matrix(), int(v), int(w))
+                rank, _ = _mats_map_rank(p, restricted.T)
+            if rank < threshold:
+                raise RuntimeError(
+                    "cell translate (%d, %d) has reduced rank %s below %d" % (v, w, rank, threshold)
+                )
+            checked += int(zs.size)
+    return checked

@@ -13,8 +13,10 @@ the peak map off all N^2 spectra, one row a of `derivative2_spectra` at a
 time, where `ulab.pipeline.derivative_peak_map` transforms one spectrum
 per symmetry orbit of (a, b).  `best_cubic_phase`
 is the pipeline's target found by exhaustion: the cubic q maximising
-|E f omega^{-q}|.  Tests compare the library against them; nothing in the
-package imports this module.
+|E f omega^{-q}|.  `biaffine_value_table` tabulates a fitted model over all
+of G^2, the table the extend stage checked for bi-affinity until that check
+was dropped as one that cannot fail.  Tests compare the library against
+them; nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from ulab.arrange import PartialMap
-from ulab.core import GroupFn, PolyPhase, char_transform, gf_rowreduce, gf_solve
+from ulab.core import GroupFn, GroupParams, PolyPhase, char_transform, gf_rowreduce, gf_solve
 from ulab.gowers import PEAK_TIE_TOL, derivative2_spectra, norm_from_power
 from ulab.pipeline import BiAffineFit, exhaustive_affine_fit
 
@@ -213,6 +215,18 @@ def extract_affine_parts(phi: PartialMap, fit: BiAffineFit) -> dict:
         "lambda_agreement": alm,
         "back_agreement": back,
     }
+
+
+def biaffine_value_table(params: GroupParams, fit: BiAffineFit) -> np.ndarray:
+    """(N, N, vn) digit table of the fitted model over all of G^2."""
+    p = params.p
+    dig = params.digits(np.arange(params.size, dtype=np.int64))
+    return (
+        np.einsum("ai,cij,bj->abc", dig, fit.T, dig)
+        + (dig @ fit.s.T)[:, None, :]
+        + (dig @ fit.t.T)[None, :, :]
+        + fit.e[None, None, :]
+    ) % p
 
 
 def best_cubic_phase(f: GroupFn) -> tuple[PolyPhase, float, float]:

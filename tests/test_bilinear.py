@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bilinear_oracle
+import cli_oracle
 from ulab.bilinear import (
     BiAffineMap,
     _mats_map_rank,
@@ -21,7 +22,7 @@ from ulab.bilinear import (
 from ulab.arrange import PartialMap
 from ulab.core import GroupParams, gf_rank
 from ulab.grid import GridFn
-from ulab.pipeline import biaffine_value_table, fit_biaffine
+from ulab.pipeline import fit_biaffine
 
 P3 = GroupParams(3, 1)
 P5 = GroupParams(5, 1)
@@ -171,7 +172,7 @@ def test_parts_recompose_random_map():
     assert np.array_equal(fit.s, beta.b)  # x-part
     assert np.array_equal(fit.t, beta.a)  # y-part
     assert np.array_equal(fit.e, beta.lam)
-    assert np.array_equal(biaffine_value_table(P33, fit), beta.value_table())
+    assert np.array_equal(cli_oracle.biaffine_value_table(P33, fit), beta.value_table())
 
 
 def test_parts_of_pure_bilinear_have_no_affine_piece():
@@ -284,6 +285,39 @@ def test_bohr_decompose_self_orthogonal_peel(t):
     assert gf_rank(5, peeled) == len(dec.peeled) <= beta.k
     assert dec.certified_rank >= t
     assert dec.verify_cells() >= 1
+
+
+def _cells_or_error(check, *args):
+    try:
+        return check(*args)
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("group", [(5, 1), (3, 2), (3, 3), (5, 2)], ids=lambda g: "F_%d^%d" % g)
+def test_verify_cells_matches_the_per_translate_loop(group):
+    # bi-affine maps, so the cells of a translate depend on (v, w); the last
+    # map peels x_0 y_0 and keeps the identity form, so on F_3^3 a reduced
+    # map is ranked over several translates; thresholds below, at and above
+    # the certified rank, so both outcomes are compared
+    params = GroupParams(*group)
+    n = params.n
+    rng = np.random.default_rng(sum(group))
+    betas = [_random_biaffine(params, int(rng.integers(1, 4)), rng) for _ in range(6)]
+    corner = np.zeros((n, n), dtype=np.int64)
+    corner[0, 0] = 1
+    mixed = _random_biaffine(params, 2, rng)
+    forms = np.stack([corner, np.eye(n, dtype=np.int64)])
+    betas.append(BiAffineMap(params, forms, mixed.a, mixed.b, mixed.lam))
+    outcomes = set()
+    for i, beta in enumerate(betas):
+        dec = bohr_decompose(beta, 2 if i == 6 else int(rng.integers(1, 4)))
+        rank = dec.certified_rank
+        for t in {None, 1, 2, int(min(rank, 9)), int(min(rank, 9)) + 1}:
+            got = _cells_or_error(dec.verify_cells, t)
+            assert got == _cells_or_error(bilinear_oracle.verify_cells, dec, t)
+            outcomes.add(type(got))
+    assert outcomes == {int, str}
 
 
 # ============================================================

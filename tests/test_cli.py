@@ -29,7 +29,6 @@ from ulab.pipeline import (
     REPORT_SCHEMA,
     PipelineConfig,
     affine_in_each_variable,
-    biaffine_value_table,
     consensus_rounding,
     derivative_peak_map,
     exhaustive_affine_fit,
@@ -297,7 +296,7 @@ def test_fit_biaffine_recovers_planted_model():
     phi = _table_to_partial_map(table, mask)
     fit = fit_biaffine(phi)
     assert fit.agreement == 1.0
-    assert np.array_equal(biaffine_value_table(P52, fit), table)
+    assert np.array_equal(cli_oracle.biaffine_value_table(P52, fit), table)
 
 
 def test_fit_biaffine_consensus_survives_corruption():
@@ -310,7 +309,7 @@ def test_fit_biaffine_consensus_survives_corruption():
     phi = PartialMap(P52, P52, mask, np.where(mask, idx, 0))
     fit = fit_biaffine(phi, offsets=25)
     assert fit.agreement >= 0.8
-    assert np.array_equal(biaffine_value_table(P52, fit), table)
+    assert np.array_equal(cli_oracle.biaffine_value_table(P52, fit), table)
 
 
 def test_fit_biaffine_rejects_empty_map():
@@ -326,6 +325,25 @@ def test_affine_in_each_variable_detects_a_break():
     broken = table.copy()
     broken[4, 7, 1] = (broken[4, 7, 1] + 1) % 5
     assert not affine_in_each_variable(P52, broken)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(5, 1, 1), (5, 1, 2), (3, 2, 1), (5, 2, 2), (7, 1, 1)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fitted_models_are_biaffine_by_their_form(groups, seed):
+    # why the extend stage checks no table: whatever data it is fitted to,
+    # the model a.T.b + s.a + t.b + e tabulates to a bi-affine table
+    p, n, vn = groups
+    params, vp = GroupParams(p, n), GroupParams(p, vn)
+    rng = np.random.default_rng(seed)
+    N = params.size
+    mask = rng.random((N, N)) < rng.random()
+    mask[rng.integers(N), rng.integers(N)] = True
+    phi = PartialMap(params, vp, mask, np.where(mask, rng.integers(0, vp.size, (N, N)), 0))
+    fit = fit_biaffine(phi, offsets=int(rng.integers(1, 8)))
+    assert affine_in_each_variable(params, cli_oracle.biaffine_value_table(params, fit))
 
 
 def test_exhaustive_affine_fit_exact_and_noisy():
@@ -595,6 +613,13 @@ def test_cmd_norms(files, capsys):
     assert main(["norms", "--input", str(files["f1"]), "--k", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["k"] == 4 and abs(out["value"] - 1.0) < 1e-9
+
+
+def test_cmd_norms_unknown_method_exits_2_with_one_line(files, capsys):
+    assert main(["norms", "--input", str(files["f1"]), "--k", "2", "--method", "fourier"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown method 'fourier'\n"
 
 
 def test_cmd_arrange_exact_and_sampled(files, capsys):

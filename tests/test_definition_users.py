@@ -42,6 +42,9 @@ ALLOWED = {
     "core.Subspace.annihilator",
     # the report digest bench/run.py reads
     "pipeline.PipelineReport.canonical_bytes",
+    # bench/tracer.py wraps it by name; it moves to tests/trilinear_oracle.py
+    # once the benchmark's tracer drops that target (ROADMAP item 1)
+    "trilinear.u3_lower",
 }
 
 

@@ -159,16 +159,6 @@ def test_u2_frozen_values():
     assert abs(uk_norm(ind, 2).value - 5 ** (-3 / 4)) < 1e-12
 
 
-def test_u2_fourier_route_agrees():
-    params = GroupParams(3, 2)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        f = _random_bounded(params, rng)
-        a = uk_norm(f, 2, "nested").value
-        b = uk_norm(f, 2, "fourier").value
-        assert abs(a - b) < 1e-12
-
-
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_uk_direct_method_matches_nested(p, n, k):
@@ -236,8 +226,6 @@ def test_uk_method_errors():
     f = GroupFn.constant(params, 1.0)
     with pytest.raises(ValueError):
         uk_norm(f, 5)
-    with pytest.raises(ValueError):
-        uk_norm(f, 3, "fourier")
     with pytest.raises(ValueError):
         uk_norm(f, 2, "bogus")
     big = GroupFn.constant(GroupParams(5, 3), 1.0)

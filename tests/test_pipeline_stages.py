@@ -6,8 +6,12 @@ value it hands out, so the tests see each clock read the pipeline makes:
 the stage seconds must be the gaps between consecutive reads (back to back,
 the gate from the start of the run), and a halt raised inside any stage,
 by a floor or by a failed verification, must name the stage that was
-running.
+running.  A run must also finish with `u3_lower` and
+`affine_in_each_variable` raising wherever the package binds them: no
+stage calls either.
 """
+
+import sys
 
 import pytest
 
@@ -116,3 +120,16 @@ def test_a_floor_halt_at_peaks_names_peaks(clock, monkeypatch):
     assert report.stages[-1].data["density"] == 0.0
     assert [s.name for s in report.stages] == ["gate", "peaks"]
     _assert_back_to_back(report, clock)
+
+
+def test_no_stage_calls_the_dropped_checks(monkeypatch):
+    # the cubic stage reads the norm from uk_norm and the correlation from
+    # the symmetry stage, and the extend stage's model is bi-affine by its
+    # form; every package binding of the two old checks raises here
+    for module in [m for name, m in sys.modules.items() if name.startswith("ulab")]:
+        for name in ("u3_lower", "affine_in_each_variable"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _fail(AssertionError("a stage called %s" % name)))
+    report = run_inverse_pipeline(*_cubic_line())
+    assert not report.halted
+    assert [s.name for s in report.stages] == list(STAGES)

@@ -16,6 +16,14 @@ the chosen terms must be identical and the correlations within 1e-12, exact
 ties included.  The search goes through its quadratic parts in blocks of
 SIZE_CAP // N; at every block size it must return the bits of the
 unblocked oracle, also on real inputs, where Q and -Q tie across blocks.
+
+The pipeline's cubic stage once ran `u3_lower` on the remainder
+f omega^{-kappa} with the phases of the fitted maps as grids
+(`oracle.cubic_stage_box`).  Its correlation is |tri_correlation(f, h,
+sigma)| for the symmetry stage's phase product h, within 1e-12, on planted
+cubics, on corrupted inputs where sigma differs from the fitted tau, and on
+random bounded inputs; its norm is `uk_norm` of the remainder, which the
+stage now reports, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,11 +36,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trilinear_oracle as oracle
+import ulab.pipeline
 from ulab import gowers, trilinear
 from ulab.core import GroupFn, GroupParams, PolyPhase, poly_phase_fn
 from ulab.gowers import uk_norm
 from ulab.grid import GridFn
-from ulab.trilinear import PhaseProduct, TrilinearForm, quad_phase_search, tri_correlation, u3_lower
+from ulab.pipeline import STAGES, PipelineConfig, run_inverse_pipeline
+from ulab.trilinear import (
+    PhaseProduct,
+    TrilinearForm,
+    quad_phase_search,
+    symmetrize,
+    symmetry_pipeline,
+    tri_correlation,
+    u3_lower,
+)
 
 TOL = 1e-12
 GROUPS = [(3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (2, 3)]
@@ -209,3 +227,81 @@ def test_blocked_search_matches_the_unblocked_oracle(group, monkeypatch):
             monkeypatch.setattr(trilinear, "SIZE_CAP", cap)
             found, corr = quad_phase_search(g)
             assert (found.terms, corr) == (want.terms, want_corr), (kind, cap)
+
+
+# ============================================================
+# the cubic stage's box correlation is the symmetry stage's
+# ============================================================
+
+
+def _random_cubic(params: GroupParams, rng: np.random.Generator) -> PolyPhase:
+    n, p = params.n, params.p
+    monos = [m for d in (1, 2, 3) for m in itertools.combinations_with_replacement(range(n), d)]
+    return PolyPhase.from_coeffs(params, {m: int(rng.integers(p)) for m in monos})
+
+
+def _run_recording_symmetry(f: GroupFn, cfg: PipelineConfig, monkeypatch):
+    """The pipeline's report on f, and (tau, theta, lambda, sigma, report)
+    of its symmetry stage."""
+    seen = []
+    inner = ulab.pipeline.symmetry_pipeline
+
+    def recording(f, tau, theta, lam):
+        sigma, srep = inner(f, tau, theta, lam)
+        seen.append((tau, theta, lam, sigma, srep))
+        return sigma, srep
+
+    monkeypatch.setattr(ulab.pipeline, "symmetry_pipeline", recording)
+    report = run_inverse_pipeline(f, cfg)
+    (call,) = seen
+    return report, call
+
+
+def _assert_cubic_stage_matches_the_box(f: GroupFn, report, call) -> None:
+    tau, theta, lam, sigma, srep = call
+    cubic = report.stages[STAGES.index("cubic")].data
+    g, alpha, norm = oracle.cubic_stage_box(f, sigma, theta, lam)
+    assert abs(alpha - abs(tri_correlation(f, srep.phase, sigma))) < TOL
+    assert abs(cubic["alpha_box"] - alpha) < TOL
+    assert cubic["u3_norm"] == norm == uk_norm(g, 3).value
+
+
+@pytest.mark.parametrize("group, seed", [((5, 2), 0), ((5, 2), 1), ((7, 1), 2), ((13, 1), 3)])
+def test_cubic_stage_box_on_planted_cubics(group, seed, monkeypatch):
+    params = GroupParams(*group)
+    f = poly_phase_fn(_random_cubic(params, np.random.default_rng(seed)))
+    report, call = _run_recording_symmetry(f, PipelineConfig(p=params.p, n=params.n), monkeypatch)
+    assert not report.halted
+    tau, _, _, sigma, _ = call
+    assert np.array_equal(tau.coeffs, sigma.coeffs)
+    _assert_cubic_stage_matches_the_box(f, report, call)
+
+
+@pytest.mark.parametrize("seed, symmetric", [(1, True), (10, False), (35, False)])
+def test_cubic_stage_box_on_corrupted_inputs(seed, symmetric, monkeypatch):
+    # a residual_tol of 10 lets an asymmetric fitted tau through to cubic
+    params = GroupParams(5, 2)
+    rng = np.random.default_rng(seed)
+    vals = poly_phase_fn(_random_cubic(params, rng)).values.copy()
+    idx = rng.choice(params.size, size=5, replace=False)
+    vals[idx] = np.exp(2j * np.pi * rng.random(5))
+    f = GroupFn(params, vals)
+    report, call = _run_recording_symmetry(f, PipelineConfig(p=5, n=2, residual_tol=10.0), monkeypatch)
+    assert not report.halted
+    tau, _, _, sigma, _ = call
+    assert np.array_equal(tau.coeffs, sigma.coeffs) == symmetric
+    _assert_cubic_stage_matches_the_box(f, report, call)
+
+
+@SETTINGS
+@given(st.sampled_from([(5, 1), (7, 1), (5, 2), (7, 2)]), st.integers(0, 2**32 - 1))
+def test_cubic_stage_box_on_random_inputs(group, seed):
+    params = GroupParams(*group)
+    p, n = params.p, params.n
+    rng = np.random.default_rng(seed)
+    f = _bounded(params, int(rng.integers(2**32)))
+    sigma, _ = symmetrize(TrilinearForm(params, rng.integers(0, p, size=(n, n, n))))
+    theta, lam = [(rng.integers(0, p, size=(n, n)), rng.integers(0, p, size=n)) for _ in range(2)]
+    _, srep = symmetry_pipeline(f, sigma, theta, lam)
+    _, alpha, _ = oracle.cubic_stage_box(f, sigma, theta, lam)
+    assert abs(alpha - abs(tri_correlation(f, srep.phase, sigma))) < TOL

@@ -25,8 +25,11 @@ of tau over all p^{3n} triples, which `ulab.trilinear.analytic_mean_tri`
 replaced with the ranks of the slices T_a, and keeps those counts exact
 in a `CharacterSum`.  `form_value`, `scaled`, `slice_at`, `phase_one` and
 `phase_exponent` evaluate and build forms and phase products pointwise, as
-only tests need.  Tests compare the library against them; nothing in the
-package imports this module.
+only tests need.  `cubic_stage_box` is the cubic stage's box lower bound
+as the pipeline ran it before it reused the symmetry stage's correlation:
+`u3_lower` of the remainder with the phases of the fitted maps as grids.
+Tests compare the library against them; nothing in the package imports
+this module.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 from ulab.core import SIZE_CAP, GroupFn, PolyPhase, char_transform, gf_rank
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
-from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm
+import ulab.trilinear
+from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm, u3_lower
 
 
 def form_value(tau: TrilinearForm, a, b, c):
@@ -315,3 +319,27 @@ def alternating_sum_constant(kappa: PolyPhase, sigma: TrilinearForm) -> int:
     if np.any((S - cstar * stab) % p):
         raise RuntimeError("alternating sum is not proportional to the form")
     return int(cstar)
+
+
+def cubic_stage_box(f: GroupFn, sigma: TrilinearForm, theta, lam) -> tuple[GroupFn, float, float]:
+    """(g, alpha_box, U^3 norm of g) for the remainder g = f omega^{-kappa}
+    of the cubic integrated from sigma, with alpha_box the box correlation
+    of g against the grids omega^{-lam(b).c - (u_theta + u_lam).c} and
+    omega^{-theta(a).c} of the fitted affine maps theta = (M, u) and lam."""
+    params = f.params
+    p, N = params.p, params.size
+    (Mth, uth), (Mlm, ulm) = theta, lam
+    kappa0, cstar = ulab.trilinear.kappa_from_sigma(sigma)
+    scale = (-pow(cstar, p - 2, p)) % p
+    kappa = PolyPhase.from_coeffs(params, {mono: coef * scale % p for mono, coef in kappa0.terms})
+    g = GroupFn(params, f.values * np.exp(-2j * np.pi * kappa.phase_table() / p))
+    dig = params.digits(np.arange(N, dtype=np.int64))
+    BC = (-Mlm.T) % p
+    AC = (-Mth.T) % p
+    lc = (-(uth + ulm)) % p
+    expo_v = (np.einsum("bi,ij,cj->bc", dig, BC, dig) + dig @ lc) % p
+    expo_w = np.einsum("ai,ij,cj->ac", dig, AC, dig) % p
+    vgrid = GridFn(params, np.exp(2j * np.pi * expo_v / p))
+    wgrid = GridFn(params, np.exp(2j * np.pi * expo_w / p))
+    alpha, norm = u3_lower(g, GridFn.constant(params, 1.0), vgrid, wgrid)
+    return g, alpha, norm
