@@ -5,7 +5,8 @@ A bi-affine map into F_p^k is stored coordinatewise as
 beta_i(x, y) = x.T_i y + a_i.y + x.b_i + lam_i.  Its rank is the smallest
 rank, over nonzero combinations u, of the bilinear coefficient matrix of
 u.beta; peeling low-rank combinations yields a cell decomposition of G^2
-whose nonempty cells all carry certified high rank.  The Bogolyubov step
+whose cells all carry high rank, certified by the peeling's last scan of
+every remaining combination.  The Bogolyubov step
 approximates the mixed self-convolution of a bounded grid function, in L2,
 by its average over the level sets of such a map.
 """
@@ -120,27 +121,6 @@ class BiAffineMap:
         pows = p ** np.arange(k, dtype=np.int64)
         return self.value_table() @ pows
 
-    def restrict(self, bx: np.ndarray, by: np.ndarray, v: int = 0, w: int = 0) -> "BiAffineMap":
-        """Restriction to (row span of bx + v) x (row span of by + w).
-
-        The result lives on coefficient space F_p^d with d = rows of bx,
-        which must equal rows of by.
-        """
-        p = self.params.p
-        bx = np.asarray(bx, dtype=np.int64).reshape(-1, self.params.n) % p
-        by = np.asarray(by, dtype=np.int64).reshape(-1, self.params.n) % p
-        if bx.shape[0] != by.shape[0]:
-            raise ValueError("restriction needs equal dimensions on both sides")
-        if bx.shape[0] == 0:
-            raise ValueError("cannot restrict to a zero-dimensional product")
-        dv = self.params.digits(int(v))
-        dw = self.params.digits(int(w))
-        Tr = np.einsum("vs,kst,wt->kvw", bx, self.T, by) % p
-        ar = (np.einsum("kst,s->kt", self.T, dv) + self.a) @ by.T % p
-        br = (np.einsum("kst,t->ks", self.T, dw) + self.b) @ bx.T % p
-        lamr = (np.einsum("s,kst,t->k", dv, self.T, dw) + self.a @ dw + self.b @ dv + self.lam) % p
-        return BiAffineMap(GroupParams(p, bx.shape[0]), Tr, ar, br, lamr)
-
 
 def biaffine_to_json(beta: BiAffineMap) -> dict:
     return {
@@ -208,10 +188,11 @@ class BohrDecomposition:
 
     X = X0 (+) X1 and Y = Y0 (+) Y1; each cell is
     {(x, y): x_0 = v, y_0 = w, beta(x, y) = z}.  The peeled combinations in
-    `peeled` are linear on every cell's ambient product; `certified_rank`
-    is the measured rank of the reduced map (the combinations orthogonal to
-    the peeled ones) restricted to X1 x Y1, and is at least
-    `rank_certificate` (infinite when nothing remains to combine).
+    `peeled` are linear on every cell's ambient product.  `certified_rank`
+    is the minimum of the peeling's last scan, which ranked every nonzero
+    combination of a complement of the peeled ones restricted to X1 x Y1;
+    the peeling stops only when it is at least `rank_certificate` (infinite
+    when nothing remains to combine), so that scan is the certificate.
     """
 
     beta: BiAffineMap
@@ -221,7 +202,6 @@ class BohrDecomposition:
     Y1: Subspace
     rank_certificate: int
     certified_rank: float
-    reduced: BiAffineMap
     peeled: tuple[tuple[int, ...], ...]
     round_scans: tuple[tuple[int, ...], ...]
 
@@ -242,34 +222,17 @@ class BohrDecomposition:
     def y0_labels(self) -> np.ndarray:
         return self._component_labels(self.Y1, self.Y0)
 
-    def cell_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x0 label per x, y0 label per y, packed beta value per (x, y))."""
-        return self.x0_labels(), self.y0_labels(), self.beta.value_index_table()
-
-    def verify_cells(self, t: int | None = None) -> int:
-        """Check the rank of the reduced map restricted to the occupied cell
-        translates; returns the number of nonempty cells.
-
-        The restriction's bilinear matrices read only the bases of X1 and
-        Y1, not the translate (v, w), so one rank serves every translate.
-        The cells are the distinct (x0 label, y0 label, beta value) triples.
-        Raises if the occupied cells fail the threshold."""
-        threshold = self.rank_certificate if t is None else t
-        xl, yl, zt = self.cell_tables()
-        N = xl.size
-        cells = np.unique(np.stack([np.repeat(xl, N), np.tile(yl, N), zt.ravel()], axis=1), axis=0)
-        if self.reduced.k == 0:
-            # every combination is peeled: cells are full products
-            rank: float = math.inf
-        else:
-            restricted = self.reduced.restrict(self.X1.matrix(), self.Y1.matrix())
-            rank, _ = _mats_map_rank(self.beta.params.p, restricted.T)
-        if rank < threshold:
-            v, w = cells[0, :2]
-            raise RuntimeError(
-                "cell translate (%d, %d) has reduced rank %s below %d" % (v, w, rank, threshold)
-            )
-        return len(cells)
+    def cell_index(self) -> np.ndarray:
+        """Cell code of every (x, y), shape (N, N): (x0 label * N + y0 label)
+        * p^k + packed beta value, so codes sort in the lexicographic order
+        of the (x0 label, y0 label, beta value) triples.  Needs N^2 p^k to
+        fit int64."""
+        params = self.beta.params
+        N, pk = params.size, params.p**self.beta.k
+        if N * N * pk >= 2**63:
+            raise ValueError("cell space too large to index")
+        labels = self.x0_labels()[:, None] * N + self.y0_labels()[None, :]
+        return labels * pk + self.beta.value_index_table()
 
 
 def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
@@ -279,12 +242,11 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     everything already peeled, restricted to the current product V x W, with
     one `_mats_map_rank` call on the restricted matrices; the minimal-rank
     one (earliest in index order on ties) is peeled, shrinking V and W by its
-    kernels.  The complement is the space orthogonal to the peeled vectors
-    when that is one; over F_p a peeled vector can be orthogonal to itself,
-    and then the unit vectors off their pivot columns are taken instead.
-    Either way every peeled vector is independent of the earlier ones, so
-    the loop runs at most k rounds before the reduced map is empty.  The
-    last round's minimum is the certified rank.
+    kernels.  The complement is spanned by the unit vectors off the pivot
+    columns of the peeled vectors, so every peeled vector is independent of
+    the earlier ones and the loop runs at most k rounds before nothing is
+    left to combine.  The last round's scan ranks every remaining
+    combination; its minimum is the certified rank.
     """
     if t < 1:
         raise ValueError("rank threshold t must be at least 1, got %d" % t)
@@ -296,12 +258,8 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     peeled: list[tuple[int, ...]] = []
     scans: list[tuple[int, ...]] = []
     for _ in range(k + 1):
-        NB = np.eye(k, dtype=np.int64)
-        if U.shape[0]:
-            NB = gf_nullspace(p, U)
-            if gf_rank(p, np.concatenate([U, NB])) < k:
-                pivots = gf_rowreduce(p, U)[1]
-                NB = np.eye(k, dtype=np.int64)[[c for c in range(k) if c not in pivots]]
+        pivots = gf_rowreduce(p, U)[1] if U.shape[0] else []
+        NB = np.eye(k, dtype=np.int64)[[c for c in range(k) if c not in pivots]]
         Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
         mats = np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p
         min_rank, scan = _mats_map_rank(p, mats)
@@ -313,7 +271,6 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
             Y0 = _complement(params, Y1)
             if X0.dim > t * k or Y0.dim > t * k:
                 raise RuntimeError("peeled dimensions exceed the t*k guarantee")
-            reduced = BiAffineMap(params, Tr, NB @ beta.a % p, NB @ beta.b % p, NB @ beta.lam % p)
             return BohrDecomposition(
                 beta=beta,
                 X0=X0,
@@ -322,7 +279,6 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
                 Y1=Y1,
                 rank_certificate=t,
                 certified_rank=min_rank,
-                reduced=reduced,
                 peeled=tuple(peeled),
                 round_scans=tuple(scans),
             )
@@ -495,7 +451,6 @@ def bogolyubov_bilinear(
     f: GridFn,
     zeta: float,
     *,
-    cover_method: str = "auto",
     max_maps: int = 48,
     candidate_cap: int = 4096,
 ) -> tuple[BiAffineMap, BogolyubovReport]:
@@ -508,13 +463,13 @@ def bogolyubov_bilinear(
     phases into a single map beta.  The measured error of the averaging projection is
     returned and flagged when it misses the target.
 
-    The cover is greedy.  With cover_method "exact" (the default for
-    n <= 2) it picks among all p^(n^2+n) maps, counted per matrix: each M
-    covers each spectrum point (h, u) with the one shift c = u - Mh, so one
-    bincount per step gives every map's gain, and ties go to the
-    lexicographically earliest map (M first, then c).  With "greedy" (the
-    default above) the candidates are maps fitted through single spectrum
-    points and pairs of them, at most candidate_cap.
+    The cover is greedy.  For n <= 2 (method "exact") it picks among all
+    p^(n^2+n) maps, counted per matrix: each M covers each spectrum point
+    (h, u) with the one shift c = u - Mh, so one bincount per step gives
+    every map's gain, and ties go to the lexicographically earliest map (M
+    first, then c).  Above that (method "greedy") the candidates are maps
+    fitted through single spectrum points and pairs of them, at most
+    candidate_cap.
     """
     if not zeta > 0:
         raise ValueError("the approximation target must be positive")
@@ -540,11 +495,7 @@ def bogolyubov_bilinear(
     points = [(int(h), int(u)) for u, h in zip(us, hs)]
     points.sort()
 
-    method = cover_method
-    if method == "auto":
-        method = "exact" if n <= 2 else "greedy"
-    if method not in ("exact", "greedy"):
-        raise ValueError("cover_method must be auto, exact, or greedy")
+    method = "exact" if n <= 2 else "greedy"
 
     if points and method == "exact":
         rows, uncovered = _exact_cover(params, points, gamma * N, max_maps)

@@ -18,8 +18,11 @@ polynomial it correlates with:
 5.  cover       - run the bilinear Bogolyubov argument on the domain
                   indicator, producing a bi-affine map of bounded codomain.
 6.  cells       - peel low-rank combinations to get a Bohr-type cell
-                  decomposition with certified-rank cells; restrict the map
-                  to its best-populated cell.
+                  decomposition; the peeling's last scan ranks every
+                  remaining combination and is the rank certificate.  One
+                  packed code per (x, y) names its cell, so one count of
+                  the domain's codes finds the best-populated cell (ties to
+                  the lowest code), to which the map is restricted.
 7.  rounding    - consensus-round each value from the affine line votes of
                   its row and column, measuring the vote stability.  The
                   votes are N^2 theta, theta = phi * phi * phi^adj on each
@@ -82,7 +85,6 @@ import logging
 import math
 import numbers
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -756,22 +758,24 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
     record(cover_data)
 
     # -------- cells --------
+    # the cell code packs N^2 p^k cells into int64, so that bounds p^k too
+    pk = params.p**beta.k
+    budget = min(cfg.size_cap, (2**63 - 1) // params.size**2)
     _require(
-        params.p**beta.k <= cfg.size_cap,
+        pk <= budget,
         "cover codomain F_%d^%d is too large to decompose within the size "
-        "budget %d; raise zeta or the budget" % (params.p, beta.k, cfg.size_cap),
+        "budget %d; raise zeta or the budget" % (params.p, beta.k, budget),
         cover_data,
     )
     t = cfg.t if cfg.t is not None else max(3 * beta.k + 2, 7)
     dec = bohr_decompose(beta, t)
-    cells_checked = dec.verify_cells()
-    xl, yl, zt = dec.cell_tables()
-    counts: Counter = Counter()
-    for a, b in zip(*np.nonzero(phi2.domain)):
-        counts[(int(xl[a]), int(yl[b]), int(zt[a, b]))] += 1
-    best_cell, best_count = max(sorted(counts.items()), key=lambda kv: kv[1])
-    v, w, z = best_cell
-    cell_mask = (xl[:, None] == v) & (yl[None, :] == w) & (zt == z)
+    code = dec.cell_index()
+    occupied, counts = np.unique(code[phi2.domain], return_counts=True)
+    best = int(np.argmax(counts))
+    best_code, best_count = int(occupied[best]), int(counts[best])
+    v, w = divmod(best_code // pk, params.size)
+    z = best_code % pk
+    cell_mask = code == best_code
     cell_dom = phi2.domain & cell_mask
     cell_phi = PartialMap(params, phi2.value_params, cell_dom, np.where(cell_dom, phi2.values, 0))
     cell_size = int(cell_mask.sum())
@@ -782,8 +786,8 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
         "certified_rank": dec.certified_rank,
         "rank_certificate": dec.rank_certificate,
         "peeled": len(dec.peeled),
-        "cells_checked": cells_checked,
-        "occupied_cells": len(counts),
+        "cells_checked": np.unique(code).size,
+        "occupied_cells": occupied.size,
         "cell": [v, w, z],
         "cell_points": best_count,
         "cell_size": cell_size,

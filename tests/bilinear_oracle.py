@@ -7,13 +7,18 @@ index of M h + c for every map and every h, then runs the greedy cover on
 that table.  `bohr_decompose` is the peeling loop with its own inline scan
 of the combinations in each round and a second full rank scan of the last
 round's matrices at exit, which `ulab.bilinear` replaced with one
-`_mats_map_rank` call per round.  `verify_cells` restricts and ranks the
-reduced map again on every occupied translate (v, w) and counts each
-translate's cells with its own `np.unique`, where
-`BohrDecomposition.verify_cells` ranks once and counts the cells in one
-pass.  `is_bilinear` and `combine` are
-`BiAffineMap` helpers that only tests use.  Tests compare the library
-against them; nothing in the package imports this module.
+`_mats_map_rank` call per round; like the package, it scans the
+combinations of the unit vectors off the pivots of the peeled vectors.
+`bohr_decompose_orthogonal` is the same loop with the rule the package
+used before, the combinations orthogonal to the peeled ones: where it
+returns, both rules certify the same rank with the same number of peels.
+`verify_cells` restricts and ranks the reduced map, rebuilt from `peeled`
+by `reduced`, on every occupied translate (v, w) with `restrict`, and
+counts each translate's cells with its own `np.unique`: the check the
+cells stage made before it trusted the peeling's last scan and counted
+its cells with one `BohrDecomposition.cell_index`.  `is_bilinear` and
+`combine` are `BiAffineMap` helpers that only tests use.  Tests compare
+the library against them; nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -49,6 +54,29 @@ def combine(beta: BiAffineMap, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     return T, a, b, lam
 
 
+def restrict(beta: BiAffineMap, bx: np.ndarray, by: np.ndarray, v: int = 0, w: int = 0) -> BiAffineMap:
+    """Restriction of beta to (row span of bx + v) x (row span of by + w).
+
+    The result lives on coefficient space F_p^d with d = rows of bx,
+    which must equal rows of by.
+    """
+    params = beta.params
+    p = params.p
+    bx = np.asarray(bx, dtype=np.int64).reshape(-1, params.n) % p
+    by = np.asarray(by, dtype=np.int64).reshape(-1, params.n) % p
+    if bx.shape[0] != by.shape[0]:
+        raise ValueError("restriction needs equal dimensions on both sides")
+    if bx.shape[0] == 0:
+        raise ValueError("cannot restrict to a zero-dimensional product")
+    dv = params.digits(int(v))
+    dw = params.digits(int(w))
+    Tr = np.einsum("vs,kst,wt->kvw", bx, beta.T, by) % p
+    ar = (np.einsum("kst,s->kt", beta.T, dv) + beta.a) @ by.T % p
+    br = (np.einsum("kst,t->ks", beta.T, dw) + beta.b) @ bx.T % p
+    lamr = (np.einsum("s,kst,t->k", dv, beta.T, dw) + beta.a @ dw + beta.b @ dv + beta.lam) % p
+    return BiAffineMap(GroupParams(p, bx.shape[0]), Tr, ar, br, lamr)
+
+
 def exact_candidates(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
     """All p^(n^2+n) affine maps h -> Mh + c, in lexicographic order."""
     n = params.n
@@ -68,13 +96,24 @@ def exact_cover(
     return _greedy_cover(tables, points, eps_count, max_maps)
 
 
-def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
+def _coordinate_complement(p: int, U: np.ndarray, k: int) -> np.ndarray:
+    """Unit vectors of F_p^k off the pivot columns of rref(U)."""
+    pivots = gf_rowreduce(p, U)[1] if U.shape[0] else []
+    return np.eye(k, dtype=np.int64)[[c for c in range(k) if c not in pivots]]
+
+
+def _orthogonal_complement(p: int, U: np.ndarray, k: int) -> np.ndarray:
+    """A basis of the vectors of F_p^k orthogonal to the rows of U."""
+    return gf_nullspace(p, U) if U.shape[0] else np.eye(k, dtype=np.int64)
+
+
+def _peel(beta: BiAffineMap, t: int, complement) -> BohrDecomposition:
     """Peel low-rank combinations until the rest have rank at least t.
 
-    Each round scans the combinations orthogonal to everything already
-    peeled, restricted to the current product V x W; the minimal-rank one
-    (earliest in index order on ties) is peeled, shrinking V and W by its
-    kernels.  The loop runs at most k rounds before the reduced map is empty.
+    Each round scans the combinations of the rows of complement(p, U, k),
+    U the peeled vectors, restricted to the current product V x W; the
+    minimal-rank one (earliest in index order on ties) is peeled, shrinking
+    V and W by its kernels.
     """
     params = beta.params
     p, n, k = params.p, params.n, beta.k
@@ -84,7 +123,7 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     peeled: list[tuple[int, ...]] = []
     scans: list[tuple[int, ...]] = []
     for _ in range(k + 1):
-        NB = gf_nullspace(p, U) if U.shape[0] else np.eye(k, dtype=np.int64)
+        NB = complement(p, U, k)
         kk = NB.shape[0]
         ranks: list[int] = []
         combos: list[np.ndarray] = []
@@ -105,7 +144,6 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
             if X0.dim > t * k or Y0.dim > t * k:
                 raise RuntimeError("peeled dimensions exceed the t*k guarantee")
             Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
-            reduced = BiAffineMap(params, Tr, NB @ beta.a % p, NB @ beta.b % p, NB @ beta.lam % p)
             certified, _ = _mats_map_rank(p, np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p)
             return BohrDecomposition(
                 beta=beta,
@@ -115,7 +153,6 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
                 Y1=Y1,
                 rank_certificate=t,
                 certified_rank=certified,
-                reduced=reduced,
                 peeled=tuple(peeled),
                 round_scans=tuple(scans),
             )
@@ -130,11 +167,43 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     raise RuntimeError("peeling exceeded k rounds; the reduction invariant failed")
 
 
+def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
+    """The peeling over the unit vectors off the peeled vectors' pivots."""
+    return _peel(beta, t, _coordinate_complement)
+
+
+def bohr_decompose_orthogonal(beta: BiAffineMap, t: int) -> BohrDecomposition:
+    """The peeling over the combinations orthogonal to the peeled ones.
+
+    Over F_p a peeled vector can be orthogonal to itself; then this rule
+    peels a combination already peeled and runs out of its k rounds.
+    """
+    return _peel(beta, t, _orthogonal_complement)
+
+
+def reduced(dec: BohrDecomposition) -> BiAffineMap:
+    """The combinations of beta left unpeeled: the unit vectors off the
+    pivots of `peeled`, applied to every coordinate array."""
+    beta = dec.beta
+    p, k = beta.params.p, beta.k
+    NB = _coordinate_complement(p, np.array(dec.peeled, dtype=np.int64).reshape(-1, k), k)
+    return BiAffineMap(
+        beta.params,
+        np.tensordot(NB, beta.T, axes=(1, 0)) % p,
+        NB @ beta.a % p,
+        NB @ beta.b % p,
+        NB @ beta.lam % p,
+    )
+
+
 def verify_cells(dec: BohrDecomposition, t: int | None = None) -> int:
-    """The per-translate loop of `BohrDecomposition.verify_cells`."""
+    """Rank the reduced map restricted to every occupied cell translate
+    (v, w) and return the number of nonempty cells; raise if a translate
+    falls below the threshold (the decomposition's certificate by default)."""
     threshold = dec.rank_certificate if t is None else t
     p = dec.beta.params.p
-    xl, yl, zt = dec.cell_tables()
+    xl, yl, zt = dec.x0_labels(), dec.y0_labels(), dec.beta.value_index_table()
+    rest = reduced(dec)
     checked = 0
     for v in dec.X0.member_indices():
         xs = np.nonzero(xl == v)[0]
@@ -143,10 +212,10 @@ def verify_cells(dec: BohrDecomposition, t: int | None = None) -> int:
             zs = np.unique(zt[np.ix_(xs, ys)])
             if zs.size == 0:
                 continue
-            if dec.reduced.k == 0:
+            if rest.k == 0:
                 rank: float = math.inf
             else:
-                restricted = dec.reduced.restrict(dec.X1.matrix(), dec.Y1.matrix(), int(v), int(w))
+                restricted = restrict(rest, dec.X1.matrix(), dec.Y1.matrix(), int(v), int(w))
                 rank, _ = _mats_map_rank(p, restricted.T)
             if rank < threshold:
                 raise RuntimeError(

@@ -15,7 +15,10 @@ per symmetry orbit of (a, b).  `best_cubic_phase`
 is the pipeline's target found by exhaustion: the cubic q maximising
 |E f omega^{-q}|.  `biaffine_value_table` tabulates a fitted model over all
 of G^2, the table the extend stage checked for bi-affinity until that check
-was dropped as one that cannot fail.  Tests compare the library against
+was dropped as one that cannot fail.  `best_cell` is the cells stage's
+`Counter` over the domain's (x0 label, y0 label, beta value) triples, which
+`ulab.pipeline` replaced with one `np.unique` of the packed
+`BohrDecomposition.cell_index` codes.  Tests compare the library against
 them; nothing in the package imports this module.
 """
 
@@ -27,6 +30,7 @@ from collections import Counter
 import numpy as np
 
 from ulab.arrange import PartialMap
+from ulab.bilinear import BohrDecomposition
 from ulab.core import GroupFn, GroupParams, PolyPhase, char_transform, gf_rowreduce, gf_solve
 from ulab.gowers import PEAK_TIE_TOL, derivative2_spectra, norm_from_power
 from ulab.pipeline import BiAffineFit, exhaustive_affine_fit
@@ -227,6 +231,18 @@ def biaffine_value_table(params: GroupParams, fit: BiAffineFit) -> np.ndarray:
         + (dig @ fit.t.T)[None, :, :]
         + fit.e[None, None, :]
     ) % p
+
+
+def best_cell(dec: BohrDecomposition, domain: np.ndarray) -> tuple[int, tuple[int, int, int], int]:
+    """(occupied cells, best cell, its points) of the domain: the most
+    populated (x0 label, y0 label, beta value) triple, the first in sorted
+    order on ties."""
+    xl, yl, zt = dec.x0_labels(), dec.y0_labels(), dec.beta.value_index_table()
+    counts: Counter = Counter()
+    for a, b in zip(*np.nonzero(domain)):
+        counts[(int(xl[a]), int(yl[b]), int(zt[a, b]))] += 1
+    cell, points = max(sorted(counts.items()), key=lambda kv: kv[1])
+    return len(counts), cell, points
 
 
 def best_cubic_phase(f: GroupFn) -> tuple[PolyPhase, float, float]:

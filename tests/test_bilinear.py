@@ -4,6 +4,7 @@ averaging projections, and Bogolyubov-type approximations."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ import bilinear_oracle
 import cli_oracle
 from ulab.bilinear import (
     BiAffineMap,
+    _affine_map_tables,
+    _exact_cover,
+    _fitted_candidates,
+    _greedy_cover,
     _mats_map_rank,
     avg_projection,
     biaffine_from_json,
@@ -20,8 +25,8 @@ from ulab.bilinear import (
     bohr_decompose,
 )
 from ulab.arrange import PartialMap
-from ulab.core import GroupParams, gf_rank
-from ulab.grid import GridFn
+from ulab.core import GroupParams, char_transform, gf_rank
+from ulab.grid import GridFn, vert_conv
 from ulab.pipeline import fit_biaffine
 
 P3 = GroupParams(3, 1)
@@ -51,6 +56,15 @@ def _random_biaffine(params: GroupParams, k: int, rng: np.random.Generator) -> B
         rng.integers(0, p, (k, n)),
         rng.integers(0, p, k),
     )
+
+
+def _checked_cells(dec) -> int:
+    """The number of cells by the packed code, which must equal the
+    per-translate oracle's count; the oracle also ranks every occupied
+    translate and raises below the decomposition's certificate."""
+    cells = np.unique(dec.cell_index()).size
+    assert bilinear_oracle.verify_cells(dec) == cells
+    return cells
 
 
 def _phase_grid(beta: BiAffineMap) -> GridFn:
@@ -114,7 +128,7 @@ def test_restrict_agrees_with_evaluation():
     bx = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)
     by = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
     v, w = 4, 2  # translate representatives as point indices
-    res = beta.restrict(bx, by, v, w)
+    res = bilinear_oracle.restrict(beta, bx, by, v, w)
     assert res.params.n == 2 and res.k == 2
     dv = P33.digits(np.array([v]))[0]
     dw = P33.digits(np.array([w]))[0]
@@ -236,7 +250,7 @@ def test_bohr_decompose_no_peel():
     assert dec.peeled == ()
     assert dec.X0.dim == 0 and dec.Y0.dim == 0
     assert dec.certified_rank == 3
-    assert dec.verify_cells() >= 1
+    assert _checked_cells(dec) >= 1
 
 
 def test_bohr_decompose_one_peel():
@@ -248,7 +262,7 @@ def test_bohr_decompose_one_peel():
     assert dec.X0.dim == 1 and dec.Y0.dim == 1
     assert dec.X0.dim <= 2 * beta.k and dec.Y0.dim <= 2 * beta.k
     assert dec.certified_rank == 2
-    assert dec.verify_cells() >= 1
+    assert _checked_cells(dec) >= 1
 
 
 def test_bohr_decompose_full_peel_gives_product_cells():
@@ -256,10 +270,10 @@ def test_bohr_decompose_full_peel_gives_product_cells():
     m[0, 0] = 1
     beta = BiAffineMap.bilinear(P33, m)
     dec = bohr_decompose(beta, 2)
-    assert dec.reduced.k == 0
+    assert bilinear_oracle.reduced(dec).k == 0
     assert dec.certified_rank == math.inf
     assert dec.X0.dim == 1 and dec.Y0.dim == 1
-    assert dec.verify_cells() >= 1
+    assert _checked_cells(dec) >= 1
 
 
 def test_bohr_decompose_random_maps():
@@ -271,7 +285,7 @@ def test_bohr_decompose_random_maps():
         dec = bohr_decompose(beta, 2)
         assert dec.X0.dim <= 2 * k and dec.Y0.dim <= 2 * k
         assert dec.certified_rank >= 2
-        assert dec.verify_cells() >= 1
+        assert _checked_cells(dec) >= 1
 
 
 @pytest.mark.parametrize("t", range(1, 13))
@@ -284,7 +298,7 @@ def test_bohr_decompose_self_orthogonal_peel(t):
     peeled = np.array(dec.peeled, dtype=np.int64)
     assert gf_rank(5, peeled) == len(dec.peeled) <= beta.k
     assert dec.certified_rank >= t
-    assert dec.verify_cells() >= 1
+    assert _checked_cells(dec) >= 1
 
 
 def _cells_or_error(check, *args):
@@ -298,8 +312,10 @@ def _cells_or_error(check, *args):
 def test_verify_cells_matches_the_per_translate_loop(group):
     # bi-affine maps, so the cells of a translate depend on (v, w); the last
     # map peels x_0 y_0 and keeps the identity form, so on F_3^3 a reduced
-    # map is ranked over several translates; thresholds below, at and above
-    # the certified rank, so both outcomes are compared
+    # map is ranked over several translates.  At every threshold up to the
+    # certified rank the per-translate loop counts the packed code's cells;
+    # one above a finite certified rank it raises, so the last round's scan
+    # is the whole certificate
     params = GroupParams(*group)
     n = params.n
     rng = np.random.default_rng(sum(group))
@@ -313,11 +329,40 @@ def test_verify_cells_matches_the_per_translate_loop(group):
     for i, beta in enumerate(betas):
         dec = bohr_decompose(beta, 2 if i == 6 else int(rng.integers(1, 4)))
         rank = dec.certified_rank
-        for t in {None, 1, 2, int(min(rank, 9)), int(min(rank, 9)) + 1}:
-            got = _cells_or_error(dec.verify_cells, t)
-            assert got == _cells_or_error(bilinear_oracle.verify_cells, dec, t)
+        cells = np.unique(dec.cell_index()).size
+        for t in (None, *range(1, int(min(rank, 9)) + 1)):
+            got = _cells_or_error(bilinear_oracle.verify_cells, dec, t)
+            assert got == cells
+            outcomes.add(type(got))
+        if rank < math.inf:
+            got = _cells_or_error(bilinear_oracle.verify_cells, dec, int(rank) + 1)
+            assert got.endswith("has reduced rank %d below %d" % (rank, rank + 1))
             outcomes.add(type(got))
     assert outcomes == {int, str}
+
+
+def test_cell_index_orders_cells_like_their_triples():
+    rng = np.random.default_rng(3)
+    beta = _random_biaffine(P32, 2, rng)
+    dec = bohr_decompose(beta, 2)
+    assert dec.X0.dim > 0
+    N, pk = P32.size, 3**beta.k
+    code = dec.cell_index()
+    xl, yl, zt = dec.x0_labels(), dec.y0_labels(), beta.value_index_table()
+    triples = np.stack([np.repeat(xl, N), np.tile(yl, N), zt.ravel()], axis=1)
+    assert np.array_equal(code.ravel(), (triples[:, 0] * N + triples[:, 1]) * pk + triples[:, 2])
+    # the sorted codes list the distinct triples in lexicographic order
+    decoded = [(c // pk // N, c // pk % N, c % pk) for c in np.unique(code).tolist()]
+    assert decoded == sorted(set(map(tuple, triples.tolist())))
+
+
+def test_cell_index_refuses_codes_past_int64():
+    # F_5 with k = 26: 5^26 values pack into int64, but N^2 5^26 = 5^28 > 2^63
+    dec = replace(bohr_decompose(_dot_map(P5), 1), beta=BiAffineMap.zero(P5, 26))
+    assert dec.beta.value_index_table().shape == (5, 5)
+    with pytest.raises(ValueError, match="cell space too large to index"):
+        dec.cell_index()
+    assert replace(dec, beta=BiAffineMap.zero(P5, 25)).cell_index().max() < 2**63 - 1
 
 
 # ============================================================
@@ -398,13 +443,22 @@ def test_bogolyubov_random_set_meets_error_target():
 
 
 def test_bogolyubov_greedy_matches_error_target_small_n():
+    # the fitted candidates' greedy cover leaves no more of the spectrum
+    # uncovered than the exact cover over every map, which the run takes at n = 2
     rng = np.random.default_rng(42)
     mask = rng.random((9, 9)) < 0.5
     f = GridFn.from_mask(P32, mask)
-    _, exact = bogolyubov_bilinear(f, 0.1, cover_method="exact")
-    _, greedy = bogolyubov_bilinear(f, 0.1, cover_method="greedy")
-    assert exact.error <= 0.1 and greedy.error <= 0.1
-    assert greedy.uncovered <= exact.uncovered + 1e-9
+    _, rep = bogolyubov_bilinear(f, 0.1)
+    assert rep.method == "exact" and rep.error <= 0.1
+    g = vert_conv(f, f)
+    us, hs = np.nonzero(np.abs(char_transform(g.values, P32, axis=0)) ** 2 >= rep.gamma - 1e-15)
+    points = sorted((int(h), int(u)) for u, h in zip(us, hs))
+    eps_count = rep.gamma * P32.size
+    _, exact_uncovered = _exact_cover(P32, points, eps_count, 48)
+    mats, shifts = _fitted_candidates(P32, points, 4096)
+    _, greedy_uncovered = _greedy_cover(_affine_map_tables(P32, mats, shifts), points, eps_count, 48)
+    assert exact_uncovered == rep.uncovered
+    assert greedy_uncovered <= exact_uncovered
 
 
 def test_bogolyubov_deterministic_reports():
@@ -424,5 +478,3 @@ def test_bogolyubov_input_validation():
         bogolyubov_bilinear(GridFn.constant(P3, 1.0), 0.0)
     with pytest.raises(ValueError):
         bogolyubov_bilinear(GridFn.constant(P3, 1.0), float("nan"))
-    with pytest.raises(ValueError):
-        bogolyubov_bilinear(GridFn.constant(P3, 1.0), 0.1, cover_method="magic")

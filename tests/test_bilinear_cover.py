@@ -1,28 +1,28 @@
 """Property tests: the per-matrix count behind the exact Bogolyubov cover
 against the full map table in `bilinear_oracle`, and the Bohr peeling
-against the oracle's inline round scan.
+against the oracle's inline round scan and its old complement rule.
 
 Each matrix covers each spectrum point with exactly one shift, so a bincount
 over the uncovered points must give every map's gain; the cover has to pick
 the same rows, earliest row first on ties, and leave the same points
 uncovered as the greedy pass over all p^(n^2+n) tabulated maps.  The
 peeling is exact F_p arithmetic, so every field of the decomposition must
-be identical.
+be identical.  Any complement of the peeled span gives the same forms
+modulo the peeled ones, so wherever the old orthogonal rule returns, it
+certifies the same rank with as many peels and the same X0, Y0 dimensions.
 """
 
 from __future__ import annotations
 
-import re
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bilinear_oracle as oracle
 from ulab.bilinear import BiAffineMap, _exact_cover, bogolyubov_bilinear, bohr_decompose
-from ulab.core import GroupParams, gf_rank
+from ulab.core import GroupParams
 from ulab.grid import GridFn
 
 # every F_p^n with p^n <= 25, and F_2^3 (exact covers may be forced at n = 3)
@@ -97,31 +97,49 @@ def bohr_inputs(draw):
 
 @SETTINGS
 @given(bohr_inputs())
-# T = (0), (1), (2) on F_5 exhausts the oracle's k rounds
+# T = (0), (1), (2) on F_5 exhausts the orthogonal rule's k rounds
 @example((BiAffineMap.bilinear(GroupParams(5, 1), np.array([[[0]], [[1]], [[2]]])), 1))
 def test_bohr_decompose_matches_the_inline_scan(case):
     beta, t = case
-    try:
-        want = oracle.bohr_decompose(beta, t)
-    except RuntimeError as err:
-        if "exceeded k rounds" not in str(err):
-            with pytest.raises(RuntimeError, match=re.escape(str(err))):
-                bohr_decompose(beta, t)
-            return
-        # dependent forms make the oracle's orthogonal complement meet the
-        # peeled span, so it peels a combination already peeled; the live
-        # route scans a coordinate complement there and must return
-        got = bohr_decompose(beta, t)
-        peeled = np.array(got.peeled, dtype=np.int64).reshape(-1, beta.k)
-        assert gf_rank(beta.params.p, peeled) == len(got.peeled)
-        assert got.verify_cells() >= 1
-        return
+    want = oracle.bohr_decompose(beta, t)
     got = bohr_decompose(beta, t)
     for name in ("X0", "X1", "Y0", "Y1", "rank_certificate", "certified_rank", "peeled", "round_scans"):
         assert getattr(got, name) == getattr(want, name), name
-    assert got.reduced.params == want.reduced.params
-    for name in ("T", "a", "b", "lam"):
-        assert np.array_equal(getattr(got.reduced, name), getattr(want.reduced, name)), name
+
+
+@st.composite
+def dependent_form_inputs(draw):
+    """A bi-affine map with 2 to 4 uniform random forms (3 at most on F_7),
+    and a threshold t in {1, 2, 3}: several peels per map, where the two
+    complement rules often peel different vectors."""
+    params = GroupParams(*draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])))
+    p, n = params.p, params.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 3 if p == 7 else 4))
+    beta = BiAffineMap(
+        params,
+        rng.integers(0, p, (k, n, n)),
+        rng.integers(0, p, (k, n)),
+        rng.integers(0, p, (k, n)),
+        rng.integers(0, p, k),
+    )
+    return beta, draw(st.integers(1, 3))
+
+
+@SETTINGS
+@given(dependent_form_inputs())
+def test_bohr_decompose_certifies_what_the_orthogonal_rule_does(case):
+    beta, t = case
+    try:
+        old = oracle.bohr_decompose_orthogonal(beta, t)
+    except RuntimeError as err:
+        # a peeled vector orthogonal to itself: the old rule peels it again
+        assert "exceeded k rounds" in str(err)
+        return
+    got = bohr_decompose(beta, t)
+    assert got.certified_rank == old.certified_rank
+    assert len(got.peeled) == len(old.peeled)
+    assert (got.X0.dim, got.Y0.dim) == (old.X0.dim, old.Y0.dim)
 
 
 def test_bogolyubov_exact_cover_memory_on_f7_squared():

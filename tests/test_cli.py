@@ -11,10 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bilinear_oracle
 import cli_oracle
 import ulab.cli
+import ulab.pipeline
 from ulab.arrange import PartialMap, partial_map_to_json
-from ulab.bilinear import BiAffineMap, biaffine_to_json
+from ulab.bilinear import BiAffineMap, biaffine_to_json, bohr_decompose
 from ulab.cli import main
 from ulab.core import (
     GroupFn,
@@ -417,6 +419,72 @@ def test_pipeline_survives_corrupted_cubic():
     assert abs(report.result["correlation"] - best_corr) < 1e-12
 
 
+def _two_form_cover() -> BiAffineMap:
+    """A cover map of F_5^2 with 525 cells of at most 5 points, so the best
+    cell is a tie (the stage then halts, too small to fit)."""
+    T = np.array([[[1, 0], [0, 0]], [[0, 1], [1, 0]]])
+    return BiAffineMap(P52, T, np.array([[1, 0], [0, 2]]), np.array([[0, 3], [1, 0]]), np.array([0, 4]))
+
+
+@pytest.mark.parametrize(
+    "case, cover_map",
+    [
+        (_cubic_line, None),
+        (_corrupted_plane, None),
+        (_cubic_plane, _two_form_cover),
+        (_corrupted_plane, _two_form_cover),
+    ],
+    ids=["F_5", "F_5^2 corrupted", "F_5^2 two-form cover", "F_5^2 corrupted two-form cover"],
+)
+def test_cells_stage_picks_the_counter_cell(monkeypatch, case, cover_map):
+    # the stage's one count of packed cell codes against a Counter over the
+    # densified domain's (x0 label, y0 label, beta value) triples, with the
+    # pipeline's own cover (one cell) and a cover of many tied cells
+    seen = {}
+    densify, decompose = ulab.pipeline.densify, ulab.pipeline.bohr_decompose
+    cover = ulab.pipeline.bogolyubov_bilinear
+
+    def keep_densified(*args, **kwargs):
+        seen["phi"], rep = densify(*args, **kwargs)
+        return seen["phi"], rep
+
+    def keep_decomposition(*args):
+        seen["dec"] = decompose(*args)
+        return seen["dec"]
+
+    def fixed_cover(f, zeta, **kwargs):
+        return cover_map(), cover(f, zeta, **kwargs)[1]
+
+    monkeypatch.setattr(ulab.pipeline, "densify", keep_densified)
+    monkeypatch.setattr(ulab.pipeline, "bohr_decompose", keep_decomposition)
+    if cover_map is not None:
+        monkeypatch.setattr(ulab.pipeline, "bogolyubov_bilinear", fixed_cover)
+    _, f = case()
+    report = run_inverse_pipeline(f, PipelineConfig(p=f.params.p, n=f.params.n))
+    cells = next(s for s in report.stages if s.name == "cells").data
+    occupied, cell, points = cli_oracle.best_cell(seen["dec"], seen["phi"].domain)
+    assert (cells["occupied_cells"], cells["cell"], cells["cell_points"]) == (occupied, list(cell), points)
+    assert cells["cells_checked"] == bilinear_oracle.verify_cells(seen["dec"])
+
+
+def test_cells_stage_halts_before_cell_codes_overflow(monkeypatch):
+    # F_5 with 26 forms: 5^26 fits the budget, but N^2 5^26 = 5^28 cell codes
+    # do not fit int64, so the stage halts before it decomposes anything
+    cover = ulab.pipeline.bogolyubov_bilinear
+
+    def wide_cover(f, zeta, **kwargs):
+        return BiAffineMap.zero(f.params, 26), cover(f, zeta, **kwargs)[1]
+
+    monkeypatch.setattr(ulab.pipeline, "bogolyubov_bilinear", wide_cover)
+    _, f = _cubic_line()
+    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1, size_cap=10**19))
+    assert (report.halt_stage, report.halt_category) == ("cells", "precondition")
+    assert report.halt_reason == (
+        "cover codomain F_5^26 is too large to decompose within the size budget %d; "
+        "raise zeta or the budget" % ((2**63 - 1) // 25)
+    )
+
+
 def test_pipeline_gate_halts_below_threshold():
     rng = np.random.default_rng(77)
     f = GroupFn(P52, np.exp(2j * np.pi * rng.random(25)))
@@ -636,7 +704,8 @@ def test_cmd_arrange_exact_and_sampled(files, capsys):
 def test_cmd_bohr(files, capsys):
     assert main(["bohr", "--beta", str(files["beta"]), "--t", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["cells_checked"] > 0
+    dec = bohr_decompose(BiAffineMap.bilinear(P5, np.ones((1, 1, 1), dtype=np.int64)), 2)
+    assert out["cells_checked"] == bilinear_oracle.verify_cells(dec) > 0
 
 
 @pytest.mark.parametrize("t", ["0", "-1"])
