@@ -27,12 +27,18 @@ polynomial it correlates with:
                   its row and column, measuring the vote stability.  The
                   votes are N^2 theta, theta = phi * phi * phi^adj on each
                   line by `galg.line_triple_conv`; ties go to the lowest
-                  value.
+                  value.  When the fit's first solve already explains the
+                  whole cell, every row and column is affine on it, so
+                  every vote V(b1) + V(b2) - V(b3) = A(b1 + b2 - b3) names
+                  the point's own value: the map is kept with stability
+                  1.0 and no vote is counted.
 8.  extend      - fit an exact bi-affine model on the rounded data; its
                   extension a.T.b + s.a + t.b + e to all of G^2 is affine in
                   each argument by its form, so nothing is tabulated.  Each
                   of the fit's row selections is one elimination pass over
-                  the design rows, and one row reduction solves every digit.
+                  the design rows, and one row reduction solves every digit;
+                  the fit stops at the first selection that is exact, which
+                  no later one can beat.
 9.  backfit     - split the fitted model into its bilinear part and
                   per-variable corrections, linearize the corrections by
                   exhaustive affine search, and measure how much of the
@@ -397,9 +403,20 @@ def consensus_rounding(phi: PartialMap) -> tuple[PartialMap, dict]:
     every row and column are counted at once by `galg.line_triple_conv`.
     The winner is the most-voted value, the lowest one on ties, and its share
     of the votes is the rounding stability at that point.
+
+    The fit is the certificate that makes the vote unnecessary: when the
+    value group has the domain's characteristic and the fit's offset-0
+    solve explains every domain point, each row (a, .) is an affine map A_a
+    on the domain, so every row vote is A_a(b1 + b2 - b3) = A_a(b) = V[a, b],
+    and every column vote agrees the same way; the triple (b, b, b) always
+    votes, so each point keeps its value with stability exactly 1.0.  The
+    map is then returned unchanged and no histogram is built.
     """
     params, vp = phi.params, phi.value_params
     dom, vmap = phi.domain, phi.values
+    if vp.p == params.p and dom.any() and _fit_offset(_fit_design(phi), 0, 0).agreement == 1.0:
+        stats = {"stability_mean": 1.0, "stability_min": 1.0, "changed": 0, "voted": int(dom.sum())}
+        return PartialMap(params, vp, dom, np.where(dom, vmap, 0).astype(np.int64)), stats
     hist = _vote_histogram(phi)
     rounded = hist.argmax(axis=2).astype(np.int64)  # first max: lowest value wins ties
     tot = hist.sum(axis=2)
@@ -456,26 +473,16 @@ def _first_independent_rows(p: int, rows: np.ndarray, start: int) -> list[int]:
     return keep
 
 
-def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
-    """Exact bi-affine fit of a partial map by consensus over several
-    deterministic row selections.
-
-    Each attempt keeps a maximal independent subset of design rows, scanned
-    cyclically from a different offset (`_first_independent_rows`).  The
-    kept rows are independent, so the model is always solvable on them: one
-    row reduction of [rows | target digits] solves every output digit.
-    Each attempt is scored by its agreement on the whole domain; the
-    best-agreeing solution wins, earliest offset first.  With localized
-    corruption most offsets hit clean rows, so the consensus tracks the
-    majority structure.
-    """
+def _fit_design(phi: PartialMap) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, da, db, rows, targets) of the fit: the digits of the domain's a
+    and b in scan order, their design rows (a_i b_j, a, b, 1) and the
+    digits of their values."""
     params, vp = phi.params, phi.value_params
     if vp.p != params.p:
         raise ValueError("bi-affine fitting needs matching characteristics")
     p, n = params.p, params.n
     xs, ys = np.nonzero(phi.domain)
     m = len(xs)
-    d = n * n + 2 * n + 1
     if m < 1:
         raise ValueError("cannot fit an empty map")
     da = params.digits(xs.astype(np.int64))
@@ -492,25 +499,53 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
         )
         % p
     )
-    targets = vp.digits(phi.values[xs, ys])
-    vn = vp.n
+    return p, da, db, rows, vp.digits(phi.values[xs, ys])
+
+
+def _fit_offset(design: tuple, start: int, offset: int) -> BiAffineFit:
+    """The fit on the independent design rows scanned from `start`: one
+    `_first_independent_rows` pass, one row reduction of [rows | target
+    digits] for every output digit, and the agreement on the whole domain."""
+    p, da, db, rows, targets = design
+    n, d, vn = da.shape[1], rows.shape[1], targets.shape[1]
+    keep = _first_independent_rows(p, rows, start)
+    red, pivots = gf_rowreduce(p, np.concatenate([rows[keep], targets[keep]], axis=1))
+    # the kept rows are independent, so every pivot is a model column
+    sol = np.zeros((vn, d), dtype=np.int64)
+    sol[:, pivots] = red[:, d:].T
+    T = sol[:, : n * n].reshape(vn, n, n)
+    s = sol[:, n * n : n * n + n]
+    t = sol[:, n * n + n : n * n + 2 * n]
+    e = sol[:, -1]
+    pred = (np.einsum("mi,cij,mj->mc", da, T, db) + da @ s.T + db @ t.T + e[None, :]) % p
+    agreement = float(np.mean(np.all(pred == targets, axis=1)))
+    return BiAffineFit(T, s, t, e, agreement, offset)
+
+
+def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
+    """Exact bi-affine fit of a partial map by consensus over several
+    deterministic row selections.
+
+    Each attempt keeps a maximal independent subset of design rows, scanned
+    cyclically from a different offset (`_first_independent_rows`).  The
+    kept rows are independent, so the model is always solvable on them: one
+    row reduction of [rows | target digits] solves every output digit.
+    Each attempt is scored by its agreement on the whole domain; the
+    best-agreeing solution wins, earliest offset first.  With localized
+    corruption most offsets hit clean rows, so the consensus tracks the
+    majority structure.  The scan stops at the first offset whose fit
+    explains every point: a later one can only replace it by beating
+    agreement 1.0, which no fit does.
+    """
+    design = _fit_design(phi)
+    m = len(design[3])  # the design rows
     best: BiAffineFit | None = None
     for j in range(max(1, offsets)):
-        start = (j * m) // max(1, offsets)
-        keep = _first_independent_rows(p, rows, start)
-        red, pivots = gf_rowreduce(p, np.concatenate([rows[keep], targets[keep]], axis=1))
-        # the kept rows are independent, so every pivot is a model column
-        sol = np.zeros((vn, d), dtype=np.int64)
-        sol[:, pivots] = red[:, d:].T
-        T = sol[:, : n * n].reshape(vn, n, n)
-        s = sol[:, n * n : n * n + n]
-        t = sol[:, n * n + n : n * n + 2 * n]
-        e = sol[:, -1]
-        pred = (np.einsum("mi,cij,mj->mc", da, T, db) + da @ s.T + db @ t.T + e[None, :]) % p
-        agreement = float(np.mean(np.all(pred == targets, axis=1)))
-        cand = BiAffineFit(T, s, t, e, agreement, j)
+        cand = _fit_offset(design, (j * m) // max(1, offsets), j)
         if best is None or cand.agreement > best.agreement + 1e-12:
             best = cand
+        if best.agreement == 1.0:
+            break
     assert best is not None
     return best
 

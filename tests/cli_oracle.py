@@ -5,7 +5,10 @@ replaced with one character count over G x H, and `first_independent_rows`
 is the scan that row-reduced the whole kept matrix again for each candidate
 row, which `ulab.pipeline._first_independent_rows` replaced with one elimination
 pass.  `consensus_rounding` and `fit_biaffine` are the two stages on these
-routes, the fit with one `gf_solve` per output digit.
+routes, the fit with one `gf_solve` per output digit.  The oracle rounding
+always votes, even on a map the library certifies exactly bi-affine by its
+fit, and the oracle fit walks every offset, where the library stops at the
+first exact one.
 `extract_affine_parts` is the backfit's per-point loop over the domain,
 which `ulab.pipeline.extract_affine_parts` replaced with array passes and
 one `np.bincount` of the votes.  `derivative_peak_map` reads the gate and

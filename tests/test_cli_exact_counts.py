@@ -4,7 +4,9 @@ in `cli_oracle`.
 
 Both routes are exact integer arithmetic, so the vote histograms, the
 rounded maps, the chosen rows, the fitted models and the backfit's affine
-parts must be identical.
+parts must be identical.  The library skips the vote on a map its fit
+certifies exactly bi-affine, and stops the fit at its first exact offset;
+the oracle does neither, and the results must still agree.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import cli_oracle as oracle
-from ulab import galg
+from ulab import galg, pipeline
 from ulab.arrange import PartialMap
 from ulab.core import GroupParams
 from ulab.pipeline import (
@@ -89,6 +91,62 @@ def test_vote_histograms_and_rounded_maps_match_the_loop(phi):
     assert stats == want_stats
 
 
+def _sparse_bi_affine_maps(params: GroupParams, vp: GroupParams, rng):
+    """Clean planted maps on random domains of several densities, with one
+    row cut to a single point and another to two."""
+    N = params.size
+    for density in (0.3, 0.6, 1.0):
+        table = _planted_map(params, vp, 1.0, 0.0, rng).values
+        dom = rng.random((N, N)) < density
+        for r, keep in zip(rng.permutation(N)[:2], (1, 2)):
+            dom[r] = False
+            dom[r, rng.permutation(N)[:keep]] = True
+        yield PartialMap(params, vp, dom, np.where(dom, table, 0))
+
+
+class _VotesCounted(Exception):
+    pass
+
+
+def _no_votes(phi):
+    raise _VotesCounted
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=["F_%d^%d" % g for g in GROUPS])
+@pytest.mark.parametrize("other_dim", [False, True], ids=["same", "other-dim"])
+def test_certified_rounding_equals_the_vote(monkeypatch, group, other_dim):
+    # an exactly bi-affine map is certified by the fit's offset-0 solve and
+    # must round exactly as the oracle's votes do, without a histogram; one
+    # value moved at a point whose design row is spanned by the rows before
+    # it breaks bi-affinity, so that map must go to the vote
+    params = GroupParams(*group)
+    vp = GroupParams(params.p, params.n % 2 + 1) if other_dim else params
+    rng = np.random.default_rng(params.p * 10 + params.n + 100 * other_dim)
+    moved = 0
+    monkeypatch.setattr(pipeline, "_vote_histogram", _no_votes)
+    for phi in _sparse_bi_affine_maps(params, vp, rng):
+        rounded, stats = consensus_rounding(phi)
+        want_rounded, want_stats = oracle.consensus_rounding(phi)
+        assert np.array_equal(rounded.domain, want_rounded.domain)
+        assert np.array_equal(rounded.values, want_rounded.values)
+        assert stats == want_stats
+
+        _, _, _, rows, _ = pipeline._fit_design(phi)
+        spanned = np.setdiff1d(np.arange(len(rows)), _first_independent_rows(params.p, rows, 0))
+        if spanned.size == 0:
+            continue
+        xs, ys = np.nonzero(phi.domain)
+        x, y = xs[spanned[0]], ys[spanned[0]]
+        vals = phi.values.copy()
+        vals[x, y] = (vals[x, y] + 1) % vp.size
+        with pytest.raises(_VotesCounted):
+            consensus_rounding(PartialMap(params, vp, phi.domain, vals))
+        moved += 1
+    # F_2's four points have independent design rows, so no value can be
+    # moved off bi-affinity there; every larger group checks a moved map
+    assert moved or params.size == 2
+
+
 def test_vote_histogram_blocks_match_the_loop(monkeypatch):
     # with the budget at one line's elements, every line is its own block
     params = GroupParams(3, 2)
@@ -123,15 +181,26 @@ def test_chosen_rows_match_the_rank_scan_for_every_start(case):
 
 @pytest.mark.parametrize("group", [(5, 1), (2, 2), (3, 2), (5, 2), (2, 3)])
 @pytest.mark.parametrize("noise", [0.0, 0.15, 1.0])
-def test_fit_matches_the_per_digit_solve(group, noise):
+def test_fit_matches_the_per_digit_solve(monkeypatch, group, noise):
+    # the oracle walks all 9 offsets; the fit stops at its first exact one,
+    # which on a clean planted map is offset 0
     params = GroupParams(*group)
     rng = np.random.default_rng(group[0] * 100 + group[1] * 10 + int(noise * 100))
     phi = _planted_map(params, params, 0.6, noise, rng)
+    scans = []
+
+    def counted(*args):
+        scans.append(args[2])
+        return _first_independent_rows(*args)
+
+    monkeypatch.setattr(pipeline, "_first_independent_rows", counted)
     got = fit_biaffine(phi, offsets=9)
     want = oracle.fit_biaffine(phi, offsets=9)
     for name in ("T", "s", "t", "e"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert (got.agreement, got.offset) == (want.agreement, want.offset)
+    if noise == 0.0:
+        assert scans == [0]
 
 
 def _assert_same_parts(phi: PartialMap, fit: BiAffineFit) -> None:
