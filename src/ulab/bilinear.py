@@ -4,11 +4,13 @@ projections, and the L2 structure theory of mixed convolutions.
 A bi-affine map into F_p^k is stored coordinatewise as
 beta_i(x, y) = x.T_i y + a_i.y + x.b_i + lam_i.  Its rank is the smallest
 rank, over nonzero combinations u, of the bilinear coefficient matrix of
-u.beta; peeling low-rank combinations yields a cell decomposition of G^2
-whose cells all carry high rank, certified by the peeling's last scan of
-every remaining combination.  The Bogolyubov step
-approximates the mixed self-convolution of a bounded grid function, in L2,
-by its average over the level sets of such a map.
+u.beta, all ranked by one `gf_family_ranks` call; peeling low-rank
+combinations yields a cell decomposition of G^2 whose cells all carry high
+rank, certified by the peeling's last scan of every remaining combination.
+The Bogolyubov step approximates the mixed self-convolution of a bounded
+grid function, in L2, by its average over the level sets of such a map,
+covering its spectrum above n = 2 by maps fitted through pairs of spectrum
+points, a block of pairs per `_solve_stack` call.
 """
 
 from __future__ import annotations
@@ -19,18 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ulab.core import (
+    SIZE_CAP,
     GroupFn,
     GroupParams,
     Subspace,
+    _echelon,
     _gf_matinv,
     _json_fields,
     _json_params,
+    _solve_stack,
     char_transform,
     dft,
+    gf_family_ranks,
     gf_nullspace,
-    gf_rank,
     gf_rowreduce,
-    gf_solve,
 )
 from ulab.grid import GridFn, horiz_conv, vert_conv
 
@@ -159,29 +163,6 @@ def biaffine_from_json(obj) -> BiAffineMap:
 # ============================================================
 
 
-def _mats_map_rank(p: int, mats: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """(min rank, full u-scan) over nonzero combinations of the given matrices.
-
-    An empty family has no nonzero combinations; its rank is infinite.
-    """
-    k = mats.shape[0]
-    if k == 0:
-        return math.inf, ()
-    vp = GroupParams(p, k)
-    scan = []
-    for u in range(1, vp.size):
-        Tu = np.tensordot(vp.digits(u), mats, axes=(0, 0)) % p
-        scan.append(gf_rank(p, Tu))
-    return min(scan), tuple(scan)
-
-
-def _subspace_from_rows(params: GroupParams, rows: np.ndarray) -> Subspace:
-    rows = np.asarray(rows, dtype=np.int64) % params.p
-    if rows.size == 0:
-        return Subspace(params, ())
-    return Subspace.from_generators(params, np.atleast_1d(params.index(rows)))
-
-
 @dataclass(frozen=True)
 class BohrDecomposition:
     """Cell decomposition of G^2 by (x_0, y_0, beta value), certified high rank.
@@ -238,15 +219,16 @@ class BohrDecomposition:
 def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     """Peel low-rank combinations until the rest have rank at least t >= 1.
 
-    Each round scans the combinations in a complement of the span of
-    everything already peeled, restricted to the current product V x W, with
-    one `_mats_map_rank` call on the restricted matrices; the minimal-rank
-    one (earliest in index order on ties) is peeled, shrinking V and W by its
-    kernels.  The complement is spanned by the unit vectors off the pivot
-    columns of the peeled vectors, so every peeled vector is independent of
-    the earlier ones and the loop runs at most k rounds before nothing is
-    left to combine.  The last round's scan ranks every remaining
-    combination; its minimum is the certified rank.
+    Each round ranks every nonzero combination in a complement of the span
+    of everything already peeled, restricted to the current product V x W,
+    with one `gf_family_ranks` call on the restricted matrices; the
+    minimal-rank one (earliest in index order on ties) is peeled, shrinking
+    V and W by its kernels.  The complement is spanned by the unit vectors
+    off the pivot columns of the peeled vectors, so every peeled vector is
+    independent of the earlier ones and the loop runs at most k rounds
+    before nothing is left to combine.  The last round's scan ranks every
+    remaining combination; its minimum is the certified rank, infinite when
+    no combination remains.
     """
     if t < 1:
         raise ValueError("rank threshold t must be at least 1, got %d" % t)
@@ -258,15 +240,16 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
     peeled: list[tuple[int, ...]] = []
     scans: list[tuple[int, ...]] = []
     for _ in range(k + 1):
-        pivots = gf_rowreduce(p, U)[1] if U.shape[0] else []
-        NB = np.eye(k, dtype=np.int64)[[c for c in range(k) if c not in pivots]]
+        NB = np.eye(k, dtype=np.int64)[~_echelon(p, U)[1]]
         Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
         mats = np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p
-        min_rank, scan = _mats_map_rank(p, mats)
+        scan = tuple(gf_family_ranks(p, mats)[1:].tolist())
+        min_rank = min(scan, default=math.inf)
         scans.append(scan)
         if min_rank >= t:
-            X1 = _subspace_from_rows(params, BV)
-            Y1 = _subspace_from_rows(params, BW)
+            # BV and BW are row reduced, so their rows are the subspaces' bases
+            X1 = Subspace(params, tuple(params.index(BV).tolist()))
+            Y1 = Subspace(params, tuple(params.index(BW).tolist()))
             X0 = _complement(params, X1)
             Y0 = _complement(params, Y1)
             if X0.dim > t * k or Y0.dim > t * k:
@@ -293,10 +276,10 @@ def bohr_decompose(beta: BiAffineMap, t: int) -> BohrDecomposition:
 
 
 def _complement(params: GroupParams, sub: Subspace) -> Subspace:
-    """Coordinate complement spanned by the unit vectors off the pivots."""
-    _, pivots = gf_rowreduce(params.p, sub.matrix()) if sub.dim else (None, [])
-    gens = [params.p**j for j in range(params.n) if j not in pivots]
-    return Subspace.from_generators(params, gens)
+    """Coordinate complement spanned by the unit vectors off the pivots of
+    the (row reduced) basis, each row's first non-zero column."""
+    pivots = (sub.matrix() != 0).argmax(axis=1)
+    return Subspace(params, tuple(params.p**j for j in range(params.n) if j not in pivots))
 
 
 # ============================================================
@@ -404,47 +387,43 @@ def _exact_cover(
     return chosen, int(uncovered.sum())
 
 
+def _with_new_rows(pool: np.ndarray, rows: np.ndarray, room: int) -> np.ndarray:
+    """pool, then the first `room` rows of `rows` new to it, each at its first occurrence."""
+    both = np.concatenate([pool, rows])
+    _, first = np.unique(both, axis=0, return_index=True)
+    return both[np.concatenate([np.arange(len(pool)), np.sort(first[first >= len(pool)])[:room]])]
+
+
 def _fitted_candidates(params: GroupParams, points: list[tuple[int, int]], cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Constant maps through single points plus maps interpolating point pairs.
 
-    Pair fits solve the 2n interpolation equations for (M, c) with free
-    entries set to zero, so the pool is deterministic.
+    A pair (h1, u1), (h2, u2) with h1 != h2 gives the 2n equations
+    M h_q + c = u_q for (M, c).  The pairs (i, j), i < j, are solved in
+    order, one `_solve_stack` call per block of about SIZE_CAP entries, with
+    the free entries set to zero, so the pool is deterministic: each map at
+    its first occurrence, the constant maps first, until it holds cap maps.
     """
     p, n = params.p, params.n
-    seen: set[tuple[int, ...]] = set()
-    mats: list[np.ndarray] = []
-    shifts: list[np.ndarray] = []
-
-    def push(M: np.ndarray, c: np.ndarray) -> None:
-        key = tuple(M.reshape(-1).tolist()) + tuple(c.tolist())
-        if key not in seen:
-            seen.add(key)
-            mats.append(M)
-            shifts.append(c)
-
-    for _, u in points:
-        push(np.zeros((n, n), dtype=np.int64), params.digits(u).copy())
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if len(mats) >= cap:
-                break
-            (h1, u1), (h2, u2) = points[i], points[j]
-            if h1 == h2:
-                continue
-            rows = np.zeros((2 * n, n * n + n), dtype=np.int64)
-            rhs = np.zeros(2 * n, dtype=np.int64)
-            for q, (h, u) in enumerate(((h1, u1), (h2, u2))):
-                dh, du = params.digits(h), params.digits(u)
-                for r in range(n):
-                    rows[q * n + r, r * n : (r + 1) * n] = dh
-                    rows[q * n + r, n * n + r] = 1
-                    rhs[q * n + r] = du[r]
-            sol = gf_solve(p, rows, rhs)
-            if sol is not None:
-                push(sol[: n * n].reshape(n, n), sol[n * n :])
-        if len(mats) >= cap:
+    hs, us = np.array(points, dtype=np.int64).reshape(-1, 2).T
+    eye, du = np.eye(n, dtype=np.int64), params.digits(us)
+    consts = np.concatenate([np.zeros((len(us), n * n), dtype=np.int64), du], axis=1)
+    pool = _with_new_rows(consts[:0], consts, len(us))
+    # the augmented rows [I (x) h | I | u] of the n equations M h + c = u of each point (h, u)
+    lhs = np.einsum("rs,qt->qrst", eye, params.digits(hs)).reshape(-1, n, n * n)
+    eqs = np.concatenate([lhs, np.broadcast_to(eye, (len(us), n, n)), du[:, :, None]], axis=2)
+    # pair number q is (i, j) with starts[i] <= q < starts[i + 1], j = i + 1 + q - starts[i]
+    starts = np.concatenate([[0], np.cumsum(np.arange(len(points) - 1, -1, -1))])
+    block = max(1, SIZE_CAP // (2 * n * (n * n + n + 1)))
+    for lo in range(0, int(starts[-1]), block):
+        if len(pool) >= cap:
             break
-    return np.array(mats, dtype=np.int64).reshape(-1, n, n), np.array(shifts, dtype=np.int64).reshape(-1, n)
+        q = np.arange(lo, min(lo + block, int(starts[-1])), dtype=np.int64)
+        i = np.searchsorted(starts, q, side="right") - 1
+        pair = np.stack([i, i + 1 + q - starts[i]], axis=1)
+        pair = pair[hs[pair[:, 0]] != hs[pair[:, 1]]]
+        consistent, sols = _solve_stack(p, eqs[pair].reshape(-1, 2 * n, eqs.shape[2]))
+        pool = _with_new_rows(pool, sols[consistent], cap - len(pool))
+    return pool[:, : n * n].reshape(-1, n, n), pool[:, n * n :]
 
 
 def bogolyubov_bilinear(

@@ -2,6 +2,13 @@
 Fourier transform with its convolution laws.
 Every character transform in the package is `char_transform`.
 
+Every elimination over F_p in the package is `_echelon`, one row reduction
+of a stack of matrices: `gf_rowreduce`, `gf_rank`, `gf_nullspace`,
+`_gf_matinv`, `_solve_stack` and `gf_family_ranks` are views of it.  The
+one exception is the fit's row scan, `ulab.pipeline._first_independent_rows`:
+it stops after d pivots among up to N^2 design rows, where `_echelon` on the
+transposed design picks the same rows at about twice the cost.
+
 Conventions used throughout the package:
 
 * Elements of F_p^n are encoded as integers in [0, p^n) via little-endian
@@ -16,6 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +45,7 @@ __all__ = [
     "gf_rowreduce",
     "gf_rank",
     "gf_nullspace",
-    "gf_solve",
+    "gf_family_ranks",
     "inv_mod",
     "char_transform",
     "dft",
@@ -116,12 +124,17 @@ class GroupParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        # bound p^n before the trial-division primality test and without
-        # forming a huge power, so an oversized p or n is rejected at once
-        if self.p >= 2 and (self.n >= SIZE_CAP.bit_length() or self.p**self.n > SIZE_CAP):
-            raise ValueError("p^n for p = %d, n = %d exceeds the size cap %d" % (self.p, self.n, SIZE_CAP))
+        # bound p^n before the trial-division primality test, so an
+        # oversized p or n is rejected at once
+        self._check_size(self.p, self.n, "p^n for p = %d, n = %d" % (self.p, self.n))
         if not _is_prime(self.p):
             raise ValueError("p = %r is not prime" % (self.p,))
+
+    @staticmethod
+    def _check_size(p: int, n: int, what: str) -> None:
+        """Refuse p^n above SIZE_CAP, named `what`, without forming a huge power."""
+        if p >= 2 and (n >= SIZE_CAP.bit_length() or p**n > SIZE_CAP):
+            raise ValueError("%s exceeds the size cap %d" % (what, SIZE_CAP))
 
     @property
     def size(self) -> int:
@@ -188,78 +201,119 @@ class GroupElem:
 # ============================================================
 
 
-def gf_rowreduce(p: int, mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p.
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """Read-only table of a^{-1} mod p for a in [0, p), with 0 mapped to 0."""
+    out = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
-    Returns (R, pivots) where R contains only the nonzero rows, each pivot
-    entry is 1 and pivot columns are cleared elsewhere.
+
+def _echelon(p: int, stack) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms R over F_p of a (..., r, c) stack, and the
+    (..., c) masks of their pivot columns: a matrix's rank is its mask's sum
+    and its i-th row carries its i-th pivot.
+
+    Column by column, vectorised over the batch, the first non-zero row at
+    or below a matrix's next pivot row is swapped up, normalised to 1 and
+    cleared from every other row.
     """
-    a = np.array(mat, dtype=np.int64) % p
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        sel = np.nonzero(a[r:, c])[0]
-        if sel.size == 0:
+    a = np.array(stack, dtype=np.int64) % p
+    shape = a.shape
+    r, c = shape[-2:]
+    a = a.reshape(math.prod(shape[:-2]), r, c)
+    pivots = np.zeros((a.shape[0], c), dtype=bool)
+    batch, rows = np.arange(a.shape[0]), np.arange(r)
+    nxt = np.zeros(a.shape[0], dtype=np.int64)
+    for j in range(c):
+        cand = (a[:, :, j] != 0) & (rows >= nxt[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
             continue
-        i = r + int(sel[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv_mod(int(a[r, c]), p)) % p
-        others = np.nonzero(a[:, c])[0]
-        for j in others:
-            if j != r:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+        # a matrix without a pivot here swaps its row t with itself and scales it by 1
+        t = np.minimum(nxt, r - 1)
+        i = np.where(has, cand.argmax(axis=1), t)
+        prow = a[batch, i]
+        a[batch, i] = a[batch, t]
+        prow *= np.where(has, _inverses(p)[prow[:, j]], 1)[:, None]
+        prow %= p
+        a[batch, t] = prow
+        # the rows at or below t are zero left of j, so only columns j: change
+        fac = a[:, :, j] * has[:, None]
+        fac[batch, t] = 0
+        a[:, :, j:] -= fac[:, :, None] * prow[:, None, j:]
+        a[:, :, j:] %= p
+        pivots[:, j] = has
+        nxt += has
+        if nxt.min() == r:
+            break
+    return a.reshape(shape), pivots.reshape(shape[:-2] + (c,))
+
+
+def gf_rowreduce(p: int, mat) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p by `_echelon`: (R, pivots), R only
+    the nonzero rows, each pivot entry 1 and pivot columns cleared elsewhere."""
+    red, piv = _echelon(p, np.atleast_2d(mat))
+    pivots = np.flatnonzero(piv).tolist()
+    return red[: len(pivots)], pivots
 
 
 def _gf_matinv(p: int, mat) -> np.ndarray:
     """Inverse of a square matrix over F_p; raises ValueError if singular."""
-    m = np.asarray(mat, dtype=np.int64) % p
-    n = m.shape[0]
-    red, pivots = gf_rowreduce(p, np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1))
-    if pivots != list(range(n)):
+    n = len(mat)
+    red, piv = _echelon(p, np.concatenate([np.asarray(mat, dtype=np.int64), np.eye(n, dtype=np.int64)], axis=1))
+    if not piv[:n].all():
         raise ValueError("matrix is singular over F_p")
     return red[:, n:]
 
 
-def gf_rank(p: int, mat) -> int:
-    return gf_rowreduce(p, mat)[0].shape[0]
+def gf_rank(p: int, mat):
+    """Rank over F_p: an int for one matrix, an array for a (..., r, c) stack."""
+    ranks = _echelon(p, np.atleast_2d(mat))[1].sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def gf_nullspace(p: int, mat) -> np.ndarray:
     """Rows spanning {x : mat @ x = 0 mod p}; shape (dim_null, cols)."""
-    a = np.asarray(mat, dtype=np.int64)
-    cols = a.shape[1] if a.ndim == 2 else a.shape[0]
-    red, pivots = gf_rowreduce(p, a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, c]) % p
+    red, piv = _echelon(p, np.atleast_2d(mat))
+    free = np.flatnonzero(~piv)
+    basis = np.zeros((free.size, piv.size), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = -red[: piv.sum()][:, free].T % p
     return basis
 
 
-def gf_solve(p: int, mat, rhs) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs mod p, or None if inconsistent."""
-    a = np.array(mat, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64) % p
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    red, pivots = gf_rowreduce(p, aug)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, cols]
-    return x
+def _solve_stack(p: int, systems) -> tuple[np.ndarray, np.ndarray]:
+    """(consistent, x) of a (..., r, c + 1) stack of augmented systems
+    [A | b] over F_p: the mask of the solvable ones and a solution of each,
+    read off its pivots with the free entries 0 (x = 0 where inconsistent).
+    """
+    red, piv = _echelon(p, systems)
+    consistent = ~piv[..., -1]
+    piv = piv[..., :-1] & consistent[..., None]
+    x = np.zeros(piv.shape, dtype=np.int64)
+    # the i-th pivot column of a system takes the last entry of its i-th row
+    x[piv] = red[..., -1][np.arange(red.shape[-2]) < piv.sum(axis=-1)[..., None]]
+    return consistent, x
+
+
+def gf_family_ranks(p: int, mats) -> np.ndarray:
+    """Rank of sum_s u_s mats[s] for every u in F_p^k, in index order.
+
+    mats has shape (k, r, c), so k = 0 gives the one rank 0 of the zero
+    combination.  One `_echelon` call per block of about SIZE_CAP entries;
+    ValueError when the p^k combinations exceed SIZE_CAP.
+    """
+    m = np.asarray(mats, dtype=np.int64) % p
+    k, r, c = m.shape
+    GroupParams._check_size(p, k, "p^k for p = %d, k = %d (the combinations of %d matrices)" % (p, k, k))
+    total = p**k
+    block = max(1, SIZE_CAP // max(1, r * c))
+    ranks = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, block):
+        u = np.arange(lo, min(lo + block, total), dtype=np.int64)[:, None] // _powers(p, k) % p
+        ranks[lo : lo + len(u)] = _echelon(p, np.tensordot(u, m, axes=(1, 0)))[1].sum(axis=1)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -271,13 +325,8 @@ class Subspace:
 
     @classmethod
     def from_generators(cls, params: GroupParams, gens) -> "Subspace":
-        gens = [int(g) for g in gens]
-        if not gens:
-            return cls(params, ())
-        mat = params.digits(np.asarray(gens, dtype=np.int64))
-        red, _ = gf_rowreduce(params.p, mat)
-        idx = params.index(red)
-        return cls(params, tuple(int(i) for i in np.atleast_1d(idx)))
+        red, _ = gf_rowreduce(params.p, params.digits(np.array([int(g) for g in gens], dtype=np.int64)))
+        return cls(params, tuple(params.index(red).tolist()))
 
     @property
     def dim(self) -> int:
@@ -315,11 +364,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """The dual subspace {r : r.x = 0 for all x in self} under the dot pairing."""
-        null = gf_nullspace(self.params.p, self.matrix())
-        if null.shape[0] == 0:
-            return Subspace(self.params, ())
-        idx = self.params.index(null)
-        return Subspace.from_generators(self.params, np.atleast_1d(idx))
+        return Subspace.from_generators(self.params, self.params.index(gf_nullspace(self.params.p, self.matrix())))
 
 
 # ============================================================

@@ -21,7 +21,7 @@ from ulab.core import (
     _json_index,
     _json_params,
     char_transform,
-    gf_rank,
+    gf_family_ranks,
 )
 from ulab.gowers import derivative2_spectra, uk_norm
 from ulab.grid import GridFn
@@ -147,8 +147,8 @@ def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
     """Exact rational value of E_{a,b,c} omega^{tau(a,b,c)}.
 
     For fixed a, E_{b,c} omega^{b.T_a c} = p^{-rank T_a}, so the mean is
-    `slice_rank_mean` of the slices along the first slot: N ranks of n x n
-    matrices in place of N^3 evaluations.
+    `slice_rank_mean` of the slices along the first slot: the ranks of the
+    N slices, from one `gf_family_ranks` call, in place of N^3 evaluations.
     """
     return slice_rank_mean(tau.slices(0))
 
@@ -162,20 +162,13 @@ def analytic_rank_tri(tau: TrilinearForm) -> float:
 def slice_rank_mean(fam: SliceFamily) -> Fraction:
     """E_x p^{-rank(T_x)}, exactly.
 
-    The slices T_x = sum_s x_s mats[s] come from one einsum over the digit
-    table, in blocks of at most SIZE_CAP entries; each distinct slice of a
-    block is ranked once and weighted by its multiplicity.
+    The slices T_x = sum_s x_s mats[s] are the members of a linear family,
+    so one `gf_family_ranks` call ranks all N of them; with count_r the
+    number of slices of rank r, the mean is sum_r count_r p^{-r} / N.
     """
-    params = fam.params
-    p, n, N = params.p, params.n, params.size
-    total = Fraction(0)
-    block = max(1, SIZE_CAP // (n * n))
-    for lo in range(0, N, block):
-        dig = params.digits(np.arange(lo, min(lo + block, N), dtype=np.int64))
-        slices = np.einsum("xs,sij->xij", dig, fam.mats) % p
-        distinct, counts = np.unique(slices, axis=0, return_counts=True)
-        total += sum(Fraction(int(c), p ** gf_rank(p, T)) for T, c in zip(distinct, counts))
-    return total / N
+    p, N = fam.params.p, fam.params.size
+    counts = np.bincount(gf_family_ranks(p, fam.mats))
+    return sum(Fraction(int(c), p**r) for r, c in enumerate(counts)) / N
 
 
 # ============================================================

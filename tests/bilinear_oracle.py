@@ -1,13 +1,18 @@
-"""Reference implementations of the exact Bogolyubov cover and the Bohr
-peeling.
+"""Reference implementations of the exact Bogolyubov cover, the fitted
+cover candidates, the rank scan and the Bohr peeling.
 
 `exact_cover` is the table route that `ulab.bilinear` replaced with its
 per-matrix count: it builds every one of the p^(n^2+n) affine maps and the
 index of M h + c for every map and every h, then runs the greedy cover on
-that table.  `bohr_decompose` is the peeling loop with its own inline scan
+that table.  `fitted_candidates` solves one pair of spectrum points at a
+time with `gf_solve` and keeps each new map in a set, where
+`ulab.bilinear._fitted_candidates` solves a block of pairs per
+`_solve_stack` call.  `mats_map_rank` ranks one combination of the matrices at a time,
+which `ulab.core.gf_family_ranks` replaced with one reduction of every
+combination.  `bohr_decompose` is the peeling loop with its own inline scan
 of the combinations in each round and a second full rank scan of the last
 round's matrices at exit, which `ulab.bilinear` replaced with one
-`_mats_map_rank` call per round; like the package, it scans the
+`gf_family_ranks` call per round; like the package, it scans the
 combinations of the unit vectors off the pivots of the peeled vectors.
 `bohr_decompose_orthogonal` is the same loop with the rule the package
 used before, the combinations orthogonal to the peeled ones: where it
@@ -17,8 +22,9 @@ by `reduced`, on every occupied translate (v, w) with `restrict`, and
 counts each translate's cells with its own `np.unique`: the check the
 cells stage made before it trusted the peeling's last scan and counted
 its cells with one `BohrDecomposition.cell_index`.  `is_bilinear` and
-`combine` are `BiAffineMap` helpers that only tests use.  Tests compare
-the library against them; nothing in the package imports this module.
+`combine` are `BiAffineMap` helpers that only tests use.  The linear
+algebra is `core_oracle`'s.  Tests compare the library against them;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from ulab.bilinear import (
     _affine_map_tables,
     _complement,
     _greedy_cover,
-    _mats_map_rank,
-    _subspace_from_rows,
 )
-from ulab.core import GroupParams, gf_nullspace, gf_rank, gf_rowreduce
+from ulab.core import GroupParams, Subspace
+
+from core_oracle import gf_nullspace, gf_rank, gf_rowreduce, gf_solve
 
 
 def is_bilinear(beta: BiAffineMap) -> bool:
@@ -96,6 +102,63 @@ def exact_cover(
     return _greedy_cover(tables, points, eps_count, max_maps)
 
 
+def mats_map_rank(p: int, mats: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """(min rank, full u-scan) over nonzero combinations of the given matrices,
+    one combination and one rank at a time.
+
+    An empty family has no nonzero combinations; its rank is infinite.
+    """
+    k = mats.shape[0]
+    if k == 0:
+        return math.inf, ()
+    vp = GroupParams(p, k)
+    scan = []
+    for u in range(1, vp.size):
+        Tu = np.tensordot(vp.digits(u), mats, axes=(0, 0)) % p
+        scan.append(gf_rank(p, Tu))
+    return min(scan), tuple(scan)
+
+
+def fitted_candidates(params: GroupParams, points: list[tuple[int, int]], cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant maps through single points plus maps interpolating point
+    pairs, one `gf_solve` per pair, until the pool holds cap maps."""
+    p, n = params.p, params.n
+    seen: set[tuple[int, ...]] = set()
+    mats: list[np.ndarray] = []
+    shifts: list[np.ndarray] = []
+
+    def push(M: np.ndarray, c: np.ndarray) -> None:
+        key = tuple(M.reshape(-1).tolist()) + tuple(c.tolist())
+        if key not in seen:
+            seen.add(key)
+            mats.append(M)
+            shifts.append(c)
+
+    for _, u in points:
+        push(np.zeros((n, n), dtype=np.int64), params.digits(u).copy())
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if len(mats) >= cap:
+                break
+            (h1, u1), (h2, u2) = points[i], points[j]
+            if h1 == h2:
+                continue
+            rows = np.zeros((2 * n, n * n + n), dtype=np.int64)
+            rhs = np.zeros(2 * n, dtype=np.int64)
+            for q, (h, u) in enumerate(((h1, u1), (h2, u2))):
+                dh, du = params.digits(h), params.digits(u)
+                for r in range(n):
+                    rows[q * n + r, r * n : (r + 1) * n] = dh
+                    rows[q * n + r, n * n + r] = 1
+                    rhs[q * n + r] = du[r]
+            sol = gf_solve(p, rows, rhs)
+            if sol is not None:
+                push(sol[: n * n].reshape(n, n), sol[n * n :])
+        if len(mats) >= cap:
+            break
+    return np.array(mats, dtype=np.int64).reshape(-1, n, n), np.array(shifts, dtype=np.int64).reshape(-1, n)
+
+
 def _coordinate_complement(p: int, U: np.ndarray, k: int) -> np.ndarray:
     """Unit vectors of F_p^k off the pivot columns of rref(U)."""
     pivots = gf_rowreduce(p, U)[1] if U.shape[0] else []
@@ -137,14 +200,14 @@ def _peel(beta: BiAffineMap, t: int, complement) -> BohrDecomposition:
         scans.append(tuple(ranks))
         min_rank: float = min(ranks) if ranks else math.inf
         if min_rank >= t:
-            X1 = _subspace_from_rows(params, BV)
-            Y1 = _subspace_from_rows(params, BW)
+            X1 = Subspace.from_generators(params, params.index(BV))
+            Y1 = Subspace.from_generators(params, params.index(BW))
             X0 = _complement(params, X1)
             Y0 = _complement(params, Y1)
             if X0.dim > t * k or Y0.dim > t * k:
                 raise RuntimeError("peeled dimensions exceed the t*k guarantee")
             Tr = np.tensordot(NB, beta.T, axes=(1, 0)) % p
-            certified, _ = _mats_map_rank(p, np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p)
+            certified, _ = mats_map_rank(p, np.einsum("vs,kst,wt->kvw", BV, Tr, BW) % p)
             return BohrDecomposition(
                 beta=beta,
                 X0=X0,
@@ -216,7 +279,7 @@ def verify_cells(dec: BohrDecomposition, t: int | None = None) -> int:
                 rank: float = math.inf
             else:
                 restricted = restrict(rest, dec.X1.matrix(), dec.Y1.matrix(), int(v), int(w))
-                rank, _ = _mats_map_rank(p, restricted.T)
+                rank, _ = mats_map_rank(p, restricted.T)
             if rank < threshold:
                 raise RuntimeError(
                     "cell translate (%d, %d) has reduced rank %s below %d" % (v, w, rank, threshold)

@@ -21,8 +21,9 @@ of G^2, the table the extend stage checked for bi-affinity until that check
 was dropped as one that cannot fail.  `best_cell` is the cells stage's
 `Counter` over the domain's (x0 label, y0 label, beta value) triples, which
 `ulab.pipeline` replaced with one `np.unique` of the packed
-`BohrDecomposition.cell_index` codes.  Tests compare the library against
-them; nothing in the package imports this module.
+`BohrDecomposition.cell_index` codes.  The linear algebra is
+`core_oracle`'s.  Tests compare the library against them; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ import numpy as np
 
 from ulab.arrange import PartialMap
 from ulab.bilinear import BohrDecomposition
-from ulab.core import GroupFn, GroupParams, PolyPhase, char_transform, gf_rowreduce, gf_solve
+from ulab.core import GroupFn, GroupParams, PolyPhase, char_transform
 from ulab.gowers import PEAK_TIE_TOL, derivative2_spectra, norm_from_power
 from ulab.pipeline import BiAffineFit, exhaustive_affine_fit
+
+from core_oracle import gf_rowreduce, gf_solve
 
 
 def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict, float]:

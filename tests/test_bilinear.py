@@ -17,7 +17,6 @@ from ulab.bilinear import (
     _exact_cover,
     _fitted_candidates,
     _greedy_cover,
-    _mats_map_rank,
     avg_projection,
     biaffine_from_json,
     biaffine_to_json,
@@ -25,7 +24,7 @@ from ulab.bilinear import (
     bohr_decompose,
 )
 from ulab.arrange import PartialMap
-from ulab.core import GroupParams, char_transform, gf_rank
+from ulab.core import GroupParams, char_transform, gf_family_ranks, gf_rank
 from ulab.grid import GridFn, vert_conv
 from ulab.pipeline import fit_biaffine
 
@@ -213,6 +212,11 @@ def test_algebraic_rank_examples():
 # ============================================================
 
 
+def _map_rank(p: int, mats: np.ndarray) -> float:
+    """The smallest rank over the nonzero combinations, from the family scan."""
+    return min(gf_family_ranks(p, mats)[1:].tolist(), default=math.inf)
+
+
 def test_map_rank_shared_row_space():
     # x1*y1 and x1*y2: the combination u=(1,2) is x1*(y1+2*y2), always rank 1.
     m1 = np.zeros((3, 3), np.int64)
@@ -220,24 +224,30 @@ def test_map_rank_shared_row_space():
     m2 = np.zeros((3, 3), np.int64)
     m2[0, 1] = 1
     beta = BiAffineMap.bilinear(P33, np.stack([m1, m2]))
-    assert _mats_map_rank(3, beta.T)[0] == 1
+    assert _map_rank(3, beta.T) == 1
 
 
 def test_map_rank_duplicate_forms_is_zero():
     m = np.eye(3, dtype=np.int64)
     beta = BiAffineMap.bilinear(P33, np.stack([m, m]))
-    assert _mats_map_rank(3, beta.T)[0] == 0
+    assert _map_rank(3, beta.T) == 0
 
 
 def test_map_rank_single_full_form():
-    assert _mats_map_rank(5, _dot_map(P53).T)[0] == 3
+    assert _map_rank(5, _dot_map(P53).T) == 3
 
 
 def test_map_rank_scan_length():
     beta = _random_biaffine(P33, 2, np.random.default_rng(1))
-    scan = _mats_map_rank(3, beta.T)[1]
-    assert len(scan) == 3**2 - 1
-    assert _mats_map_rank(3, beta.T)[0] == min(scan)
+    ranks = gf_family_ranks(3, beta.T)
+    assert ranks.shape == (3**2,) and ranks[0] == 0
+    assert (min(ranks[1:]), tuple(ranks[1:].tolist())) == bilinear_oracle.mats_map_rank(3, beta.T)
+
+
+def test_map_rank_of_no_forms_is_infinite():
+    assert gf_family_ranks(3, np.zeros((0, 3, 3), np.int64)).tolist() == [0]
+    empty = np.zeros((0, 3, 3), np.int64)
+    assert _map_rank(3, empty) == math.inf == bilinear_oracle.mats_map_rank(3, empty)[0]
 
 
 # ============================================================

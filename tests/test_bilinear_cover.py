@@ -1,6 +1,7 @@
 """Property tests: the per-matrix count behind the exact Bogolyubov cover
-against the full map table in `bilinear_oracle`, and the Bohr peeling
-against the oracle's inline round scan and its old complement rule.
+against the full map table in `bilinear_oracle`, the fitted cover
+candidates against one `gf_solve` per pair, and the Bohr peeling against
+the oracle's inline round scan and its old complement rule.
 
 Each matrix covers each spectrum point with exactly one shift, so a bincount
 over the uncovered points must give every map's gain; the cover has to pick
@@ -17,13 +18,14 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bilinear_oracle as oracle
-from ulab.bilinear import BiAffineMap, _exact_cover, bogolyubov_bilinear, bohr_decompose
-from ulab.core import GroupParams
-from ulab.grid import GridFn
+from ulab.bilinear import BiAffineMap, _exact_cover, _fitted_candidates, bogolyubov_bilinear, bohr_decompose
+from ulab.core import GroupParams, char_transform
+from ulab.grid import GridFn, vert_conv
 
 # every F_p^n with p^n <= 25, and F_2^3 (exact covers may be forced at n = 3)
 GROUPS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (23, 1), (2, 2), (3, 2), (5, 2), (2, 3)]
@@ -77,6 +79,58 @@ def test_exact_cover_full_grid_ties_to_the_earliest_maps():
         chosen, uncovered = _exact_cover(params, points, 0, 2 * N)
         assert (chosen, uncovered) == oracle.exact_cover(params, points, 0, 2 * N)
         assert chosen == list(range(N)) and uncovered == 0
+
+
+def _two_phase_spectrum(params: GroupParams, gamma: float) -> list[tuple[int, int]]:
+    """The sorted (h, u) points where the column power spectrum of the
+    vertical self-convolution reaches gamma, for the mean of two random
+    bilinear phases on a random 70% of the grid: two graphs of linear maps,
+    so most h carry two points."""
+    p, n, N = params.p, params.n, params.size
+    rng = np.random.default_rng(N)
+    D = params.digits(np.arange(N, dtype=np.int64))
+    phases = [np.exp(2j * np.pi * (D @ rng.integers(0, p, (n, n)) @ D.T % p) / p) for _ in range(2)]
+    f = GridFn(params, np.where(rng.random((N, N)) < 0.7, (phases[0] + phases[1]) / 2, 0))
+    g = vert_conv(f, f)
+    us, hs = np.nonzero(np.abs(char_transform(g.values, params, axis=0)) ** 2 >= gamma)
+    return sorted(zip(hs.tolist(), us.tolist()))
+
+
+# (group, cap): no cap reached; caps below the pool, one of them below the
+# number of constant maps; the F_5^3 pool holds 1487 maps
+@pytest.mark.parametrize(
+    "group,cap", [((3, 3), 4096), ((3, 3), 100), ((3, 3), 10), ((5, 3), 300), ((5, 3), 50)]
+)
+def test_fitted_candidates_match_one_solve_per_pair(group, cap):
+    params = GroupParams(*group)
+    points = _two_phase_spectrum(params, 0.01)
+    assert len({h for h, _ in points}) < len(points)
+    want = oracle.fitted_candidates(params, points, cap)
+    got = _fitted_candidates(params, points, cap)
+    assert len(want[0]) > 1
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("cap", [1, 3, 25])
+def test_fitted_candidates_blocks_match_one_pass(monkeypatch, cap):
+    # blocks of `cap` pairs keep the same maps in the same order
+    params = GroupParams(3, 3)
+    points = _two_phase_spectrum(params, 0.01)
+    want = _fitted_candidates(params, points, 4096)
+    monkeypatch.setattr("ulab.bilinear.SIZE_CAP", cap * 6 * 13)
+    got = _fitted_candidates(params, points, 4096)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_fitted_candidates_skip_blocks_of_pairs_that_share_h(monkeypatch):
+    # the first blocks of 5 pairs all share h = 0 and solve nothing
+    params = GroupParams(3, 3)
+    points = [(0, u) for u in range(10)] + [(5, 1), (5, 7), (20, 3)]
+    want = oracle.fitted_candidates(params, points, 4096)
+    monkeypatch.setattr("ulab.bilinear.SIZE_CAP", 5 * 6 * 13)
+    got = _fitted_candidates(params, points, 4096)
+    assert len(want[0]) > 10
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @st.composite

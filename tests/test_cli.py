@@ -717,6 +717,18 @@ def test_cmd_bohr_rejects_a_threshold_below_one(files, capsys, t):
     assert "t must be at least 1" in captured.err
 
 
+def test_cmd_bohr_refuses_too_many_combinations_in_one_line(tmp_path, capsys):
+    # k = 9 forms over F_5: the scan would rank 5^9 combinations, over the cap
+    path = tmp_path / "beta9.json"
+    path.write_text(json.dumps(biaffine_to_json(BiAffineMap.bilinear(P5, np.ones((9, 1, 1), dtype=np.int64)))))
+    assert main(["bohr", "--beta", str(path), "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: p^k for p = 5, k = 9 (the combinations of 9 matrices) exceeds the size cap 1000000\n"
+    )
+
+
 def test_cmd_bog2(files, capsys):
     assert main(["bog2", "--input", str(files["f1"]), "--zeta", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -16,8 +16,8 @@ in one batch and `np.exp` over every phase value, which the library
 replaced with blocks of at most SIZE_CAP // N quadratic parts and a p-entry
 table of phases; it must give the same bits.
 `slice_rank_mean` ranks every slice T_x in turn, which
-`ulab.trilinear.slice_rank_mean` replaced with one einsum for all slices and
-one rank per distinct slice.  `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
+`ulab.trilinear.slice_rank_mean` replaced with one `gf_family_ranks` call
+for all slices and a count of the slices of each rank.  `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
 that `ulab.trilinear.kappa_from_sigma` replaced with a symbolic
 polarisation certificate; `alternating_sum_constant` is that check alone, so
 a test can hand it a changed cubic.  `analytic_mean_tri` counts the values
@@ -28,8 +28,8 @@ in a `CharacterSum`.  `form_value`, `scaled`, `slice_at`, `phase_one` and
 only tests need.  `cubic_stage_box` is the cubic stage's box lower bound
 as the pipeline ran it before it reused the symmetry stage's correlation:
 `u3_lower` of the remainder with the phases of the fitted maps as grids.
-Tests compare the library against them; nothing in the package imports
-this module.
+The ranks are `core_oracle`'s.  Tests compare the library against them;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, GroupFn, PolyPhase, char_transform, gf_rank
+from ulab.core import SIZE_CAP, GroupFn, PolyPhase, char_transform
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
 import ulab.trilinear
 from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm, u3_lower
+
+from core_oracle import gf_rank
 
 
 def form_value(tau: TrilinearForm, a, b, c):
