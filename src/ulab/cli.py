@@ -35,8 +35,10 @@ from .verify import verify_suite
 # bindings (PipelineConfig and run_inverse_pipeline, which this module uses,
 # are imported above), and bench/tests/test_tracer.py checks that the copies
 # of dft and derivative2 are wrapped.  No stage calls
-# affine_in_each_variable; it is here only for the tracer.  This block goes
-# once the benchmark looks the pipeline up on ulab.pipeline.
+# affine_in_each_variable; it is here only for the tracer.  The extend stage
+# calls extract_affine_parts, its split of the fit into rho and sigma, and
+# no stage is named "backfit", so the tracer's halt counter for it reads 0.
+# This block goes once the benchmark looks the pipeline up on ulab.pipeline.
 from .core import dft  # noqa: F401
 from .gowers import derivative2  # noqa: F401
 from .pipeline import (  # noqa: F401

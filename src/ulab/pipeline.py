@@ -38,18 +38,17 @@ polynomial it correlates with:
                   of the fit's row selections is one elimination pass over
                   the design rows, and one row reduction solves every digit;
                   the fit stops at the first selection that is exact, which
-                  no later one can beat.
-9.  backfit     - split the fitted model into its bilinear part and
-                  per-variable corrections, linearize the corrections by
-                  exhaustive affine search, and measure how much of the
-                  original peak map the combination explains.
-10. symmetry    - measure the correlation of the derivative family against
-                  the trilinear form of the bilinear part, symmetrize the
-                  form, and bound the asymmetry ranks.  The phase is affine
-                  in c for fixed (a, b), so by the autocorrelation identity
-                  the correlation is one gathered value |(d_{a,b} f)^(r)|^2
-                  per (a, b): N^3 log N time, O(N^2) memory per row a.
-11. cubic       - integrate the symmetric form sigma to the cubic phase
+                  no later one can beat.  The record carries s, t and e: the
+                  bilinear part T feeds the symmetry argument, and the
+                  affine parts are rho = (s, e) in a and sigma = (t, 0) in b.
+9.  symmetry    - measure the correlation of the derivative family against
+                  the trilinear form of the bilinear part, shifted by the
+                  fit's rho and sigma, symmetrize the form, and bound the
+                  asymmetry ranks.  The phase is affine in c for fixed
+                  (a, b), so by the autocorrelation identity the
+                  correlation is one gathered value |(d_{a,b} f)^(r)|^2 per
+                  (a, b): N^3 log N time, O(N^2) memory per row a.
+10. cubic       - integrate the symmetric form sigma to the cubic phase
                   kappa(x) = sigma(x,x,x) and certify by polarisation that
                   its third difference is -6 sigma: kappa is homogeneous
                   cubic, so that difference does not depend on x, and one
@@ -60,7 +59,7 @@ polynomial it correlates with:
                   with the fitted maps' phases is |tri_correlation(f, h,
                   sigma)|: the symmetry stage's alpha when sigma = tau,
                   else one more pass of that kernel.
-12. quadratic   - exhaustively locate the best quadratic phase for the
+11. quadratic   - exhaustively locate the best quadratic phase for the
                   remainder and report the full cubic polynomial together
                   with its correlation against the input.  One character
                   transform per quadratic part scores every linear part,
@@ -129,14 +128,13 @@ __all__ = [
     "BiAffineFit",
     "fit_biaffine",
     "affine_in_each_variable",
-    "exhaustive_affine_fit",
     "extract_affine_parts",
 ]
 
-REPORT_SCHEMA = "ulab.pipeline-report/1"
+REPORT_SCHEMA = "ulab.pipeline-report/2"
 STAGES = (
     "gate", "peaks", "densify", "defect", "cover", "cells",
-    "rounding", "extend", "backfit", "symmetry", "cubic", "quadratic",
+    "rounding", "extend", "symmetry", "cubic", "quadratic",
 )
 _log = logging.getLogger("ulab")
 
@@ -189,7 +187,6 @@ class PipelineConfig:
     defect_ceiling: float = 0.9
     stability_floor: float = 0.25
     fit_floor: float = 0.6
-    back_floor: float = 0.6
     alpha_floor: float = 0.02
     residual_tol: float = 1e-9
     # optional file endpoints (recorded, not interpreted, by the pipeline)
@@ -226,14 +223,7 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError("%s must lie in (0, 1], got %r" % (name, v))
-        for name in (
-            "density_floor",
-            "defect_ceiling",
-            "stability_floor",
-            "fit_floor",
-            "back_floor",
-            "alpha_floor",
-        ):
+        for name in ("density_floor", "defect_ceiling", "stability_floor", "fit_floor", "alpha_floor"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ValueError("%s must lie in [0, 1], got %r" % (name, v))
@@ -569,84 +559,11 @@ def affine_in_each_variable(params: GroupParams, table: np.ndarray) -> bool:
     return True
 
 
-def exhaustive_affine_fit(
-    params: GroupParams, xs: np.ndarray, data_digits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best affine approximation x -> Mx + u of tabulated digit data, by
-    exhaustive per-coordinate search; ties go to the lexicographically first
-    candidate.  Returns (M, u, joint agreement)."""
-    p, n = params.p, params.n
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.size == 0:
-        z = np.zeros((n, n), dtype=np.int64)
-        return z, np.zeros(n, dtype=np.int64), 1.0
-    dx = params.digits(xs)
-    grids = np.meshgrid(*([np.arange(p)] * (n + 1)), indexing="ij")
-    cand = np.stack([g.ravel() for g in grids], axis=1)  # rows (m_0..m_{n-1}, u), lex order
-    M = np.zeros((n, n), dtype=np.int64)
-    u = np.zeros(n, dtype=np.int64)
-    pred_all = (dx @ cand[:, :n].T + cand[:, n][None, :]) % p
-    for c in range(data_digits.shape[1]):
-        hits = (pred_all == data_digits[:, c : c + 1]).sum(axis=0)
-        best = int(np.argmax(hits))
-        M[c] = cand[best, :n]
-        u[c] = cand[best, n]
-    joint = (dx @ M.T + u[None, :]) % p
-    agreement = float(np.mean(np.all(joint == data_digits, axis=1)))
-    return M, u, agreement
-
-
-def extract_affine_parts(phi: PartialMap, fit: BiAffineFit) -> dict:
-    """Split the fitted model's explanation of the data as
-    bilinear(a, b) + theta(a) + lambda(b), linearizing the per-variable
-    corrections by exhaustive affine search.
-
-    Returns the two affine maps, their fit agreements, and the fraction of
-    the map's domain the combined model reproduces exactly.
-    """
-    params, vp = phi.params, phi.value_params
-    p = params.p
-    N = params.size
-    dig = params.digits(np.arange(N, dtype=np.int64))
-    gamma = np.einsum("ai,cij,bj->abc", dig, fit.T, dig) % p
-    xs, ys = np.nonzero(phi.domain)
-    resid = (vp.digits(phi.values[xs, ys]) - gamma[xs, ys]) % p
-    m = resid.shape[1]
-    # per-variable corrections: theta from the reference column ys[0], lambda
-    # by majority vote, then a second pass for rows missing the reference
-    theta = np.zeros((N, m), dtype=np.int64)
-    has_theta = np.zeros(N, dtype=bool)
-    ref = ys == ys[0]
-    theta[xs[ref]] = resid[ref]
-    has_theta[xs[ref]] = True
-    # offsets coded big-endian, so code order is the lexicographic order of
-    # digit tuples and argmax's first maximum breaks ties toward the smallest
-    big = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    voting = has_theta[xs]
-    codes = ((resid[voting] - theta[xs[voting]]) % p) @ big
-    votes = np.bincount(ys[voting] * p**m + codes, minlength=N * p**m).reshape(N, p**m)
-    has_lam = votes.any(axis=1)
-    lam = votes.argmax(axis=1)[:, None] // big % p
-    # the first candidate per row a, in scan order
-    late = np.flatnonzero(~has_theta[xs] & has_lam[ys])
-    rows, first = np.unique(xs[late], return_index=True)
-    pick = late[first]
-    theta[rows] = (resid[pick] - lam[ys[pick]]) % p
-    has_theta[rows] = True
-    th_keys, lm_keys = np.flatnonzero(has_theta), np.flatnonzero(has_lam)
-    Mth, uth, ath = exhaustive_affine_fit(params, th_keys, theta[th_keys])
-    Mlm, ulm, alm = exhaustive_affine_fit(params, lm_keys, lam[lm_keys])
-    th_tab = (dig @ Mth.T + uth[None, :]) % p
-    lm_tab = (dig @ Mlm.T + ulm[None, :]) % p
-    full = (gamma + th_tab[:, None, :] + lm_tab[None, :, :]) % p
-    back = float(np.mean(np.all(full[xs, ys] == vp.digits(phi.values[xs, ys]), axis=1)))
-    return {
-        "theta": (Mth, uth),
-        "lambda": (Mlm, ulm),
-        "theta_agreement": ath,
-        "lambda_agreement": alm,
-        "back_agreement": back,
-    }
+def extract_affine_parts(fit: BiAffineFit) -> tuple[tuple, tuple]:
+    """The fitted model's affine parts as the symmetry stage's (matrix, shift)
+    maps: rho = (s, e) in a and sigma = (t, 0) in b, so that
+    a.T.b + rho(a) + sigma(b) is the fit itself."""
+    return (fit.s, fit.e), (fit.t, np.zeros_like(fit.e))
 
 
 # ============================================================
@@ -849,44 +766,20 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
 
     # -------- extend --------
     fit = fit_biaffine(rounded)
-    extend_data = {
-        "agreement": fit.agreement,
-        "offset": fit.offset,
-        "affine_parts_nonzero": bool(fit.s.any() or fit.t.any() or fit.e.any()),
-    }
+    extend_data = {"agreement": fit.agreement, "offset": fit.offset, "s": fit.s, "t": fit.t, "e": fit.e}
     _require(
         fit.agreement >= cfg.fit_floor,
         "bi-affine fit explains only %.4f of the rounded map, below the floor %.4f"
         % (fit.agreement, cfg.fit_floor),
         extend_data,
     )
+    rho, sig = extract_affine_parts(fit)
     record(extend_data)
-
-    # -------- backfit --------
-    parts = extract_affine_parts(rounded, fit)
-    Mth, uth = parts["theta"]
-    Mlm, ulm = parts["lambda"]
-    back_data = {
-        "theta_matrix": Mth,
-        "theta_shift": uth,
-        "theta_agreement": parts["theta_agreement"],
-        "lambda_matrix": Mlm,
-        "lambda_shift": ulm,
-        "lambda_agreement": parts["lambda_agreement"],
-        "back_agreement": parts["back_agreement"],
-    }
-    _require(
-        parts["back_agreement"] >= cfg.back_floor,
-        "bilinear + per-variable model explains only %.4f of the map, below the floor %.4f"
-        % (parts["back_agreement"], cfg.back_floor),
-        back_data,
-    )
-    record(back_data)
 
     # -------- symmetry --------
     tau = TrilinearForm.from_component_mats(params, fit.T)
     try:
-        sigma, srep = symmetry_pipeline(f, tau, (Mth, uth), (Mlm, ulm))
+        sigma, srep = symmetry_pipeline(f, tau, rho, sig)
     except RuntimeError as err:
         raise PipelineHalt("verification", str(err))
     sym_data = {

@@ -319,7 +319,9 @@ def symmetry_pipeline(
     """Measure the correlation, symmetrize, and bound the asymmetry ranks.
 
     rho_lin and sigma_lin are affine maps (matrix, shift) entering the phase
-    as -rho(a).c - sigma(b).c.  When the measured correlation alpha is
+    as -rho(a).c - sigma(b).c; only the sum of their shifts matters.  The
+    pipeline passes the extend stage's fit a.T.b + s.a + t.b + e as
+    rho = (s, e) and sigma = (t, 0).  When the measured correlation alpha is
     positive, the rank of the (a,c,b)-swap difference is asserted to be at
     most log_p(1/alpha); with alpha at the noise floor no assertion is made.
     """

@@ -9,10 +9,15 @@ routes, the fit with one `gf_solve` per output digit.  The oracle rounding
 always votes, even on a map the library certifies exactly bi-affine by its
 fit, and the oracle fit walks every offset, where the library stops at the
 first exact one.
-`extract_affine_parts` is the backfit's per-point loop over the domain,
-which `ulab.pipeline.extract_affine_parts` replaced with array passes and
-one `np.bincount` of the votes.  `derivative_peak_map` reads the gate and
-the peak map off all N^2 spectra, one row a of `derivative2_spectra` at a
+`extract_affine_parts` is the retired backfit stage, kept as the record
+of what it computed: from the data it re-derived the two affine parts the
+fit already holds, theta from a reference column and lambda by a vote per
+column, each linearized by `exhaustive_affine_fit`, a search over all
+p^{n+1} affine maps per digit.  The symmetry stage takes those parts from
+the fit, as `ulab.pipeline.extract_affine_parts` returns them; on a sparse
+map whose reference column holds few points the oracle explains less of
+the map than the fit does.  `derivative_peak_map` reads the gate and the
+peak map off all N^2 spectra, one row a of `derivative2_spectra` at a
 time, where `ulab.pipeline.derivative_peak_map` transforms one spectrum
 per symmetry orbit of (a, b).  `best_cubic_phase`
 is the pipeline's target found by exhaustion: the cubic q maximising
@@ -37,7 +42,7 @@ from ulab.arrange import PartialMap
 from ulab.bilinear import BohrDecomposition
 from ulab.core import GroupFn, GroupParams, PolyPhase, char_transform
 from ulab.gowers import PEAK_TIE_TOL, derivative2_spectra, norm_from_power
-from ulab.pipeline import BiAffineFit, exhaustive_affine_fit
+from ulab.pipeline import BiAffineFit
 
 from core_oracle import gf_rowreduce, gf_solve
 
@@ -172,6 +177,27 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
         if best is None or cand.agreement > best.agreement + 1e-12:
             best = cand
     return best
+
+
+def exhaustive_affine_fit(
+    params: GroupParams, xs: np.ndarray, data_digits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Best affine approximation x -> Mx + u of tabulated digit data, by
+    exhaustive per-coordinate search; ties go to the lexicographically first
+    candidate.  Returns (M, u, joint agreement)."""
+    p, n = params.p, params.n
+    dx = params.digits(np.asarray(xs, dtype=np.int64))
+    grids = np.meshgrid(*([np.arange(p)] * (n + 1)), indexing="ij")
+    cand = np.stack([g.ravel() for g in grids], axis=1)  # rows (m_0..m_{n-1}, u), lex order
+    M = np.zeros((n, n), dtype=np.int64)
+    u = np.zeros(n, dtype=np.int64)
+    pred_all = (dx @ cand[:, :n].T + cand[:, n][None, :]) % p
+    for c in range(data_digits.shape[1]):
+        best = int(np.argmax((pred_all == data_digits[:, c : c + 1]).sum(axis=0)))
+        M[c] = cand[best, :n]
+        u[c] = cand[best, n]
+    joint = (dx @ M.T + u[None, :]) % p
+    return M, u, float(np.mean(np.all(joint == data_digits, axis=1)))
 
 
 def extract_affine_parts(phi: PartialMap, fit: BiAffineFit) -> dict:

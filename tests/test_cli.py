@@ -33,7 +33,6 @@ from ulab.pipeline import (
     affine_in_each_variable,
     consensus_rounding,
     derivative_peak_map,
-    exhaustive_affine_fit,
     extract_affine_parts,
     fit_biaffine,
     run_inverse_pipeline,
@@ -54,7 +53,6 @@ STAGE_NAMES = [
     "cells",
     "rounding",
     "extend",
-    "backfit",
     "symmetry",
     "cubic",
     "quadratic",
@@ -137,6 +135,9 @@ def test_config_enforces_size_budget_before_running():
 def test_config_from_json_rejects_unknown_fields():
     with pytest.raises(ValueError):
         PipelineConfig.from_json({"p": 5, "n": 1, "bogus": 3})
+    # the backfit stage's floor went with the stage
+    with pytest.raises(ValueError, match=r"^unknown config fields: back_floor$"):
+        PipelineConfig.from_json({"back_floor": 0.6})
 
 
 def test_config_json_roundtrip():
@@ -348,32 +349,56 @@ def test_fitted_models_are_biaffine_by_their_form(groups, seed):
     assert affine_in_each_variable(params, cli_oracle.biaffine_value_table(params, fit))
 
 
-def test_exhaustive_affine_fit_exact_and_noisy():
-    rng = np.random.default_rng(11)
-    M = rng.integers(0, 5, size=(2, 2))
-    u = rng.integers(0, 5, size=2)
-    dig = P52.digits(np.arange(25, dtype=np.int64))
-    data = (dig @ M.T + u[None, :]) % 5
-    gotM, gotu, agree = exhaustive_affine_fit(P52, np.arange(25), data)
-    assert np.array_equal(gotM, M % 5) and np.array_equal(gotu, u % 5)
-    assert agree == 1.0
-    noisy = data.copy()
-    noisy[[3, 8, 14, 20], 0] = (noisy[[3, 8, 14, 20], 0] + 2) % 5
-    gotM, gotu, agree = exhaustive_affine_fit(P52, np.arange(25), noisy)
-    assert np.array_equal(gotM, M % 5) and np.array_equal(gotu, u % 5)
-    assert abs(agree - 21 / 25) < 1e-12
-
-
 def test_extract_affine_parts_explains_full_model():
+    # on a full planted map the old backfit's reference column, vote and
+    # exhaustive fits find the fit's own affine parts
     rng = np.random.default_rng(19)
     table = _planted_biaffine_table(rng)
     mask = np.ones((25, 25), dtype=bool)
     phi = _table_to_partial_map(table, mask)
     fit = fit_biaffine(phi)
-    parts = extract_affine_parts(phi, fit)
-    assert parts["back_agreement"] == 1.0
-    assert parts["theta_agreement"] == 1.0
-    assert parts["lambda_agreement"] == 1.0
+    (Ms, us), (Mt, ut) = extract_affine_parts(fit)
+    old = cli_oracle.extract_affine_parts(phi, fit)
+    assert old["back_agreement"] == 1.0
+    assert np.array_equal(old["theta"][0], Ms) and np.array_equal(old["lambda"][0], Mt)
+    assert np.array_equal((old["theta"][1] + old["lambda"][1]) % 5, (us + ut) % 5)
+
+
+# a + 2b on 11 points of F_5 x F_5; column 3, the first in scan order, holds
+# only row 0's point, so the old backfit knew theta on one row and lambda on
+# one column
+SPARSE_POINTS = [(0, 3), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4), (3, 0), (3, 2), (4, 1), (4, 2), (4, 4)]
+
+
+def _sparse_line_map() -> PartialMap:
+    dom = np.zeros((5, 5), dtype=bool)
+    dom[tuple(np.array(SPARSE_POINTS).T)] = True
+    a, b = np.indices((5, 5))
+    return PartialMap(P5, P5, dom, np.where(dom, (a + 2 * b) % 5, 0))
+
+
+def test_fit_split_explains_a_sparse_map_the_old_backfit_missed():
+    phi = _sparse_line_map()
+    fit = fit_biaffine(phi)
+    assert fit.agreement == 1.0
+    (Ms, us), (Mt, ut) = extract_affine_parts(fit)
+    xs, ys = np.nonzero(phi.domain)
+    model = (fit.T[0, 0, 0] * xs * ys + Ms[0, 0] * xs + Mt[0, 0] * ys + us[0] + ut[0]) % 5
+    assert np.array_equal(model, phi.values[xs, ys])
+    assert abs(cli_oracle.extract_affine_parts(phi, fit)["back_agreement"] - 3 / 11) < 1e-12
+
+
+def test_pipeline_carries_the_fits_affine_parts_past_extend(monkeypatch):
+    # the old backfit halted this run at 0.2727 of the map explained
+    monkeypatch.setattr(
+        ulab.pipeline, "consensus_rounding", lambda phi: (_sparse_line_map(), {"stability_mean": 1.0})
+    )
+    _, f = _cubic_line()
+    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
+    names = [s.name for s in report.stages]
+    assert "symmetry" in names
+    extend = report.to_dict()["stages"][names.index("extend")]["data"]
+    assert (extend["agreement"], extend["s"], extend["t"], extend["e"]) == (1.0, [[1]], [[2]], [0])
 
 
 # ============================================================
@@ -879,6 +904,8 @@ def test_cmd_pipeline_bad_config_exit_code(files, tmp_path, capsys):
         ({"p": 2**61 - 1}, "p^{3n} for p = 2305843009213693951, n = 1 exceeds"),
         ([5, 1], "must be a JSON object, got list"),
         ("p=5", "must be a JSON object, got str"),
+        # the backfit stage's floor, removed with the stage
+        ({"back_floor": 0.6}, "unknown config fields: back_floor"),
     ],
 )
 def test_cmd_pipeline_malformed_config_exits_2_with_one_line(files, tmp_path, capsys, payload, message):

@@ -29,7 +29,6 @@ STAGE_KERNELS = {
     "cells": "bohr_decompose",
     "rounding": "consensus_rounding",
     "extend": "fit_biaffine",
-    "backfit": "extract_affine_parts",
     "symmetry": "symmetry_pipeline",
     "cubic": "kappa_from_sigma",
     "quadratic": "quad_phase_search",
