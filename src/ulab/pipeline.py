@@ -23,24 +23,23 @@ polynomial it correlates with:
                   packed code per (x, y) names its cell, so one count of
                   the domain's codes finds the best-populated cell (ties to
                   the lowest code), to which the map is restricted.
-7.  rounding    - consensus-round each value from the affine line votes of
-                  its row and column, measuring the vote stability.  The
-                  votes are N^2 theta, theta = phi * phi * phi^adj on each
-                  line by `galg.line_triple_conv`; ties go to the lowest
-                  value.  When the fit's first solve already explains the
-                  whole cell, every row and column is affine on it, so
-                  every vote V(b1) + V(b2) - V(b3) = A(b1 + b2 - b3) names
-                  the point's own value: the map is kept with stability
-                  1.0 and no vote is counted.
-8.  extend      - fit an exact bi-affine model on the rounded data; its
-                  extension a.T.b + s.a + t.b + e to all of G^2 is affine in
-                  each argument by its form, so nothing is tabulated.  Each
-                  of the fit's row selections is one elimination pass over
-                  the design rows, and one row reduction solves every digit;
-                  the fit stops at the first selection that is exact, which
-                  no later one can beat.  The record carries s, t and e: the
-                  bilinear part T feeds the symmetry argument, and the
-                  affine parts are rho = (s, e) in a and sigma = (t, 0) in b.
+7.  rounding    - make the fit's offset-0 solve on the cell.  If it explains
+                  every point, rows and columns are affine there, so every
+                  vote V(b1) + V(b2) - V(b3) = A(b1 + b2 - b3) names the
+                  point's own value: the map is kept with stability 1.0,
+                  unvoted.  Otherwise round each value to the winner of its
+                  row and column line votes, N^2 theta, theta = phi * phi *
+                  phi^adj on each line by `galg.line_triple_conv`, ties to
+                  the lowest value, and measure the vote stability.
+8.  extend      - fit an exact bi-affine model on the rounded data (an exact
+                  rounding solve is that fit); its extension a.T.b + s.a +
+                  t.b + e to all of G^2 is affine in each argument by its
+                  form, so nothing is tabulated.  Each row selection of the
+                  fit is one elimination pass over the design rows, one row
+                  reduction solves every digit, and the first exact
+                  selection ends the fit.  The record carries s, t and e: T
+                  feeds the symmetry argument, and the affine parts are
+                  rho = (s, e) in a and sigma = (t, 0) in b.
 9.  symmetry    - measure the correlation of the derivative family against
                   the trilinear form of the bilinear part, shifted by the
                   fit's rho and sigma, symmetrize the form, and bound the
@@ -392,36 +391,22 @@ def consensus_rounding(phi: PartialMap) -> tuple[PartialMap, dict]:
     votes for the value at b; columns vote the same way.  The histograms of
     every row and column are counted at once by `galg.line_triple_conv`.
     The winner is the most-voted value, the lowest one on ties, and its share
-    of the votes is the rounding stability at that point.
-
-    The fit is the certificate that makes the vote unnecessary: when the
-    value group has the domain's characteristic and the fit's offset-0
-    solve explains every domain point, each row (a, .) is an affine map A_a
-    on the domain, so every row vote is A_a(b1 + b2 - b3) = A_a(b) = V[a, b],
-    and every column vote agrees the same way; the triple (b, b, b) always
-    votes, so each point keeps its value with stability exactly 1.0.  The
-    map is then returned unchanged and no histogram is built.
+    of the votes is the rounding stability at that point.  Every domain
+    point is voted on: the triple (b, b, b) votes for it on its row and on
+    its column, so its histogram holds at least 2 votes.
     """
     params, vp = phi.params, phi.value_params
     dom, vmap = phi.domain, phi.values
-    if vp.p == params.p and dom.any() and _fit_offset(_fit_design(phi), 0, 0).agreement == 1.0:
-        stats = {"stability_mean": 1.0, "stability_min": 1.0, "changed": 0, "voted": int(dom.sum())}
-        return PartialMap(params, vp, dom, np.where(dom, vmap, 0).astype(np.int64)), stats
     hist = _vote_histogram(phi)
-    rounded = hist.argmax(axis=2).astype(np.int64)  # first max: lowest value wins ties
-    tot = hist.sum(axis=2)
-    top = hist.max(axis=2)
-    voted = dom & (tot > 0)
-    stability = np.where(voted, top / np.maximum(tot, 1), 0.0)
-    new_vals = np.where(voted, rounded, vmap)
-    changed = int(np.sum(voted & (new_vals != vmap)))
+    rounded = np.where(dom, hist.argmax(axis=2), 0)  # first max: lowest value wins ties
+    stability = hist.max(axis=2)[dom] / hist.sum(axis=2)[dom]
     stats = {
-        "stability_mean": float(stability[dom].mean()) if dom.any() else 0.0,
-        "stability_min": float(stability[dom].min()) if dom.any() else 0.0,
-        "changed": changed,
-        "voted": int(voted.sum()),
+        "stability_mean": float(stability.mean()) if dom.any() else 0.0,
+        "stability_min": float(stability.min()) if dom.any() else 0.0,
+        "changed": int(np.sum(dom & (rounded != vmap))),
+        "voted": int(dom.sum()),
     }
-    return PartialMap(params, vp, dom, np.where(dom, new_vals, 0).astype(np.int64)), stats
+    return PartialMap(params, vp, dom, rounded.astype(np.int64)), stats
 
 
 @dataclass(frozen=True)
@@ -440,33 +425,41 @@ def _first_independent_rows(p: int, rows: np.ndarray, start: int) -> list[int]:
     """Indices of a maximal independent subset, scanning cyclically from
     `start` and keeping each row outside the span of the rows before it.
 
-    One elimination pass: the residuals of the rows in scan order start as
-    the rows themselves; the first non-zero residual is kept, its pivot is
-    normalised, and that pivot column is eliminated from the residuals after
-    it.  A residual is zero exactly when its row lies in the span of the
-    rows kept before it, so at most d = rows.shape[1] steps are taken.
+    One elimination pass: the first non-zero residual in scan order is kept,
+    its pivot normalised and its pivot column eliminated from the residuals
+    after it; a residual is zero exactly when its row lies in the span of
+    the rows kept before it.  Rows are reduced in blocks of doubling size,
+    each first by the pivots so far, and the scan stops at d = rows.shape[1]
+    kept rows, which span every row.
     """
     m, d = rows.shape
     order = (start + np.arange(m)) % m
-    resid = rows[order] % p
     keep: list[int] = []
-    for _ in range(d):
-        live = np.flatnonzero(resid.any(axis=1))
-        if live.size == 0:
-            break
-        i = int(live[0])
-        c = int(np.flatnonzero(resid[i])[0])
-        pivot = resid[i] * inv_mod(int(resid[i, c]), p) % p
-        keep.append(int(order[i]))
-        order, resid = order[i + 1 :], resid[i + 1 :]
-        resid = (resid - resid[:, c : c + 1] * pivot) % p
+    pivots: list[tuple[int, np.ndarray]] = []
+    lo, size = 0, 4 * d
+    while lo < m and len(keep) < d:
+        idx = order[lo : lo + size]
+        resid = rows[idx] % p
+        for c, pivot in pivots:
+            resid = (resid - resid[:, c : c + 1] * pivot) % p
+        lo, size = lo + size, 2 * size
+        while len(keep) < d:
+            live = np.flatnonzero(resid.any(axis=1))
+            if live.size == 0:
+                break
+            i = int(live[0])
+            c = int(np.flatnonzero(resid[i])[0])
+            pivots.append((c, resid[i] * inv_mod(int(resid[i, c]), p) % p))
+            keep.append(int(idx[i]))
+            idx, resid = idx[i + 1 :], resid[i + 1 :]
+            resid = (resid - resid[:, c : c + 1] * pivots[-1][1]) % p
     return keep
 
 
-def _fit_design(phi: PartialMap) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p, da, db, rows, targets) of the fit: the digits of the domain's a
-    and b in scan order, their design rows (a_i b_j, a, b, 1) and the
-    digits of their values."""
+def _fit_design(phi: PartialMap) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(p, n, rows, targets) of the fit: the design rows (a_i b_j, a, b, 1)
+    of the domain's points in scan order, in digits, and the digits of their
+    values."""
     params, vp = phi.params, phi.value_params
     if vp.p != params.p:
         raise ValueError("bi-affine fitting needs matching characteristics")
@@ -477,27 +470,17 @@ def _fit_design(phi: PartialMap) -> tuple[int, np.ndarray, np.ndarray, np.ndarra
         raise ValueError("cannot fit an empty map")
     da = params.digits(xs.astype(np.int64))
     db = params.digits(ys.astype(np.int64))
-    rows = (
-        np.concatenate(
-            [
-                np.einsum("mi,mj->mij", da, db).reshape(m, n * n),
-                da,
-                db,
-                np.ones((m, 1), dtype=np.int64),
-            ],
-            axis=1,
-        )
-        % p
-    )
-    return p, da, db, rows, vp.digits(phi.values[xs, ys])
+    ab = (da[:, :, None] * db[:, None, :]).reshape(m, n * n)
+    rows = np.concatenate([ab, da, db, np.ones((m, 1), dtype=np.int64)], axis=1) % p
+    return p, n, rows, vp.digits(phi.values[xs, ys])
 
 
 def _fit_offset(design: tuple, start: int, offset: int) -> BiAffineFit:
     """The fit on the independent design rows scanned from `start`: one
     `_first_independent_rows` pass, one row reduction of [rows | target
     digits] for every output digit, and the agreement on the whole domain."""
-    p, da, db, rows, targets = design
-    n, d, vn = da.shape[1], rows.shape[1], targets.shape[1]
+    p, n, rows, targets = design
+    d, vn = rows.shape[1], targets.shape[1]
     keep = _first_independent_rows(p, rows, start)
     red, pivots = gf_rowreduce(p, np.concatenate([rows[keep], targets[keep]], axis=1))
     # the kept rows are independent, so every pivot is a model column
@@ -507,7 +490,7 @@ def _fit_offset(design: tuple, start: int, offset: int) -> BiAffineFit:
     s = sol[:, n * n : n * n + n]
     t = sol[:, n * n + n : n * n + 2 * n]
     e = sol[:, -1]
-    pred = (np.einsum("mi,cij,mj->mc", da, T, db) + da @ s.T + db @ t.T + e[None, :]) % p
+    pred = rows @ sol.T % p  # the model's columns are the design's
     agreement = float(np.mean(np.all(pred == targets, axis=1)))
     return BiAffineFit(T, s, t, e, agreement, offset)
 
@@ -526,9 +509,15 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
     majority structure.  The scan stops at the first offset whose fit
     explains every point: a later one can only replace it by beating
     agreement 1.0, which no fit does.
+
+    Offset 0 alone decides whether any model explains every point: its kept
+    rows span every design row, and a model explaining every point predicts
+    the targets on them, as the offset-0 solution does, so by linearity the
+    two predict alike everywhere.  So `fit_biaffine(phi, 1)`, the rounding
+    stage's solve, is exact exactly when the full fit is, and is it then.
     """
     design = _fit_design(phi)
-    m = len(design[3])  # the design rows
+    m = len(design[2])  # the design rows
     best: BiAffineFit | None = None
     for j in range(max(1, offsets)):
         cand = _fit_offset(design, (j * m) // max(1, offsets), j)
@@ -538,6 +527,16 @@ def fit_biaffine(phi: PartialMap, offsets: int = 7) -> BiAffineFit:
             break
     assert best is not None
     return best
+
+
+def _round_cell(phi: PartialMap) -> tuple[PartialMap, dict, BiAffineFit | None]:
+    """The rounding stage: (rounded map, stats, fit).  A map the offset-0 fit
+    explains is kept unvoted with that fit; any other is voted, fit None."""
+    fit = fit_biaffine(phi, offsets=1)
+    if fit.agreement == 1.0:
+        stats = {"stability_mean": 1.0, "stability_min": 1.0, "changed": 0, "voted": int(phi.domain.sum())}
+        return phi, stats, fit
+    return *consensus_rounding(phi), None
 
 
 def affine_in_each_variable(params: GroupParams, table: np.ndarray) -> bool:
@@ -754,7 +753,7 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
     record(cell_data)
 
     # -------- rounding --------
-    rounded, round_stats = consensus_rounding(cell_phi)
+    rounded, round_stats, fit = _round_cell(cell_phi)
     round_stats["reference_stability_bound"] = max(0.0, 1.0 - STABILITY_LOSS_FACTOR * cfg.eta)
     _require(
         round_stats["stability_mean"] >= cfg.stability_floor,
@@ -765,7 +764,8 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
     record(round_stats)
 
     # -------- extend --------
-    fit = fit_biaffine(rounded)
+    if fit is None:
+        fit = fit_biaffine(rounded)
     extend_data = {"agreement": fit.agreement, "offset": fit.offset, "s": fit.s, "t": fit.t, "e": fit.e}
     _require(
         fit.agreement >= cfg.fit_floor,

@@ -6,9 +6,10 @@ is the scan that row-reduced the whole kept matrix again for each candidate
 row, which `ulab.pipeline._first_independent_rows` replaced with one elimination
 pass.  `consensus_rounding` and `fit_biaffine` are the two stages on these
 routes, the fit with one `gf_solve` per output digit.  The oracle rounding
-always votes, even on a map the library certifies exactly bi-affine by its
-fit, and the oracle fit walks every offset, where the library stops at the
-first exact one.
+always votes, as the library's does, even on a map the pipeline's rounding
+stage certifies exactly bi-affine by the fit's offset-0 solve and so never
+votes on; the oracle fit walks every offset, where the library stops at
+the first exact one.
 `extract_affine_parts` is the retired backfit stage, kept as the record
 of what it computed: from the data it re-derived the two affine parts the
 fit already holds, theta from a reference column and lambda by a vote per

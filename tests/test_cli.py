@@ -5,6 +5,7 @@ suite, and the subcommands."""
 import gc
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -389,9 +390,11 @@ def test_fit_split_explains_a_sparse_map_the_old_backfit_missed():
 
 
 def test_pipeline_carries_the_fits_affine_parts_past_extend(monkeypatch):
-    # the old backfit halted this run at 0.2727 of the map explained
+    # every fit of the run is made on the sparse map; rounding's offset-0
+    # solve explains it, so that solve is extend's fit.  The old backfit
+    # halted this run at 0.2727 of the map explained
     monkeypatch.setattr(
-        ulab.pipeline, "consensus_rounding", lambda phi: (_sparse_line_map(), {"stability_mean": 1.0})
+        ulab.pipeline, "fit_biaffine", lambda phi, offsets=7: fit_biaffine(_sparse_line_map(), offsets)
     )
     _, f = _cubic_line()
     report = run_inverse_pipeline(f, PipelineConfig(p=5, n=1))
@@ -399,6 +402,51 @@ def test_pipeline_carries_the_fits_affine_parts_past_extend(monkeypatch):
     assert "symmetry" in names
     extend = report.to_dict()["stages"][names.index("extend")]["data"]
     assert (extend["agreement"], extend["s"], extend["t"], extend["e"]) == (1.0, [[1]], [[2]], [0])
+
+
+def _count_fits_and_votes(monkeypatch) -> tuple[Counter, list]:
+    """Count the calls of the fit's and the vote's kernels in the pipeline,
+    and keep each map `consensus_rounding` returns."""
+    calls, rounded = Counter(), []
+    for name in ("_fit_design", "_fit_offset", "_vote_histogram", "consensus_rounding"):
+
+        def counted(*args, _fn=getattr(ulab.pipeline, name), _name=name):
+            calls[_name] += 1
+            out = _fn(*args)
+            if _name == "consensus_rounding":
+                rounded.append(out[0])
+            return out
+
+        monkeypatch.setattr(ulab.pipeline, name, counted)
+    return calls, rounded
+
+
+@pytest.mark.parametrize("case", [_cubic_line, _cubic_plane], ids=["line", "plane"])
+def test_an_exact_run_fits_once_and_never_votes(monkeypatch, case):
+    # rounding's offset-0 solve explains the cell, so it is extend's fit
+    calls, _ = _count_fits_and_votes(monkeypatch)
+    _, f = case()
+    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=f.params.n))
+    assert not report.halted
+    assert calls == {"_fit_design": 1, "_fit_offset": 1}
+    data = {s.name: s.data for s in report.stages}
+    assert data["rounding"]["voted"] == data["cells"]["cell_points"]
+    assert data["extend"]["offset"] == 0
+
+
+def test_a_voted_run_fits_the_rounded_map(monkeypatch):
+    # this cell is not bi-affine, so rounding votes and extend refits
+    calls, rounded = _count_fits_and_votes(monkeypatch)
+    _, f = _corrupted_plane()
+    report = run_inverse_pipeline(f, PipelineConfig(p=5, n=2))
+    assert not report.halted
+    assert calls["_vote_histogram"] == calls["consensus_rounding"] == 1
+    assert calls["_fit_design"] == 2
+    extend = next(s for s in report.stages if s.name == "extend").data
+    want = fit_biaffine(rounded[0])
+    assert (extend["agreement"], extend["offset"]) == (want.agreement, want.offset)
+    for name in ("s", "t", "e"):
+        assert np.array_equal(extend[name], getattr(want, name))
 
 
 # ============================================================

@@ -3,9 +3,11 @@ fit's one-pass row scan, against the loops in `cli_oracle`.
 
 Both routes are exact integer arithmetic, so the vote histograms, the
 rounded maps, the chosen rows and the fitted models must be identical.
-The library skips the vote on a map its fit certifies exactly bi-affine,
-and stops the fit at its first exact offset; the oracle does neither, and
-the results must still agree.  The fit's affine parts are the ones the
+`consensus_rounding` always votes; the pipeline's rounding stage skips the
+vote on a map whose fit's offset-0 solve is exact, and the fit stops at its
+first exact offset.  The oracle does neither, and the results must still
+agree.  That skip rests on a lemma tested here: the offset-0 solve is exact
+exactly when any offset's is.  The fit's affine parts are the ones the
 symmetry stage uses, so no re-derivation of them is compared here.
 """
 
@@ -22,6 +24,7 @@ from ulab.arrange import PartialMap
 from ulab.core import GroupParams
 from ulab.pipeline import (
     _first_independent_rows,
+    _round_cell,
     _vote_histogram,
     consensus_rounding,
     fit_biaffine,
@@ -82,6 +85,8 @@ def test_vote_histograms_and_rounded_maps_match_the_loop(phi):
     got = _vote_histogram(phi)
     assert got.dtype == np.int64
     assert np.array_equal(got, oracle.vote_histogram(phi))
+    # the triple (b, b, b) votes on the point's row and on its column
+    assert np.all(got.sum(axis=2)[phi.domain] >= 2)
     rounded, stats = consensus_rounding(phi)
     want_rounded, want_stats = oracle.consensus_rounding(phi)
     assert np.array_equal(rounded.domain, want_rounded.domain)
@@ -113,23 +118,25 @@ def _no_votes(phi):
 @pytest.mark.parametrize("group", GROUPS, ids=["F_%d^%d" % g for g in GROUPS])
 @pytest.mark.parametrize("other_dim", [False, True], ids=["same", "other-dim"])
 def test_certified_rounding_equals_the_vote(monkeypatch, group, other_dim):
-    # an exactly bi-affine map is certified by the fit's offset-0 solve and
-    # must round exactly as the oracle's votes do, without a histogram; one
-    # value moved at a point whose design row is spanned by the rows before
-    # it breaks bi-affinity, so that map must go to the vote
+    # the rounding stage certifies an exactly bi-affine map by the fit's
+    # offset-0 solve and must round it exactly as the oracle's votes do,
+    # without a histogram; one value moved at a point whose design row is
+    # spanned by the rows before it breaks bi-affinity, so that map's
+    # offset-0 fit is not exact and the stage must go to the vote
     params = GroupParams(*group)
     vp = GroupParams(params.p, params.n % 2 + 1) if other_dim else params
     rng = np.random.default_rng(params.p * 10 + params.n + 100 * other_dim)
     moved = 0
     monkeypatch.setattr(pipeline, "_vote_histogram", _no_votes)
     for phi in _sparse_bi_affine_maps(params, vp, rng):
-        rounded, stats = consensus_rounding(phi)
+        rounded, stats, fit = _round_cell(phi)
         want_rounded, want_stats = oracle.consensus_rounding(phi)
+        assert fit is not None and fit.agreement == 1.0
         assert np.array_equal(rounded.domain, want_rounded.domain)
         assert np.array_equal(rounded.values, want_rounded.values)
         assert stats == want_stats
 
-        _, _, _, rows, _ = pipeline._fit_design(phi)
+        _, _, rows, _ = pipeline._fit_design(phi)
         spanned = np.setdiff1d(np.arange(len(rows)), _first_independent_rows(params.p, rows, 0))
         if spanned.size == 0:
             continue
@@ -137,12 +144,29 @@ def test_certified_rounding_equals_the_vote(monkeypatch, group, other_dim):
         x, y = xs[spanned[0]], ys[spanned[0]]
         vals = phi.values.copy()
         vals[x, y] = (vals[x, y] + 1) % vp.size
+        broken = PartialMap(params, vp, phi.domain, vals)
+        assert fit_biaffine(broken, offsets=1).agreement < 1.0
         with pytest.raises(_VotesCounted):
-            consensus_rounding(PartialMap(params, vp, phi.domain, vals))
+            _round_cell(broken)
         moved += 1
     # F_2's four points have independent design rows, so no value can be
     # moved off bi-affinity there; every larger group checks a moved map
     assert moved or params.size == 2
+
+
+@SETTINGS
+@given(partial_maps().filter(lambda phi: phi.value_params.p == phi.params.p and phi.domain.any()))
+def test_offset_zero_decides_whether_any_offset_is_exact(phi):
+    # the offset-0 rows span every design row, so a model that explains
+    # every point makes the offset-0 solution explain every point too
+    first = fit_biaffine(phi, offsets=1)
+    for k in range(1, 10):
+        fit = fit_biaffine(phi, offsets=k)
+        assert (fit.agreement == 1.0) == (first.agreement == 1.0)
+        if first.agreement == 1.0:
+            for name in ("T", "s", "t", "e"):
+                assert np.array_equal(getattr(fit, name), getattr(first, name))
+            assert (fit.agreement, fit.offset) == (first.agreement, first.offset)
 
 
 def test_vote_histogram_blocks_match_the_loop(monkeypatch):

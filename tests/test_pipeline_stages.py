@@ -6,11 +6,12 @@ value it hands out, so the tests see each clock read the pipeline makes:
 the stage seconds must be the gaps between consecutive reads (back to back,
 the gate from the start of the run), and a halt raised inside any stage,
 by a floor or by a failed verification, must name the stage that was
-running.  A run must also finish with `u3_lower` and
-`affine_in_each_variable` raising wherever the package binds them: no
-stage calls either.
+running; a halt in extend's refit of a voted map names extend too.  A
+run must also finish with `u3_lower` and `affine_in_each_variable`
+raising wherever the package binds them: no stage calls either.
 """
 
+import dataclasses
 import sys
 
 import pytest
@@ -19,16 +20,17 @@ import ulab.pipeline
 from ulab.core import GroupParams, PolyPhase, poly_phase_fn
 from ulab.pipeline import STAGES, PipelineConfig, PipelineHalt, run_inverse_pipeline
 
-# the first pipeline function each stage calls, except peaks, which reads
-# the gate's pass and calls nothing
+# the first pipeline function each stage calls on the exact cubic line,
+# except peaks, which reads the gate's pass and calls nothing; rounding's
+# offset-0 fit explains that line's cell, so extend only splits it
 STAGE_KERNELS = {
     "gate": "derivative_peak_map",
     "densify": "row_freiman_filter",
     "defect": "bihom_defect",
     "cover": "bogolyubov_bilinear",
     "cells": "bohr_decompose",
-    "rounding": "consensus_rounding",
-    "extend": "fit_biaffine",
+    "rounding": "fit_biaffine",
+    "extend": "extract_affine_parts",
     "symmetry": "symmetry_pipeline",
     "cubic": "kappa_from_sigma",
     "quadratic": "quad_phase_search",
@@ -102,6 +104,30 @@ def test_a_halt_inside_a_stage_names_that_stage(clock, monkeypatch, stage, error
     assert (report.halt_stage, report.halt_category, report.halt_reason) == (stage, category, reason)
     assert [s.name for s in report.stages] == list(STAGES[: STAGES.index(stage) + 1])
     assert report.stages[-1].data == {}
+    _assert_back_to_back(report, clock)
+
+
+def test_a_halt_in_extends_refit_names_extend(clock, monkeypatch):
+    # rounding's fit is made to fall short, so the stage votes, and the
+    # halt comes from extend's fit of the rounded map
+    fit, votes = ulab.pipeline.fit_biaffine, ulab.pipeline.consensus_rounding
+    fits = []
+
+    def short_then_halt(phi, offsets=7):
+        fits.append(offsets)
+        if len(fits) > 1:
+            raise PipelineHalt("precondition", "refit halted")
+        return dataclasses.replace(fit(phi, offsets), agreement=0.5)
+
+    voted = []
+    monkeypatch.setattr(ulab.pipeline, "fit_biaffine", short_then_halt)
+    monkeypatch.setattr(ulab.pipeline, "consensus_rounding", lambda phi: voted.append(phi) or votes(phi))
+    report = run_inverse_pipeline(*_cubic_line())
+    halt = (report.halt_stage, report.halt_category, report.halt_reason)
+    assert halt == ("extend", "precondition", "refit halted")
+    assert fits == [1, 7] and len(voted) == 1
+    assert [s.name for s in report.stages] == list(STAGES[: STAGES.index("extend") + 1])
+    assert report.stages[-2].data["stability_mean"] == 1.0
     _assert_back_to_back(report, clock)
 
 
