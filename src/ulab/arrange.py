@@ -71,10 +71,8 @@ class PartialMap:
         return GridFn.from_mask(self.params, self.domain)
 
     def to_dist_fn(self) -> DistFn:
-        pts = {
-            (int(x), int(y)): int(self.values[x, y])
-            for x, y in zip(*np.nonzero(self.domain))
-        }
+        xs, ys = np.nonzero(self.domain)
+        pts = dict(zip(zip(xs.tolist(), ys.tolist()), self.values[xs, ys].tolist()))
         return DistFn.from_point_map(self.params, self.value_params, pts)
 
 

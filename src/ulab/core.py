@@ -298,22 +298,26 @@ def _solve_stack(p: int, systems) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gf_family_ranks(p: int, mats) -> np.ndarray:
-    """Rank of sum_s u_s mats[s] for every u in F_p^k, in index order.
+    """Rank of sum_s u_s mats[..., s, :, :] for every u in F_p^k, in index order.
 
-    mats has shape (k, r, c), so k = 0 gives the one rank 0 of the zero
-    combination.  One `_echelon` call per block of about SIZE_CAP entries;
-    ValueError when the p^k combinations exceed SIZE_CAP.
+    mats has shape (..., k, r, c) and the ranks shape (..., p^k): leading
+    axes are a batch of families of k matrices each, and k = 0 gives the one
+    rank 0 of the zero combination.  One `_echelon` call per block of about
+    SIZE_CAP entries, every family's members of a block in it; ValueError
+    when the p^k combinations exceed SIZE_CAP.
     """
     m = np.asarray(mats, dtype=np.int64) % p
-    k, r, c = m.shape
+    *batch, k, r, c = m.shape
+    m = m.reshape(math.prod(batch), k, r, c)
     GroupParams._check_size(p, k, "p^k for p = %d, k = %d (the combinations of %d matrices)" % (p, k, k))
     total = p**k
-    block = max(1, SIZE_CAP // max(1, r * c))
-    ranks = np.empty(total, dtype=np.int64)
+    block = max(1, SIZE_CAP // max(1, len(m) * r * c))
+    ranks = np.empty((len(m), total), dtype=np.int64)
     for lo in range(0, total, block):
         u = np.arange(lo, min(lo + block, total), dtype=np.int64)[:, None] // _powers(p, k) % p
-        ranks[lo : lo + len(u)] = _echelon(p, np.tensordot(u, m, axes=(1, 0)))[1].sum(axis=1)
-    return ranks
+        # (members, families, r, c), ranked in one call
+        ranks[:, lo : lo + len(u)] = _echelon(p, np.tensordot(u, m, axes=(1, 1)))[1].sum(axis=-1).T
+    return ranks.reshape(*batch, total)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ adjoint into conjugation, so a table becomes one (|H|, N, N) stack of
 scalar grid functions, one per character, which the stacked kernels of
 `ulab.grid` convolve in a single pass before it is transformed back.  By
 Parseval over H the squared norm of the mixed convolution is the mean over
-characters of the scalar arrangement functional, one
-`arr_functional_stack` pass over the stack.  For a point map on A the
+characters of the scalar arrangement functional; conjugate characters give
+equal functionals, so one `arr_functional_stack` pass over one slice per
+pair {s, -s} gives it.  For a point map on A the
 character average keeps exactly the 4-arrangements in A whose Morse-signed
 value sum vanishes, so that norm measures how close the map is to
 respecting every 4-arrangement (`respected_density`, `bihom_defect`).
@@ -130,9 +131,16 @@ class DistFn:
     def from_point_map(
         cls, params: GroupParams, value_params: GroupParams, points: dict[tuple[int, int], int]
     ) -> "DistFn":
-        tab = {
-            (int(x), int(y)): Dist.delta(value_params, g) for (x, y), g in points.items()
-        }
+        # one delta per distinct value, shared by its points: no code mutates
+        # a Dist's weights
+        deltas: dict[int, Dist] = {}
+        tab = {}
+        for (x, y), g in points.items():
+            g = int(g) % value_params.size
+            u = deltas.get(g)
+            if u is None:
+                u = deltas[g] = Dist.delta(value_params, g)
+            tab[int(x), int(y)] = u
         return cls(params, value_params, tab)
 
     def get(self, x: int, y: int) -> Dist:
@@ -201,13 +209,23 @@ def respected_density(phi: DistFn, mu: GridFn | None = None) -> float:
     """|mixed_conv_dist(mu phi)|_2^2, as the mean over characters s of H of
     arr_functional(s-th character slice of mu phi) (Parseval over H).
 
-    The |H| slices are one (|H|, N, N) stack from `_char_stack`, and one
-    stacked `arr_functional_stack` pass gives every slice's functional.
-    For a point map phi on A and mu = 1_A (or no mu), the s-average keeps
-    exactly the 4-arrangements in A whose Morse-signed value sum vanishes, so
-    this is the respected-arrangement count divided by |G|^8.
+    The weights are real, so slice -s is the conjugate of slice s, and the
+    arrangement functional does not change under conjugation.  Of the
+    (|H|, N, N) stack from `_char_stack`, one slice per pair {s, -s} goes
+    through one stacked `arr_functional_stack` pass with weight 2, or 1
+    where s = -s (s = 0, and every s when p = 2), and the weighted sum is
+    divided by |H|.  For a point map phi on A and mu = 1_A (or no mu), the
+    s-average keeps exactly the 4-arrangements in A whose Morse-signed value
+    sum vanishes, so this is the respected-arrangement count divided by
+    |G|^8.
     """
-    return float(arr_functional_stack(_char_stack(phi, mu), phi.params).mean())
+    vp = phi.value_params
+    s = np.arange(vp.size)
+    neg = vp.neg(s)
+    keep = s <= neg
+    weight = np.where(neg[keep] == s[keep], 1.0, 2.0)
+    # the full stack is a temporary, freed once its kept slices are gathered
+    return float(weight @ arr_functional_stack(_char_stack(phi, mu)[keep], phi.params) / vp.size)
 
 
 def bihom_defect(phi: DistFn, mu: GridFn) -> float:

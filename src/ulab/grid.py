@@ -111,9 +111,10 @@ def _check(f: GridFn, g: GridFn) -> None:
 
 
 def _conv_pass(f: np.ndarray, g: np.ndarray, params: GroupParams, axis: int) -> np.ndarray:
-    """E_t f(.., t, ..) conj(g(.., t - d, ..)) along one axis of two value arrays."""
+    """E_t f(.., t, ..) conj(g(.., t - d, ..)) along one axis of two value
+    arrays; a self-convolution (g is f) transforms its input once."""
     fh = char_transform(f, params, axis=axis)
-    gh = char_transform(g, params, axis=axis)
+    gh = fh if g is f else char_transform(g, params, axis=axis)
     return char_transform(fh * gh.conj(), params, axis=axis, inverse=True)
 
 

@@ -91,6 +91,7 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,6 +156,14 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 _FIELD_NAMES = {"int": "an integer", "float": "a real number", "str": "a string"}
 
 
+@lru_cache(maxsize=None)
+def _field_kinds(cls) -> tuple[tuple[str, str, bool], ...]:
+    """(name, kind, optional) of each field of a config class, read once per
+    class: kind is the annotation's first word, and optional whether it
+    admits None."""
+    return tuple((f.name, f.type.split()[0], f.type.endswith("| None")) for f in fields(cls))
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the recovery pipeline.
@@ -193,13 +202,12 @@ class PipelineConfig:
     output_path: str | None = None
 
     def validate(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None and f.type.endswith("| None"):
+        for name, kind, optional in _field_kinds(type(self)):
+            v = getattr(self, name)
+            if v is None and optional:
                 continue
-            kind = f.type.split()[0]
             if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[kind]):
-                raise ValueError("%s must be %s, got %r" % (f.name, _FIELD_NAMES[kind], v))
+                raise ValueError("%s must be %s, got %r" % (name, _FIELD_NAMES[kind], v))
         if self.seed < 0:
             raise ValueError("seed must be non-negative, got %d" % self.seed)
         if self.n < 1:

@@ -23,7 +23,13 @@ from ulab.core import (
     char_transform,
     gf_family_ranks,
 )
-from ulab.gowers import derivative2_spectra, uk_norm
+from ulab.gowers import (
+    _derivative2_rows,
+    _first_derivatives,
+    _orbit_table,
+    derivative2_spectra,
+    uk_norm,
+)
 from ulab.grid import GridFn
 
 __all__ = [
@@ -155,20 +161,27 @@ def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
 
 def analytic_rank_tri(tau: TrilinearForm) -> float:
     """-log_p E_{a,b,c} omega^{tau(a,b,c)}; need not be an integer."""
-    mean = analytic_mean_tri(tau)
-    return (math.log(mean.denominator) - math.log(mean.numerator)) / math.log(tau.params.p)
+    return _rank_of_mean(tau.params.p, analytic_mean_tri(tau))
+
+
+def _rank_of_mean(p: int, mean: Fraction) -> float:
+    return (math.log(mean.denominator) - math.log(mean.numerator)) / math.log(p)
+
+
+def _mean_of_ranks(p: int, ranks: np.ndarray) -> Fraction:
+    """E_x p^{-ranks[x]}, exactly: with count_r the number of slices of
+    rank r, sum_r count_r p^{-r} / N."""
+    counts = np.bincount(ranks)
+    return sum(Fraction(int(c), p**r) for r, c in enumerate(counts)) / len(ranks)
 
 
 def slice_rank_mean(fam: SliceFamily) -> Fraction:
     """E_x p^{-rank(T_x)}, exactly.
 
     The slices T_x = sum_s x_s mats[s] are the members of a linear family,
-    so one `gf_family_ranks` call ranks all N of them; with count_r the
-    number of slices of rank r, the mean is sum_r count_r p^{-r} / N.
+    so one `gf_family_ranks` call ranks all N of them.
     """
-    p, N = fam.params.p, fam.params.size
-    counts = np.bincount(gf_family_ranks(p, fam.mats))
-    return sum(Fraction(int(c), p**r) for r, c in enumerate(counts)) / N
+    return _mean_of_ranks(fam.params.p, gf_family_ranks(fam.params.p, fam.mats))
 
 
 # ============================================================
@@ -273,25 +286,40 @@ def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
 
         E_{a,b} omega^{e0(a,b)} |g_hat_{a,b}(-L(a,b))|^2.
 
-    The spectra come one row a at a time from `gowers.derivative2_spectra`,
-    so the correlation takes N^3 log N time and O(N^2) memory.
+    The eight pairs (+-a, +-b), (+-b, +-a) share one spectrum, mirrored
+    r -> -r when one sign is flipped (`gowers._orbit_table`), so only the
+    orbits' representatives are transformed, N per batch, and each pair
+    reads its representative's spectrum at -L(a, b), or at L(a, b) when
+    mirrored.  The pairs are sorted by representative, so each batch reads
+    one contiguous run of them, and memory stays O(N^2).
     """
     params = f.params
     if h.params != params or tau.params != params:
         raise ValueError("mismatched group parameters")
     p, N = params.p, params.size
-    all_b = np.arange(N, dtype=np.int64)
-    dig = params.digits(all_b)
+    dig = params.digits(np.arange(N, dtype=np.int64))
     # e0(a, b) = b.(AB^T a + lb) + la.a + const and
     # L(a, b) = b.(BC - T_a) + AC^T a + lc, with T_a[j, k] = sum_i a_i tau_ijk
-    e_part = dig @ h.ab + h.lb
-    l_part = dig @ h.ac + h.lc
+    e0 = (dig @ h.ab + h.lb) @ dig.T + (dig @ h.la + h.const)[:, None]
+    L = (dig @ h.bc)[None] - dig @ np.tensordot(dig, tau.coeffs, axes=(1, 0))
+    L += (dig @ h.ac + h.lc)[:, None]
+    rep, mirror = _orbit_table(params)
+    # the frequency each pair reads off its representative's spectrum
+    freq = params.index(np.where(mirror[..., None], L, -L)).ravel()
+    is_rep = rep.ravel() == np.arange(N * N, dtype=np.int32)
+    reps = np.flatnonzero(is_rep)
+    slot = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep.ravel()]
+    order = np.argsort(slot, kind="stable")
+    slot, freq = slot[order], freq[order]
+    phase = np.exp(2j * np.pi * np.arange(p) / p)[e0.ravel()[order] % p]
+    bounds = np.searchsorted(slot, np.arange(0, len(reps) + N, N))
+    d1, sub_t = _first_derivatives(f)
     total = 0.0 + 0.0j
-    for spec, da, e_a, l_a in zip(derivative2_spectra(f), dig, e_part, l_part):
-        L = dig @ (h.bc - np.tensordot(da, tau.coeffs, axes=(0, 0))) + l_a
-        e0 = dig @ e_a + da @ h.la + h.const
-        power = spec[all_b, params.index(-L)] ** 2
-        total += (np.exp(2j * np.pi * (e0 % p) / p) * power).sum()
+    for s, lo, hi in zip(range(0, len(reps), N), bounds, bounds[1:]):
+        a, b = np.divmod(reps[s : s + N], N)
+        d2 = _derivative2_rows(d1, sub_t, a, b)
+        spec = np.abs(char_transform(d2, params, axis=1, out=d2))
+        total += phase[lo:hi] @ np.square(spec[slot[lo:hi] - s, freq[lo:hi]])
     return complex(total / N**2)
 
 
@@ -336,11 +364,13 @@ def symmetry_pipeline(
     h = PhaseProduct(params, z, -Ms.T, -Mr.T, zv, zv, -(vr + vs), 0)
     alpha = abs(tri_correlation(f, h, tau))
     sigma, residual = symmetrize(tau)
-    perm_ranks = []
-    for perm in itertools.permutations(range(3)):
-        diff = tau - tau.permute_args(perm)
-        perm_ranks.append((perm, analytic_rank_tri(diff)))
-    residual_rank = analytic_rank_tri(residual)
+    perms = list(itertools.permutations(range(3)))
+    # the six permutation differences and the residual, whose slices along
+    # the first slot are their coefficient arrays, ranked in one call
+    forms = [tau - tau.permute_args(perm) for perm in perms] + [residual]
+    ranks = gf_family_ranks(p, np.stack([form.coeffs for form in forms]))
+    *perm_values, residual_rank = (_rank_of_mean(p, _mean_of_ranks(p, r)) for r in ranks)
+    perm_ranks = list(zip(perms, perm_values))
     swap_rank = dict(perm_ranks)[(0, 2, 1)]
     if alpha > _TIE_TOL:
         # alpha <= 1 for a bounded f; rounding can put it a few ulps above

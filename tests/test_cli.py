@@ -93,6 +93,18 @@ def test_config_defaults_validate():
     PipelineConfig(p=5, n=2).validate()
 
 
+def test_config_reads_its_field_types_once(monkeypatch):
+    # validate reads the fields' (name, type) pairs once per class, so a
+    # run allocates no field tuple
+    PipelineConfig().validate()
+    calls = []
+    monkeypatch.setattr(ulab.pipeline, "fields", lambda *a: calls.append(a))
+    PipelineConfig(p=7, n=2).validate()
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        PipelineConfig(seed=1.0).validate()
+    assert calls == []
+
+
 def test_config_rejects_nonprime():
     with pytest.raises(ValueError):
         PipelineConfig(p=4).validate()

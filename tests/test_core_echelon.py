@@ -7,8 +7,10 @@ and the oracle's pivot columns; `gf_rank`, `gf_nullspace` and, on every
 system of a stack, `_solve_stack` must return the oracle's values (the
 oracle's `gf_solve` for the last) bit for bit.  `gf_family_ranks` must give
 each member of a linear family the oracle's rank, in index order, also for
-the empty family.  Inputs are random and often sparse, so zero and
-low-rank matrices come up, over p in {2, 3, 5, 7, 13, 31}.
+the empty family; on a batch of families, shape (..., k, r, c), each
+family's ranks must be those of its own call, in blocks of any size.
+Inputs are random and often sparse, so zero and low-rank matrices come
+up, over p in {2, 3, 5, 7, 13, 31}.
 """
 
 from __future__ import annotations
@@ -132,6 +134,38 @@ def test_family_ranks_blocks_match_one_pass(monkeypatch, cap):
     want = gf_family_ranks(3, mats)
     monkeypatch.setattr("ulab.core.SIZE_CAP", cap * 9)
     assert np.array_equal(gf_family_ranks(3, mats), want)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.sampled_from([(), (7,), (2, 3)]),
+    k=st.integers(0, 3),
+    r=st.integers(0, 4),
+    c=st.integers(0, 4),
+)
+def test_batched_family_ranks_match_one_call_per_family(p, seed, batch, k, r, c):
+    while p**k > 1000:
+        k -= 1
+    mats = _sparse(np.random.default_rng(seed), p, batch + (k, r, c))
+    ranks = gf_family_ranks(p, mats)
+    assert ranks.shape == batch + (p**k,)
+    for idx in np.ndindex(*batch):
+        assert np.array_equal(ranks[idx], gf_family_ranks(p, mats[idx]))
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("members", [1, 3])
+def test_batched_family_ranks_blocks_match_one_pass(monkeypatch, batch, members):
+    # blocks of 1 or 3 of each family's 9 members, every family in each block
+    mats = _sparse(np.random.default_rng(members), 3, batch + (2, 3, 3))
+    empty = np.zeros(batch + (0, 3, 3), dtype=np.int64)
+    want = [gf_family_ranks(3, mats[idx]) for idx in np.ndindex(*batch)]
+    monkeypatch.setattr("ulab.core.SIZE_CAP", members * int(np.prod(batch)) * 9)
+    got = gf_family_ranks(3, mats)
+    assert [got[idx].tolist() for idx in np.ndindex(*batch)] == [w.tolist() for w in want]
+    assert gf_family_ranks(3, empty).tolist() == np.zeros(batch + (1,), dtype=np.int64).tolist()
 
 
 def test_family_ranks_refuse_more_combinations_than_the_cap():

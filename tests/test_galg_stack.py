@@ -10,6 +10,14 @@ groups F_5^2, F_7, F_31 and F_7^2, value groups equal to and different from
 the domain, point maps and weighted tables, a weighted mu and an empty
 domain.  The exact respect counts round both ratios to integers, which must
 not change for any |G| <= 9.
+
+The stacked pass scores one character per conjugate pair {s, -s} with
+weight 2, and weight 1 where s = -s (s = 0, and every s when p = 2), where
+the oracle scores all |H|.  On small groups of p in {2, 3, 5, 7}, value
+groups different from the domain, point maps and weighted tables, with and
+without mu, the two must agree within 1e-14 (relative, above 1).  A point
+map's table shares one `Dist` per value, which must equal the `Dist` built
+for each point on its own.
 """
 
 from __future__ import annotations
@@ -41,12 +49,12 @@ SETTINGS = settings(
 
 
 @st.composite
-def stacked_cases(draw) -> tuple[DistFn, GridFn | None]:
-    """A table on one of DOMAINS, a point map or up to three weighted values
-    per cell, on a domain of density 0 (empty), 0.3 or 1, and no mu, its
-    indicator, or a non-negative weighted mu."""
-    params = GroupParams(*draw(st.sampled_from(DOMAINS)))
-    vp = params if draw(st.booleans()) else GroupParams(*draw(st.sampled_from(VALUE_GROUPS)))
+def stacked_cases(draw, domains=DOMAINS, value_groups=VALUE_GROUPS) -> tuple[DistFn, GridFn | None]:
+    """A table on one of the domains, a point map or up to three weighted
+    values per cell, on a domain of density 0 (empty), 0.3 or 1, and no mu,
+    its indicator, or a non-negative weighted mu."""
+    params = GroupParams(*draw(st.sampled_from(domains)))
+    vp = params if draw(st.booleans()) else GroupParams(*draw(st.sampled_from(value_groups)))
     density = draw(st.sampled_from([0.0, 0.3, 1.0]))
     weighted = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -82,6 +90,38 @@ def test_respected_density_matches_the_character_loop(case):
     if mu is not None and oracle.arr_functional(mu) > 0:
         want = 1.0 - want / oracle.arr_functional(mu)
         assert abs(bihom_defect(phi, mu) - want) <= TOL
+
+
+# small groups of every characteristic up to 7, as domains and value groups
+PAIR_GROUPS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
+
+
+@settings(SETTINGS, max_examples=80)
+@given(stacked_cases(PAIR_GROUPS, PAIR_GROUPS))
+def test_one_character_per_conjugate_pair_matches_every_character(case):
+    phi, mu = case
+    got = respected_density(phi, mu)
+    want = oracle.respected_density(phi, mu)
+    assert abs(got - want) <= 1e-14 * max(1.0, want)
+    if mu is not None and oracle.arr_functional(mu) > 0:
+        want = 1.0 - want / oracle.arr_functional(mu)
+        assert abs(bihom_defect(phi, mu) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("group, value_group", [((5, 2), (5, 2)), ((3, 2), (7, 1)), ((7, 1), (2, 3))])
+def test_point_map_table_is_the_per_point_construction(group, value_group):
+    params, vp = GroupParams(*group), GroupParams(*value_group)
+    N, K = params.size, vp.size
+    rng = np.random.default_rng(N * K)
+    dom = rng.random((N, N)) < 0.7
+    vals = rng.integers(0, K, size=(N, N))
+    # values outside [0, |H|) reduce mod |H|, as Dist.delta reduces them
+    points = {(int(x), int(y)): int(vals[x, y]) - K * int(rng.integers(-2, 3)) for x, y in zip(*np.nonzero(dom))}
+    table = DistFn.from_point_map(params, vp, points).table
+    assert table == {xy: Dist.delta(vp, g) for xy, g in points.items()}
+    assert len({id(u) for u in table.values()}) == len({g % K for g in points.values()})
+    pm = PartialMap(params, vp, dom, vals)
+    assert pm.to_dist_fn().table == {xy: Dist.delta(vp, int(vals[xy])) for xy in zip(*np.nonzero(dom))}
 
 
 @SETTINGS

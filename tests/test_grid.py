@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import ulab.grid
 from ulab.arrange import PartialMap, respect_stats
 from ulab.core import GroupParams
 from ulab.grid import (
@@ -139,6 +140,24 @@ def test_mixed_conv_constant_and_mean():
     out = mixed_conv(one, one, one, one)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
     assert abs(mixed_self(one).mean() - 1.0) < 1e-12
+
+
+def test_self_convolutions_transform_once(monkeypatch):
+    # mixed_self shares one transform per pass between its two equal inputs
+    # and must give mixed_conv's bits; a pass on two distinct inputs
+    # transforms both
+    rng = np.random.default_rng(21)
+    for par in (GroupParams(5, 2), GroupParams(7, 1), GroupParams(2, 3)):
+        N = par.size
+        f = GridFn(par, rng.random((N, N)) * np.exp(2j * np.pi * rng.random((N, N))))
+        assert np.array_equal(mixed_self(f).values, mixed_conv(f, f, f, f).values)
+    calls = []
+    inner = ulab.grid.char_transform
+    monkeypatch.setattr(ulab.grid, "char_transform", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    vert_conv(f, f)
+    assert len(calls) == 2
+    horiz_conv(f, GridFn(par, f.values.copy()))
+    assert len(calls) == 5
 
 
 def test_mixed_conv_bilinear_phase():

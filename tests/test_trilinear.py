@@ -472,6 +472,26 @@ def test_pipeline_nonzero_linear_maps():
     assert report.asserted
 
 
+@pytest.mark.parametrize("group", [(5, 1), (7, 1), (5, 2), (7, 2), (5, 3), (11, 2)])
+def test_pipeline_ranks_all_forms_in_one_call(group, monkeypatch):
+    # the ranks do not depend on f; f = 0 keeps the rank assertion vacuous
+    params = GroupParams(*group)
+    n = params.n
+    zlin = (np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64))
+    f = GroupFn(params, np.zeros(params.size, dtype=complex))
+    calls = []
+    inner = ulab.trilinear.gf_family_ranks
+    monkeypatch.setattr(ulab.trilinear, "gf_family_ranks", lambda *a: calls.append(1) or inner(*a))
+    for seed in range(4):
+        tau = _random_form(params, seed)
+        if seed == 3:
+            tau = symmetrize(tau)[0]
+        calls.clear()
+        _, report = symmetry_pipeline(f, tau, zlin, zlin)
+        assert len(calls) == 1
+        assert (report.perm_ranks, report.residual_rank) == oracle.symmetry_ranks(tau)
+
+
 def test_pipeline_rejects_unbounded():
     tau, _ = _planted_sym_plus_rank_one()
     f = GroupFn(P52, 3.0 * np.ones(25, dtype=complex))

@@ -5,8 +5,12 @@ where the oracle loops are too slow.
 The correlation reads each (a, b) term off the spectrum of the second
 derivative by the autocorrelation (Parseval) identity, at one frequency,
 so it sums other terms than the oracle's loop, not the same terms in
-another order.  The two must agree within 1e-12 on random bounded f,
-random phase products and forms.  `u3_lower` takes its
+another order.  It transforms one spectrum per orbit of (a, b) under sign
+changes and swaps, and a pair whose spectrum is its representative's
+mirrored r -> -r reads it at the negated frequency; p = 2 and 3 are among
+the groups, so the orbits' small and degenerate cases come up.  The two
+must agree within 1e-12 on random bounded f, random phase products and
+forms.  `u3_lower` takes its
 autocorrelations as the inverse transform of the power spectrum
 (Wiener-Khinchin), within 1e-12 of the oracle's gather.  On F_11^2 and
 F_5^3, with h = 1 and tau = 0, both equal the U^3 norm to the eighth power,
@@ -88,15 +92,21 @@ def test_tri_correlation_matches_the_pair_loop(group, seed):
 
 
 def test_tri_correlation_gathers_once_per_row(monkeypatch):
-    # one second-derivative gather per row a of the N = 25 point group
+    # one second-derivative gather per batch of N orbit representatives: the
+    # 625 pairs (a, b) of the N = 25 point group fall into 91 orbits under
+    # sign changes and swaps, so ceil(91 / 25) = 4 gathers
     params = GroupParams(5, 2)
+    N = params.size
+    rep, _ = gowers._orbit_table(params)
+    orbits = int((rep.ravel() == np.arange(N * N)).sum())
+    assert orbits == 91
     f, h, tau = _random_inputs(params, np.random.default_rng(3))
     want = oracle.tri_correlation(f, h, tau)
     calls = []
-    gather = gowers._derivative2_rows
-    monkeypatch.setattr(gowers, "_derivative2_rows", lambda *args: calls.append(1) or gather(*args))
+    gather = trilinear._derivative2_rows
+    monkeypatch.setattr(trilinear, "_derivative2_rows", lambda *args: calls.append(1) or gather(*args))
     got = tri_correlation(f, h, tau)
-    assert len(calls) == params.size
+    assert len(calls) == -(-orbits // N) == 4
     assert abs(got - want) < TOL
 
 

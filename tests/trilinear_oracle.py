@@ -15,6 +15,10 @@ spectrum (Wiener-Khinchin), and `quad_phase_search` the candidate table that
 in one batch and `np.exp` over every phase value, which the library
 replaced with blocks of at most SIZE_CAP // N quadratic parts and a p-entry
 table of phases; it must give the same bits.
+`symmetry_ranks` is the per-form loop of `ulab.trilinear.symmetry_pipeline`,
+one `analytic_rank_tri` call for each of the six permutation differences
+and for the residual, which the library replaced with one
+`gf_family_ranks` call over all seven forms; it must give the same floats.
 `slice_rank_mean` ranks every slice T_x in turn, which
 `ulab.trilinear.slice_rank_mean` replaced with one `gf_family_ranks` call
 for all slices and a count of the slices of each rank.  `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
@@ -44,7 +48,7 @@ from ulab.core import SIZE_CAP, GroupFn, PolyPhase, char_transform
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
 import ulab.trilinear
-from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm, u3_lower
+from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm, analytic_rank_tri, symmetrize, u3_lower
 
 from core_oracle import gf_rank
 
@@ -345,3 +349,13 @@ def cubic_stage_box(f: GroupFn, sigma: TrilinearForm, theta, lam) -> tuple[Group
     wgrid = GridFn(params, np.exp(2j * np.pi * expo_w / p))
     alpha, norm = u3_lower(g, GridFn.constant(params, 1.0), vgrid, wgrid)
     return g, alpha, norm
+
+
+def symmetry_ranks(tau: TrilinearForm):
+    """(perm_ranks, residual_rank) as `symmetry_pipeline` reports them, one
+    `analytic_rank_tri` call per form."""
+    _, residual = symmetrize(tau)
+    perm_ranks = tuple(
+        (perm, analytic_rank_tri(tau - tau.permute_args(perm))) for perm in itertools.permutations(range(3))
+    )
+    return perm_ranks, analytic_rank_tri(residual)
