@@ -373,8 +373,16 @@ def _exact_cover(
     dh = params.digits(np.array([h for h, _ in points], dtype=np.int64))
     du = params.digits(np.array([u for _, u in points], dtype=np.int64))
     row_of = np.repeat(np.arange(n_mats, dtype=np.int64)[:, None] * N, len(points), axis=1)
+    # digit s of u - Mh, built in place in one (n_mats, len(points)) buffer,
+    # freed before the greedy loop's gathers
+    digit = np.empty_like(row_of)
     for s, weight in enumerate(p ** np.arange(n)):
-        row_of += (du[:, s] - mats[:, s, :] @ dh.T) % p * weight
+        np.matmul(mats[:, s, :], dh.T, out=digit)
+        np.subtract(du[:, s], digit, out=digit)
+        digit %= p
+        digit *= weight
+        row_of += digit
+    del digit
     uncovered = np.ones(len(points), dtype=bool)
     chosen: list[int] = []
     while uncovered.sum() > eps_count and len(chosen) < max_maps:

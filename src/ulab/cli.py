@@ -8,6 +8,7 @@ results.  A malformed input exits with code 2 and one line on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -34,8 +35,8 @@ from .verify import verify_suite
 # calls: bench/tracer.py wraps the pipeline's functions through these
 # bindings (PipelineConfig and run_inverse_pipeline, which this module uses,
 # are imported above), and bench/tests/test_tracer.py checks that the copies
-# of dft and derivative2 are wrapped.  No stage calls
-# affine_in_each_variable; it is here only for the tracer.  The extend stage
+# of dft and derivative2 are wrapped.  The densify stage calls
+# affine_in_each_variable once, to certify the peak map.  The extend stage
 # calls extract_affine_parts, its split of the fit into rho and sigma, and
 # no stage is named "backfit", so the tracer's halt counter for it reads 0.
 # This block goes once the benchmark looks the pipeline up on ulab.pipeline.
@@ -111,23 +112,24 @@ def _cmd_bog2(args) -> int:
 
 
 def _cmd_trirank(args) -> int:
-    from .trilinear import analytic_mean_tri, analytic_rank_tri, symmetrize
+    from .trilinear import _rank_of_mean, analytic_means_tri, symmetrize
 
     tau = trilinear_from_json(_load_json(args.form))
-    sigma, residual = symmetrize(tau)
-    import itertools
-
-    perm_ranks = {
-        "".join(map(str, perm)): analytic_rank_tri(tau - tau.permute_args(perm))
-        for perm in itertools.permutations(range(3))
-    }
+    _, residual = symmetrize(tau)
+    p = tau.params.p
+    perms = list(itertools.permutations(range(3)))
+    # the form, its six permutation differences and the residual, ranked in one call
+    forms = [tau] + [tau - tau.permute_args(perm) for perm in perms] + [residual]
+    mean, *perm_means, residual_mean = analytic_means_tri(forms)
     _print_json(
         {
-            "analytic_rank": analytic_rank_tri(tau),
-            "mean": analytic_mean_tri(tau),
+            "analytic_rank": _rank_of_mean(p, mean),
+            "mean": mean,
             "is_symmetric": tau.is_symmetric(),
-            "residual_rank": analytic_rank_tri(residual),
-            "perm_difference_ranks": perm_ranks,
+            "residual_rank": _rank_of_mean(p, residual_mean),
+            "perm_difference_ranks": {
+                "".join(map(str, perm)): _rank_of_mean(p, m) for perm, m in zip(perms, perm_means)
+            },
         }
     )
     return 0

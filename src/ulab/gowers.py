@@ -9,10 +9,12 @@ nothing, negating both translates, and negating one conjugates a translate.
 `derivative2_peaks` transforms one representative per orbit, in batches of
 p^n rows, and scatters the power and the peak to every pair, so memory
 stays O(p^{2n}); `uk_norm(f, 4)` and the pipeline's gate and peak map read
-the same arrays.  `derivative2_spectra` yields whole rows of spectra for
-the trilinear kernels.  The direct 5-fold sum exists only as an oracle for
-|G| <= 32.  The defining averages are provably real, so any imaginary
-residue above 1e-9 raises instead of being dropped silently.
+the same arrays.  `trilinear.tri_correlation` transforms the same orbit
+representatives through `_derivative2_rows`.  `derivative2_spectra` yields
+whole rows of spectra, for `trilinear.u3_lower` only.  The direct 5-fold
+sum exists only as an oracle for |G| <= 32.  The defining averages are
+provably real, so any imaginary residue above 1e-9 raises instead of being
+dropped silently.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ def derivative2_spectra(f: GroupFn) -> Iterator[np.ndarray]:
     The first-derivative table is built once; row a's N second derivatives
     come from one gather of it (`_derivative2_rows`) and go through one
     batched transform.  Only one row is alive at a time, so memory is
-    O(N^2), never O(N^3).  `trilinear.u3_lower` and
-    `trilinear.tri_correlation` read whole spectra from it; the U^4 norm and
-    the peak map use `derivative2_peaks`.
+    O(N^2), never O(N^3).  `trilinear.u3_lower` reads whole spectra from
+    it; `trilinear.tri_correlation` transforms only the orbit
+    representatives of `_orbit_table` through `_derivative2_rows`, and the
+    U^4 norm and the peak map use `derivative2_peaks`.
     """
     d1, sub_t = _first_derivatives(f)
     for a in range(f.params.size):

@@ -38,6 +38,7 @@ __all__ = [
     "PhaseProduct",
     "SymmetryReport",
     "analytic_mean_tri",
+    "analytic_means_tri",
     "analytic_rank_tri",
     "slice_rank_mean",
     "symmetrize",
@@ -157,6 +158,15 @@ def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
     N slices, from one `gf_family_ranks` call, in place of N^3 evaluations.
     """
     return slice_rank_mean(tau.slices(0))
+
+
+def analytic_means_tri(forms: list[TrilinearForm]) -> list[Fraction]:
+    """`analytic_mean_tri` of each form, from one `gf_family_ranks` call:
+    a form's coefficient array is its family of slices along the first
+    slot, so the forms stack into one batch of families."""
+    p = forms[0].params.p
+    ranks = gf_family_ranks(p, np.stack([form.coeffs for form in forms]))
+    return [_mean_of_ranks(p, r) for r in ranks]
 
 
 def analytic_rank_tri(tau: TrilinearForm) -> float:
@@ -365,11 +375,9 @@ def symmetry_pipeline(
     alpha = abs(tri_correlation(f, h, tau))
     sigma, residual = symmetrize(tau)
     perms = list(itertools.permutations(range(3)))
-    # the six permutation differences and the residual, whose slices along
-    # the first slot are their coefficient arrays, ranked in one call
+    # the six permutation differences and the residual, ranked in one call
     forms = [tau - tau.permute_args(perm) for perm in perms] + [residual]
-    ranks = gf_family_ranks(p, np.stack([form.coeffs for form in forms]))
-    *perm_values, residual_rank = (_rank_of_mean(p, _mean_of_ranks(p, r)) for r in ranks)
+    *perm_values, residual_rank = (_rank_of_mean(p, m) for m in analytic_means_tri(forms))
     perm_ranks = list(zip(perms, perm_values))
     swap_rank = dict(perm_ranks)[(0, 2, 1)]
     if alpha > _TIE_TOL:

@@ -27,7 +27,11 @@ of G^2, the table the extend stage checked for bi-affinity until that check
 was dropped as one that cannot fail.  `best_cell` is the cells stage's
 `Counter` over the domain's (x0 label, y0 label, beta value) triples, which
 `ulab.pipeline` replaced with one `np.unique` of the packed
-`BohrDecomposition.cell_index` codes.  The linear algebra is
+`BohrDecomposition.cell_index` codes.  `affine_in_each_variable` checks
+every shift h in each variable, where `ulab.pipeline.affine_in_each_variable`
+checks only the n basis shifts.  `trirank` is `ulab trirank`'s output with
+one `analytic_rank_tri` call per form, where the command ranks all eight
+forms in one `gf_family_ranks` call.  The linear algebra is
 `core_oracle`'s.  Tests compare the library against them; nothing in the
 package imports this module.
 """
@@ -41,9 +45,10 @@ import numpy as np
 
 from ulab.arrange import PartialMap
 from ulab.bilinear import BohrDecomposition
-from ulab.core import GroupFn, GroupParams, PolyPhase, char_transform
+from ulab.core import GroupFn, GroupParams, PolyPhase, _add_table, char_transform
 from ulab.gowers import PEAK_TIE_TOL, derivative2_spectra, norm_from_power
 from ulab.pipeline import BiAffineFit
+from ulab.trilinear import TrilinearForm, analytic_mean_tri, analytic_rank_tri, symmetrize
 
 from core_oracle import gf_rowreduce, gf_solve
 
@@ -251,6 +256,36 @@ def extract_affine_parts(phi: PartialMap, fit: BiAffineFit) -> dict:
         "theta_agreement": ath,
         "lambda_agreement": alm,
         "back_agreement": back,
+    }
+
+
+def affine_in_each_variable(params: GroupParams, table: np.ndarray) -> bool:
+    """Every difference of the (N, N, digits) table along either variable,
+    by every shift h, is constant in that variable."""
+    p = params.p
+    add = _add_table(p, params.n)
+    for h in range(params.size):
+        dif = (table[:, add[:, h], :] - table) % p
+        if not np.all(dif == dif[:, :1, :]):
+            return False
+        dif = (table[add[:, h], :, :] - table) % p
+        if not np.all(dif == dif[:1, :, :]):
+            return False
+    return True
+
+
+def trirank(tau: TrilinearForm) -> dict:
+    """The `ulab trirank` record of tau, one `analytic_rank_tri` call per form."""
+    _, residual = symmetrize(tau)
+    return {
+        "analytic_rank": analytic_rank_tri(tau),
+        "mean": analytic_mean_tri(tau),
+        "is_symmetric": tau.is_symmetric(),
+        "residual_rank": analytic_rank_tri(residual),
+        "perm_difference_ranks": {
+            "".join(map(str, perm)): analytic_rank_tri(tau - tau.permute_args(perm))
+            for perm in itertools.permutations(range(3))
+        },
     }
 
 

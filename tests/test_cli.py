@@ -30,6 +30,7 @@ from ulab.core import (
 from ulab.gowers import PEAK_TIE_TOL, derivative2, uk_norm
 from ulab.pipeline import (
     REPORT_SCHEMA,
+    BiAffineFit,
     PipelineConfig,
     affine_in_each_variable,
     consensus_rounding,
@@ -341,6 +342,44 @@ def test_affine_in_each_variable_detects_a_break():
     broken = table.copy()
     broken[4, 7, 1] = (broken[4, 7, 1] + 1) % 5
     assert not affine_in_each_variable(P52, broken)
+
+
+def _affinity_cases(params: GroupParams, vn: int, rng) -> list[tuple[str, np.ndarray]]:
+    """Digit tables on G^2: a random bi-affine one, the same with one entry
+    moved, and tables that are a random function of one variable only."""
+    p, n, N = params.p, params.n, params.size
+    fit = BiAffineFit(*(rng.integers(0, p, shape) for shape in ((vn, n, n), (vn, n), (vn, n), vn)), 1.0, 0)
+    table = cli_oracle.biaffine_value_table(params, fit)
+    broken = table.copy()
+    x, y, c = rng.integers(N), rng.integers(N), rng.integers(vn)
+    broken[x, y, c] = (broken[x, y, c] + rng.integers(1, p)) % p
+    line = rng.integers(0, p, (N, vn))
+    return [
+        ("biaffine", table),
+        ("one moved entry", broken),
+        ("function of y", np.broadcast_to(line[None, :, :], (N, N, vn))),
+        ("function of x", np.broadcast_to(line[:, None, :], (N, N, vn))),
+    ]
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3) if p**n <= 125])
+def test_basis_shifts_decide_affinity_as_every_shift_does(p, n):
+    # f(x, y + e_j) - f(x, y) constant in y for every basis vector e_j makes
+    # f affine in y, so the n basis shifts decide what all N shifts do
+    params = GroupParams(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    verdicts = Counter()
+    for vn in (1, 2):
+        for _ in range(3):
+            for kind, table in _affinity_cases(params, vn, rng):
+                want = cli_oracle.affine_in_each_variable(params, table)
+                assert affine_in_each_variable(params, table) == want, kind
+                assert want or kind != "biaffine"
+                verdicts[kind, want] += 1
+    if params.size > 2:
+        # every function on F_2 is affine, so only larger groups must break
+        assert verdicts["one moved entry", False] == 6
+        assert verdicts["function of y", False] > 0 and verdicts["function of x", False] > 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -825,6 +864,25 @@ def test_cmd_trirank(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["is_symmetric"] is True
     assert out["perm_difference_ranks"]["021"] == 0.0
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (7, 2), (5, 3)])
+def test_cmd_trirank_ranks_the_forms_as_the_per_form_calls_do(tmp_path, capsys, p, n):
+    # the command ranks the form, its six permutation differences and the
+    # residual in one batched call; its output must be the per-form calls'
+    params = GroupParams(p, n)
+    rng = np.random.default_rng(31 * p + n)
+    path = tmp_path / "tau.json"
+    for coeffs in (
+        rng.integers(0, p, (n, n, n)),
+        np.where(rng.random((n, n, n)) < 0.3, rng.integers(0, p, (n, n, n)), 0),
+        TrilinearForm.diagonal(params).coeffs,
+    ):
+        tau = TrilinearForm(params, coeffs)
+        path.write_text(json.dumps(trilinear_to_json(tau)))
+        assert main(["trirank", "--form", str(path)]) == 0
+        want = json.dumps(ulab.pipeline._json_safe(cli_oracle.trirank(tau)), indent=2, sort_keys=True)
+        assert capsys.readouterr().out == want + "\n"
 
 
 def test_cmd_symmetrize(files, capsys):
