@@ -143,9 +143,6 @@ class DistFn:
             tab[int(x), int(y)] = u
         return cls(params, value_params, tab)
 
-    def get(self, x: int, y: int) -> Dist:
-        return self.table.get((x, y), Dist.zero(self.value_params))
-
 
 def _char_stack(phi: DistFn, mu: GridFn | None = None) -> np.ndarray:
     """hat[s, x, y] = sum_g mu(x, y) phi(x, y)(g) omega^{-s.g}, shape (|H|, N, N).

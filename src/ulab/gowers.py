@@ -6,15 +6,15 @@ d_{a,b} f(x) = f(x) conj(f(x - a)) conj(f(x - b)) f(x - a - b), the eight
 pairs (+-a, +-b), (+-b, +-a) share one spectrum |(d_{a,b} f)^|, mirrored
 r -> -r for the pairs with one sign flipped: swapping a and b changes
 nothing, negating both translates, and negating one conjugates a translate.
-`derivative2_peaks` transforms one representative per orbit, in batches of
-p^n rows, and scatters the power and the peak to every pair, so memory
-stays O(p^{2n}); `uk_norm(f, 4)` and the pipeline's gate and peak map read
-the same arrays.  `trilinear.tri_correlation` transforms the same orbit
-representatives through `_derivative2_rows`.  `derivative2_spectra` yields
-whole rows of spectra, for `trilinear.u3_lower` only.  The direct 5-fold
-sum exists only as an oracle for |G| <= 32.  The defining averages are
-provably real, so any imaginary residue above 1e-9 raises instead of being
-dropped silently.
+`_orbit_slots` lays out one representative per orbit with each pair's slot
+and mirror flag, and `_orbit_spectra` transforms the representatives in
+batches of p^n rows, so memory stays O(p^{2n}).  That pass has two readers:
+`derivative2_peaks`, whose power and peaks `uk_norm(f, 4)` and the gate and
+peak map read, and `trilinear.tri_correlation`.  `derivative2_spectra`
+yields whole rows of spectra, for `trilinear.u3_lower` only.  The direct
+5-fold sum exists only as an oracle for |G| <= 32.  The defining averages
+are provably real, so any imaginary residue above 1e-9 raises instead of
+being dropped silently.
 """
 
 from __future__ import annotations
@@ -108,10 +108,9 @@ def derivative2_spectra(f: GroupFn) -> Iterator[np.ndarray]:
     The first-derivative table is built once; row a's N second derivatives
     come from one gather of it (`_derivative2_rows`) and go through one
     batched transform.  Only one row is alive at a time, so memory is
-    O(N^2), never O(N^3).  `trilinear.u3_lower` reads whole spectra from
-    it; `trilinear.tri_correlation` transforms only the orbit
-    representatives of `_orbit_table` through `_derivative2_rows`, and the
-    U^4 norm and the peak map use `derivative2_peaks`.
+    O(N^2), never O(N^3).  Only `trilinear.u3_lower` reads whole spectra
+    from it; every other reader takes the orbit representatives' spectra
+    from `_orbit_spectra`.
     """
     d1, sub_t = _first_derivatives(f)
     for a in range(f.params.size):
@@ -141,24 +140,54 @@ def _orbit_table(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
     return rep, mirror
 
 
-def _orbit_peaks(f: GroupFn, reps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Power Sigma_r S^4 and the peaks of the representatives' spectra S,
-    N rows per batch: the lowest r within PEAK_TIE_TOL of the maximum, and
-    the lowest r whose mirror -r is, each with its magnitude."""
+def _orbit_slots(params: GroupParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reps, slot, mirror): the keys a N + b of the orbit representatives
+    of `_orbit_table`, in key order, and for each pair (a, b) the slot of
+    its representative among them and whether its spectrum is the
+    representative's mirrored r -> -r."""
+    N = params.size
+    rep, mirror = _orbit_table(params)
+    is_rep = rep.ravel() == np.arange(N * N, dtype=np.int32)
+    slot = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
+    return np.flatnonzero(is_rep), slot, mirror
+
+
+def _orbit_spectra(f: GroupFn, reps: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (s, S) for each batch of N representatives reps[s : s + N]:
+    S[j] = |(d_{a,b} f)^| with (a, b) = divmod(reps[s + j], N).  A batch is
+    one gather of the first-derivative table, transformed in place and
+    dropped before the yield, so no more than two are alive at once."""
     params = f.params
     N = params.size
-    neg = params.neg(np.arange(N))
     d1, sub_t = _first_derivatives(f)
-    power = np.empty(len(reps))
-    lo, hi = np.empty(len(reps), dtype=np.int64), np.empty(len(reps), dtype=np.int64)
-    mag_lo, mag_hi = np.empty(len(reps)), np.empty(len(reps))
     for s in range(0, len(reps), N):
         a, b = np.divmod(reps[s : s + N], N)
         d2 = _derivative2_rows(d1, sub_t, a, b)
         spec = np.abs(char_transform(d2, params, axis=1, out=d2))
-        # each batch buffer is dropped once read, so no more than two of
-        # them are alive at once
         del d2
+        yield s, spec
+
+
+def derivative2_peaks(f: GroupFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three (N, N) arrays over the shift pairs (a, b), read off the spectra
+    S = |(d_{a,b} f)^|: the power Sigma_r S(r)^4, whose mean is
+    |f|_{U^4}^16; the peak, the lowest r with S(r) within PEAK_TIE_TOL of
+    max S; and the peak magnitude S(peak).
+
+    Only the orbit representatives of `_orbit_slots` are transformed
+    (`_orbit_spectra`).  Each representative's power and two peaks go to
+    every pair of its orbit: the lowest candidate r, and for a mirrored
+    pair the lowest r whose -r is a candidate, so the tie rule is the one
+    each pair's own spectrum would give.
+    """
+    params = f.params
+    N = params.size
+    neg = params.neg(np.arange(N))
+    reps, slot, mirror = _orbit_slots(params)
+    power = np.empty(len(reps))
+    lo, hi = np.empty(len(reps), dtype=np.int64), np.empty(len(reps), dtype=np.int64)
+    mag_lo, mag_hi = np.empty(len(reps)), np.empty(len(reps))
+    for s, spec in _orbit_spectra(f, reps):
         rows = np.arange(len(spec))
         # squared twice in one buffer: the same bits as (spec**2)**2
         sq = np.square(spec)
@@ -170,27 +199,6 @@ def _orbit_peaks(f: GroupFn, reps: np.ndarray) -> tuple[np.ndarray, ...]:
         mag_lo[s : s + N] = spec[rows, r]
         hi[s : s + N] = r = np.argmax(cand[:, neg], axis=1)
         mag_hi[s : s + N] = spec[rows, neg[r]]
-    return power, lo, hi, mag_lo, mag_hi
-
-
-def derivative2_peaks(f: GroupFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three (N, N) arrays over the shift pairs (a, b), read off the spectra
-    S = |(d_{a,b} f)^|: the power Sigma_r S(r)^4, whose mean is
-    |f|_{U^4}^16; the peak, the lowest r with S(r) within PEAK_TIE_TOL of
-    max S; and the peak magnitude S(peak).
-
-    One spectrum per orbit of (a, b) under the eight sign changes and swaps
-    (`_orbit_table`) is transformed, and its results go to every pair of the
-    orbit; a mirrored pair takes the lowest r whose -r is a candidate, so
-    the tie rule is the one each pair's own spectrum would give.
-    """
-    N = f.params.size
-    rep, mirror = _orbit_table(f.params)
-    is_rep = rep.ravel() == np.arange(N * N, dtype=np.int32)
-    power, lo, hi, mag_lo, mag_hi = _orbit_peaks(f, np.flatnonzero(is_rep))
-    # each pair's slot among the representatives, which are in key order
-    slot = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
-    del rep, is_rep
     peak, mag = lo[slot], mag_lo[slot]
     flipped = slot[mirror]
     peak[mirror], mag[mirror] = hi[flipped], mag_hi[flipped]

@@ -107,7 +107,6 @@ from .bilinear import bogolyubov_bilinear, bohr_decompose
 from .core import (
     GroupFn,
     GroupParams,
-    PolyPhase,
     _add_table,
     _is_prime,
     correlation,
@@ -836,9 +835,7 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
     p = params.p
     kappa0, cstar = kappa_from_sigma(sigma)
     scale = (-pow(cstar, p - 2, p)) % p
-    kappa = PolyPhase.from_coeffs(
-        params, {mono: coef * scale % p for mono, coef in kappa0.terms}
-    )
+    kappa = kappa0.scale(scale)
     g = GroupFn(params, f.values * np.exp(-2j * np.pi * kappa.phase_table() / p))
     u3 = uk_norm(g, 3).value
     # the box correlation of g against the fitted maps' phases is
@@ -865,10 +862,7 @@ def _pipeline_stages(f: GroupFn, cfg: PipelineConfig, record) -> None:
 
     # -------- quadratic --------
     quad, quad_corr = quad_phase_search(g)
-    total: dict[tuple, int] = dict(kappa.terms)
-    for mono, coef in quad.terms:
-        total[mono] = (total.get(mono, 0) + coef) % p
-    phase = PolyPhase.from_coeffs(params, {m: c for m, c in total.items() if c})
+    phase = kappa + quad
     final_corr = abs(correlation(f, phase))
     record(
         {

@@ -1,6 +1,10 @@
 """Trilinear forms over F_p^n: exact analytic rank, symmetrization, the
 symmetry correlation, cubic phase extraction, and exhaustive quadratic
 phase search.
+
+Every rank goes through `analytic_means_tri`, one `gf_family_ranks` call
+per batch of forms; `tri_correlation` reads the gate's orbit pass,
+`gowers._orbit_slots` and `gowers._orbit_spectra`.
 """
 
 from __future__ import annotations
@@ -23,24 +27,15 @@ from ulab.core import (
     char_transform,
     gf_family_ranks,
 )
-from ulab.gowers import (
-    _derivative2_rows,
-    _first_derivatives,
-    _orbit_table,
-    derivative2_spectra,
-    uk_norm,
-)
+from ulab.gowers import _orbit_slots, _orbit_spectra, derivative2_spectra, uk_norm
 from ulab.grid import GridFn
 
 __all__ = [
     "TrilinearForm",
-    "SliceFamily",
     "PhaseProduct",
     "SymmetryReport",
-    "analytic_mean_tri",
     "analytic_means_tri",
     "analytic_rank_tri",
-    "slice_rank_mean",
     "symmetrize",
     "box3_value",
     "box3_criterion",
@@ -121,49 +116,21 @@ class TrilinearForm:
             for perm in itertools.permutations(range(3))
         )
 
-    def slices(self, axis: int = 0) -> "SliceFamily":
-        """Family x -> T_x of the bilinear forms got by fixing one slot."""
-        if axis not in (0, 1, 2):
-            raise ValueError("axis must be 0, 1, or 2")
-        mats = np.moveaxis(self.coeffs, axis, 0)
-        return SliceFamily(self.params, mats)
-
-
-@dataclass(frozen=True)
-class SliceFamily:
-    """Linear family x -> T_x of n x n matrices; mats[s] is the slice at e_s."""
-
-    params: GroupParams
-    mats: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.params.n
-        m = np.asarray(self.mats, dtype=np.int64) % self.params.p
-        if m.shape != (n, n, n):
-            raise ValueError("generator slices must have shape (n, n, n)")
-        m.setflags(write=False)
-        object.__setattr__(self, "mats", m)
-
 
 # ============================================================
 # analytic rank
 # ============================================================
 
 
-def analytic_mean_tri(tau: TrilinearForm) -> Fraction:
-    """Exact rational value of E_{a,b,c} omega^{tau(a,b,c)}.
-
-    For fixed a, E_{b,c} omega^{b.T_a c} = p^{-rank T_a}, so the mean is
-    `slice_rank_mean` of the slices along the first slot: the ranks of the
-    N slices, from one `gf_family_ranks` call, in place of N^3 evaluations.
-    """
-    return slice_rank_mean(tau.slices(0))
-
-
 def analytic_means_tri(forms: list[TrilinearForm]) -> list[Fraction]:
-    """`analytic_mean_tri` of each form, from one `gf_family_ranks` call:
-    a form's coefficient array is its family of slices along the first
-    slot, so the forms stack into one batch of families."""
+    """Exact rational value of E_{a,b,c} omega^{tau(a,b,c)} for each form.
+
+    For fixed a, E_{b,c} omega^{b.T_a c} = p^{-rank T_a}, so a form's mean
+    is E_a p^{-rank T_a} over its slices T_a along the first slot.  Its
+    coefficient array is that linear family of slices, so the forms stack
+    into one batch of families and one `gf_family_ranks` call ranks every
+    slice of every form, in place of N^3 evaluations per form.
+    """
     p = forms[0].params.p
     ranks = gf_family_ranks(p, np.stack([form.coeffs for form in forms]))
     return [_mean_of_ranks(p, r) for r in ranks]
@@ -171,7 +138,7 @@ def analytic_means_tri(forms: list[TrilinearForm]) -> list[Fraction]:
 
 def analytic_rank_tri(tau: TrilinearForm) -> float:
     """-log_p E_{a,b,c} omega^{tau(a,b,c)}; need not be an integer."""
-    return _rank_of_mean(tau.params.p, analytic_mean_tri(tau))
+    return _rank_of_mean(tau.params.p, analytic_means_tri([tau])[0])
 
 
 def _rank_of_mean(p: int, mean: Fraction) -> float:
@@ -183,15 +150,6 @@ def _mean_of_ranks(p: int, ranks: np.ndarray) -> Fraction:
     rank r, sum_r count_r p^{-r} / N."""
     counts = np.bincount(ranks)
     return sum(Fraction(int(c), p**r) for r, c in enumerate(counts)) / len(ranks)
-
-
-def slice_rank_mean(fam: SliceFamily) -> Fraction:
-    """E_x p^{-rank(T_x)}, exactly.
-
-    The slices T_x = sum_s x_s mats[s] are the members of a linear family,
-    so one `gf_family_ranks` call ranks all N of them.
-    """
-    return _mean_of_ranks(fam.params.p, gf_family_ranks(fam.params.p, fam.mats))
 
 
 # ============================================================
@@ -297,11 +255,12 @@ def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
         E_{a,b} omega^{e0(a,b)} |g_hat_{a,b}(-L(a,b))|^2.
 
     The eight pairs (+-a, +-b), (+-b, +-a) share one spectrum, mirrored
-    r -> -r when one sign is flipped (`gowers._orbit_table`), so only the
-    orbits' representatives are transformed, N per batch, and each pair
-    reads its representative's spectrum at -L(a, b), or at L(a, b) when
-    mirrored.  The pairs are sorted by representative, so each batch reads
-    one contiguous run of them, and memory stays O(N^2).
+    r -> -r when one sign is flipped, so only the orbits' representatives
+    are transformed, in the batches of N that `gowers._orbit_spectra`
+    yields, and each pair reads its representative's spectrum at -L(a, b),
+    or at L(a, b) when mirrored (`gowers._orbit_slots`).  The pairs are
+    sorted by representative, so each batch reads one contiguous run of
+    them, and memory stays O(N^2).
     """
     params = f.params
     if h.params != params or tau.params != params:
@@ -313,22 +272,15 @@ def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
     e0 = (dig @ h.ab + h.lb) @ dig.T + (dig @ h.la + h.const)[:, None]
     L = (dig @ h.bc)[None] - dig @ np.tensordot(dig, tau.coeffs, axes=(1, 0))
     L += (dig @ h.ac + h.lc)[:, None]
-    rep, mirror = _orbit_table(params)
+    reps, slot, mirror = _orbit_slots(params)
     # the frequency each pair reads off its representative's spectrum
     freq = params.index(np.where(mirror[..., None], L, -L)).ravel()
-    is_rep = rep.ravel() == np.arange(N * N, dtype=np.int32)
-    reps = np.flatnonzero(is_rep)
-    slot = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep.ravel()]
-    order = np.argsort(slot, kind="stable")
-    slot, freq = slot[order], freq[order]
+    order = np.argsort(slot.ravel(), kind="stable")
+    slot, freq = slot.ravel()[order], freq[order]
     phase = np.exp(2j * np.pi * np.arange(p) / p)[e0.ravel()[order] % p]
     bounds = np.searchsorted(slot, np.arange(0, len(reps) + N, N))
-    d1, sub_t = _first_derivatives(f)
     total = 0.0 + 0.0j
-    for s, lo, hi in zip(range(0, len(reps), N), bounds, bounds[1:]):
-        a, b = np.divmod(reps[s : s + N], N)
-        d2 = _derivative2_rows(d1, sub_t, a, b)
-        spec = np.abs(char_transform(d2, params, axis=1, out=d2))
+    for (s, spec), lo, hi in zip(_orbit_spectra(f, reps), bounds, bounds[1:]):
         total += phase[lo:hi] @ np.square(spec[slot[lo:hi] - s, freq[lo:hi]])
     return complex(total / N**2)
 

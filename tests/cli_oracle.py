@@ -30,10 +30,10 @@ was dropped as one that cannot fail.  `best_cell` is the cells stage's
 `BohrDecomposition.cell_index` codes.  `affine_in_each_variable` checks
 every shift h in each variable, where `ulab.pipeline.affine_in_each_variable`
 checks only the n basis shifts.  `trirank` is `ulab trirank`'s output with
-one `analytic_rank_tri` call per form, where the command ranks all eight
-forms in one `gf_family_ranks` call.  The linear algebra is
-`core_oracle`'s.  Tests compare the library against them; nothing in the
-package imports this module.
+one per-slice `trilinear_oracle.slice_rank_mean` loop per form, where the
+command ranks all eight forms in one `gf_family_ranks` call.  The linear
+algebra is `core_oracle`'s.  Tests compare the library against them;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ from ulab.bilinear import BohrDecomposition
 from ulab.core import GroupFn, GroupParams, PolyPhase, _add_table, char_transform
 from ulab.gowers import PEAK_TIE_TOL, derivative2_spectra, norm_from_power
 from ulab.pipeline import BiAffineFit
-from ulab.trilinear import TrilinearForm, analytic_mean_tri, analytic_rank_tri, symmetrize
+from ulab.trilinear import TrilinearForm, symmetrize
 
 from core_oracle import gf_rowreduce, gf_solve
+from trilinear_oracle import SliceFamily, analytic_rank, slice_rank_mean
 
 
 def derivative_peak_map(f: GroupFn, c1: float) -> tuple[PartialMap, dict, float]:
@@ -275,15 +276,15 @@ def affine_in_each_variable(params: GroupParams, table: np.ndarray) -> bool:
 
 
 def trirank(tau: TrilinearForm) -> dict:
-    """The `ulab trirank` record of tau, one `analytic_rank_tri` call per form."""
+    """The `ulab trirank` record of tau, one per-slice rank loop per form."""
     _, residual = symmetrize(tau)
     return {
-        "analytic_rank": analytic_rank_tri(tau),
-        "mean": analytic_mean_tri(tau),
+        "analytic_rank": analytic_rank(tau),
+        "mean": slice_rank_mean(SliceFamily.of(tau)),
         "is_symmetric": tau.is_symmetric(),
-        "residual_rank": analytic_rank_tri(residual),
+        "residual_rank": analytic_rank(residual),
         "perm_difference_ranks": {
-            "".join(map(str, perm)): analytic_rank_tri(tau - tau.permute_args(perm))
+            "".join(map(str, perm)): analytic_rank(tau - tau.permute_args(perm))
             for perm in itertools.permutations(range(3))
         },
     }

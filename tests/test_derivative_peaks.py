@@ -84,6 +84,12 @@ def test_orbit_table_covers_every_pair_with_its_spectrum(group):
     images = [u * N + v for x, y in ((a, b), (b, a)) for u in (x, neg[x]) for v in (y, neg[y])]
     assert np.all(np.any(np.stack(images) == rep, axis=0))
     assert np.all(np.isin(rep, reps))
+    # the slot layout both orbit passes read: the representatives in key
+    # order, each pair's slot naming its representative, the same flags
+    got_reps, slot, got_mirror = gowers._orbit_slots(params)
+    assert np.array_equal(got_reps, reps) and np.all(np.diff(got_reps) > 0)
+    assert np.array_equal(got_reps[slot], rep)
+    assert np.array_equal(got_mirror, mirror)
     f = _input(params, "noise", 7)
     spectra = np.stack(list(derivative2_spectra(f))).reshape(N * N, N)
     want = spectra[rep.ravel()]

@@ -12,20 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilinear_oracle as oracle
+from trilinear_oracle import SliceFamily
+import ulab.core
 import ulab.trilinear
 from ulab.core import GroupFn, GroupParams, PolyPhase, poly_phase_fn
 from ulab.gowers import uk_norm
 from ulab.grid import GridFn
 from ulab.trilinear import (
-    SliceFamily,
     TrilinearForm,
-    analytic_mean_tri,
+    analytic_means_tri,
     analytic_rank_tri,
     box3_criterion,
     box3_value,
     kappa_from_sigma,
     quad_phase_search,
-    slice_rank_mean,
     symmetrize,
     symmetry_pipeline,
     tri_correlation,
@@ -48,6 +48,12 @@ def _random_form(params, seed):
     rng = np.random.default_rng(seed)
     n = params.n
     return TrilinearForm(params, rng.integers(0, params.p, size=(n, n, n)))
+
+
+def _slot_first(tau, axis):
+    """tau with its slot `axis` moved first, by `permute_args`: its
+    first-slot slices are tau's slices along `axis`."""
+    return tau.permute_args([(0, 1, 2), (1, 0, 2), (1, 2, 0)][axis])
 
 
 def _symmetric_form(params, seed):
@@ -169,7 +175,7 @@ def test_slices_pair_with_remaining_arguments():
     rng = np.random.default_rng(15)
     pts = rng.integers(0, 25, size=(20, 3))
     for axis in (0, 1, 2):
-        fam = tau.slices(axis)
+        fam = SliceFamily.of(tau, axis)
         for row in pts:
             a, b, c = (int(x) for x in row)
             mat = oracle.slice_at(fam, (a, b, c)[axis])
@@ -179,7 +185,7 @@ def test_slices_pair_with_remaining_arguments():
 
 
 def test_slice_at_is_additive():
-    fam = _random_form(P52, 16).slices(0)
+    fam = SliceFamily.of(_random_form(P52, 16))
     for x in range(25):
         for y in range(25):
             s = P52.add(x, y)
@@ -194,39 +200,44 @@ def test_slice_at_is_additive():
 
 def test_zero_form_has_mean_one_rank_zero():
     tau = TrilinearForm.zero(P52)
-    assert analytic_mean_tri(tau) == Fraction(1)
+    assert analytic_means_tri([tau]) == [Fraction(1)]
     assert analytic_rank_tri(tau) == 0.0
 
 
 def test_product_form_mean_and_rank():
     tau = _product_form()
-    assert analytic_mean_tri(tau) == Fraction(9, 25)
+    assert analytic_means_tri([tau]) == [Fraction(9, 25)]
     assert abs(analytic_rank_tri(tau) - RANK_ABC) < 1e-12
 
 
 def test_diagonal_rank_adds_across_coordinates():
     tau = TrilinearForm.diagonal(P52)
-    assert analytic_mean_tri(tau) == Fraction(81, 625)
+    assert analytic_means_tri([tau]) == [Fraction(81, 625)]
     assert abs(analytic_rank_tri(tau) - 2 * RANK_ABC) < 1e-12
 
 
 def test_rank_invariant_under_nonzero_scaling():
     tau = _random_form(P52, 17)
-    base = analytic_mean_tri(tau)
-    for lam in (1, 2, 3, 4):
-        assert analytic_mean_tri(oracle.scaled(tau, lam)) == base
+    means = analytic_means_tri([oracle.scaled(tau, lam) for lam in (1, 2, 3, 4)])
+    assert means == [oracle.slice_rank_mean(SliceFamily.of(tau))] * 4
 
 
 def test_mean_equals_slice_rank_average_all_axes():
+    # the forms with each slot moved first, ranked in one batch, give the
+    # per-slice means along every slot of tau, and those agree
     tau = _random_form(P52, 18)
-    mean = analytic_mean_tri(tau)
-    for axis in (0, 1, 2):
-        assert slice_rank_mean(tau.slices(axis)) == mean
+    moved = [_slot_first(tau, axis) for axis in (0, 1, 2)]
+    means = analytic_means_tri(moved)
+    for axis, form in enumerate(moved):
+        fam = SliceFamily.of(tau, axis)
+        assert np.array_equal(SliceFamily.of(form).mats, fam.mats)
+        assert means[axis] == oracle.slice_rank_mean(fam)
+    assert means[1] == means[2] == means[0]
 
 
 def test_mean_on_a_large_group_is_not_refused():
     # p^{3n} = 1.95e6 triples: the slice ranks need no triple count
-    assert analytic_mean_tri(TrilinearForm.zero(P53)) == Fraction(1)
+    assert analytic_means_tri([TrilinearForm.zero(P53)]) == [Fraction(1)]
 
 
 # every F_p^n with p^{3n} <= 10^6, that is p^n <= 100
@@ -245,26 +256,31 @@ def test_mean_matches_the_triple_count(group, seed, axis):
     coeffs = rng.integers(0, params.p, size=(n, n, n)) * (rng.random((n, n, n)) < rng.random())
     tau = TrilinearForm(params, coeffs)
     mean = oracle.analytic_mean_tri(tau)
-    assert analytic_mean_tri(tau) == mean
-    assert slice_rank_mean(tau.slices(axis)) == mean
-    assert oracle.slice_rank_mean(tau.slices(axis)) == mean
+    assert analytic_means_tri([tau, _slot_first(tau, axis)]) == [mean, mean]
+    assert oracle.slice_rank_mean(SliceFamily.of(tau, axis)) == mean
 
 
 @pytest.mark.parametrize("group", [(2, 6), (3, 4), (5, 2), (7, 1)], ids=lambda g: "F%d^%d" % g)
-@pytest.mark.parametrize("cap", [1, 7, 40])
-def test_slice_rank_mean_blocks_match_the_loop(monkeypatch, group, cap):
-    # a budget of a few slices splits the family's ranks into many blocks,
-    # and the mean must not change.  The shrunken SIZE_CAP is also the
-    # ceiling on the p^n members; it is lifted, so only the blocks change.
+@pytest.mark.parametrize("seed", [1, 7, 40])
+def test_slice_rank_mean_blocks_match_the_loop(monkeypatch, group, seed):
+    # SIZE_CAP at p^n keeps the ceiling on the p^n members and splits the
+    # ranks of three forms into blocks of p^n // (3 n^2) members, at least
+    # one: 1 on F_2^6 and F_3^4, 2 on F_5^2 and F_7.  The means must not
+    # change.
     params = GroupParams(*group)
     n = params.n
-    rng = np.random.default_rng(cap + 10 * n)
-    mats = rng.integers(0, params.p, size=(n, n, n)) * (rng.random((n, n, n)) < 0.5)
-    fam = SliceFamily(params, mats)
-    want = oracle.slice_rank_mean(fam)
-    monkeypatch.setattr(ulab.core, "SIZE_CAP", cap * n * n)
-    monkeypatch.setattr(GroupParams, "_check_size", staticmethod(lambda p, n, what: None))
-    assert slice_rank_mean(fam) == want
+    rng = np.random.default_rng(seed + 10 * n)
+    forms = [
+        TrilinearForm(params, rng.integers(0, params.p, size=(n, n, n)) * (rng.random((n, n, n)) < 0.5))
+        for _ in range(3)
+    ]
+    want = [oracle.slice_rank_mean(SliceFamily.of(tau)) for tau in forms]
+    monkeypatch.setattr(ulab.core, "SIZE_CAP", params.size)
+    blocks = []
+    echelon = ulab.core._echelon
+    monkeypatch.setattr(ulab.core, "_echelon", lambda *a: blocks.append(1) or echelon(*a))
+    assert analytic_means_tri(forms) == want
+    assert len(blocks) >= params.size // 2
 
 
 # ------------------------------------------------------------------
@@ -318,7 +334,8 @@ def test_symmetrize_rejects_small_characteristic():
 def _subadditive(s: TrilinearForm, t: TrilinearForm) -> bool:
     """rank(s + t) <= 8 (rank(s) + rank(t)), compared on the exact rational
     means (mean of the sum at least the 8th power of the product of the means)."""
-    return analytic_mean_tri(s + t) >= (analytic_mean_tri(s) * analytic_mean_tri(t)) ** 8
+    sum_mean, s_mean, t_mean = analytic_means_tri([s + t, s, t])
+    return sum_mean >= (s_mean * t_mean) ** 8
 
 
 def test_subadditivity_zero_pair():

@@ -94,20 +94,25 @@ def test_tri_correlation_matches_the_pair_loop(group, seed):
 def test_tri_correlation_gathers_once_per_row(monkeypatch):
     # one second-derivative gather per batch of N orbit representatives: the
     # 625 pairs (a, b) of the N = 25 point group fall into 91 orbits under
-    # sign changes and swaps, so ceil(91 / 25) = 4 gathers
+    # sign changes and swaps, so ceil(91 / 25) = 4 gathers, in the symmetry
+    # correlation and in the gate's peak map alike, since both read the
+    # same orbit pass
     params = GroupParams(5, 2)
     N = params.size
-    rep, _ = gowers._orbit_table(params)
-    orbits = int((rep.ravel() == np.arange(N * N)).sum())
+    reps, _, _ = gowers._orbit_slots(params)
+    orbits = len(reps)
     assert orbits == 91
     f, h, tau = _random_inputs(params, np.random.default_rng(3))
     want = oracle.tri_correlation(f, h, tau)
     calls = []
-    gather = trilinear._derivative2_rows
-    monkeypatch.setattr(trilinear, "_derivative2_rows", lambda *args: calls.append(1) or gather(*args))
+    gather = gowers._derivative2_rows
+    monkeypatch.setattr(gowers, "_derivative2_rows", lambda *args: calls.append(1) or gather(*args))
     got = tri_correlation(f, h, tau)
     assert len(calls) == -(-orbits // N) == 4
     assert abs(got - want) < TOL
+    calls.clear()
+    gowers.derivative2_peaks(f)
+    assert len(calls) == 4
 
 
 @SETTINGS

@@ -15,23 +15,26 @@ spectrum (Wiener-Khinchin), and `quad_phase_search` the candidate table that
 in one batch and `np.exp` over every phase value, which the library
 replaced with blocks of at most SIZE_CAP // N quadratic parts and a p-entry
 table of phases; it must give the same bits.
-`symmetry_ranks` is the per-form loop of `ulab.trilinear.symmetry_pipeline`,
-one `analytic_rank_tri` call for each of the six permutation differences
-and for the residual, which the library replaced with one
-`gf_family_ranks` call over all seven forms; it must give the same floats.
-`slice_rank_mean` ranks every slice T_x in turn, which
-`ulab.trilinear.slice_rank_mean` replaced with one `gf_family_ranks` call
-for all slices and a count of the slices of each rank.  `kappa_from_sigma` is the exhaustive check over all p^{4n} points (x, a, b, c)
-that `ulab.trilinear.kappa_from_sigma` replaced with a symbolic
-polarisation certificate; `alternating_sum_constant` is that check alone, so
-a test can hand it a changed cubic.  `analytic_mean_tri` counts the values
-of tau over all p^{3n} triples, which `ulab.trilinear.analytic_mean_tri`
-replaced with the ranks of the slices T_a, and keeps those counts exact
-in a `CharacterSum`.  `form_value`, `scaled`, `slice_at`, `phase_one` and
-`phase_exponent` evaluate and build forms and phase products pointwise, as
-only tests need.  `cubic_stage_box` is the cubic stage's box lower bound
-as the pipeline ran it before it reused the symmetry stage's correlation:
-`u3_lower` of the remainder with the phases of the fitted maps as grids.
+`SliceFamily` is the family x -> T_x of the bilinear forms got by fixing
+one slot of a form, and `slice_rank_mean` ranks every slice T_x in turn,
+which `ulab.trilinear.analytic_means_tri` replaced with one
+`gf_family_ranks` call for the first-slot slices of a batch of forms and a
+count of the slices of each rank.  `analytic_rank` is -log_p of that
+per-slice mean, and `symmetry_ranks` is `ulab.trilinear.symmetry_pipeline`'s
+ranks with one `analytic_rank` per permutation difference and for the
+residual, where the library ranks all seven forms in one call; it must
+give the same floats.  `kappa_from_sigma` is the exhaustive check over all
+p^{4n} points (x, a, b, c) that `ulab.trilinear.kappa_from_sigma` replaced
+with a symbolic polarisation certificate; `alternating_sum_constant` is
+that check alone, so a test can hand it a changed cubic.
+`analytic_mean_tri` counts the values of tau over all p^{3n} triples,
+which the library replaced with the ranks of the slices T_a, and keeps
+those counts exact in a `CharacterSum`.  `form_value`, `scaled`,
+`slice_at`, `phase_one` and `phase_exponent` evaluate and build forms and
+phase products pointwise, as only tests need.  `cubic_stage_box` is the
+cubic stage's box lower bound as the pipeline ran it before it reused the
+symmetry stage's correlation: `u3_lower` of the remainder with the phases
+of the fitted maps as grids.
 The ranks are `core_oracle`'s.  Tests compare the library against them;
 nothing in the package imports this module.
 """
@@ -39,16 +42,17 @@ nothing in the package imports this module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ulab.core import SIZE_CAP, GroupFn, PolyPhase, char_transform
+from ulab.core import SIZE_CAP, GroupFn, GroupParams, PolyPhase, char_transform
 from ulab.gowers import derivative2
 from ulab.grid import GridFn
 import ulab.trilinear
-from ulab.trilinear import PhaseProduct, SliceFamily, TrilinearForm, analytic_rank_tri, symmetrize, u3_lower
+from ulab.trilinear import PhaseProduct, TrilinearForm, symmetrize, u3_lower
 
 from core_oracle import gf_rank
 
@@ -65,6 +69,29 @@ def form_value(tau: TrilinearForm, a, b, c):
 
 def scaled(tau: TrilinearForm, lam: int) -> TrilinearForm:
     return TrilinearForm(tau.params, tau.coeffs * (int(lam) % tau.params.p))
+
+
+@dataclass(frozen=True)
+class SliceFamily:
+    """Linear family x -> T_x of n x n matrices; mats[s] is the slice at e_s."""
+
+    params: GroupParams
+    mats: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.params.n
+        m = np.asarray(self.mats, dtype=np.int64) % self.params.p
+        if m.shape != (n, n, n):
+            raise ValueError("generator slices must have shape (n, n, n)")
+        m.setflags(write=False)
+        object.__setattr__(self, "mats", m)
+
+    @classmethod
+    def of(cls, tau: TrilinearForm, axis: int = 0) -> "SliceFamily":
+        """The slices of tau got by fixing its slot `axis`."""
+        if axis not in (0, 1, 2):
+            raise ValueError("axis must be 0, 1, or 2")
+        return cls(tau.params, np.moveaxis(tau.coeffs, axis, 0))
 
 
 def slice_at(fam: SliceFamily, x: int) -> np.ndarray:
@@ -161,6 +188,12 @@ def slice_rank_mean(fam: SliceFamily) -> Fraction:
     for x in range(params.size):
         total += Fraction(1, p ** gf_rank(p, slice_at(fam, x)))
     return total / params.size
+
+
+def analytic_rank(tau: TrilinearForm) -> float:
+    """-log_p of `slice_rank_mean` of tau's first-slot slices."""
+    mean = slice_rank_mean(SliceFamily.of(tau))
+    return (math.log(mean.denominator) - math.log(mean.numerator)) / math.log(tau.params.p)
 
 
 def tri_correlation(f: GroupFn, h: PhaseProduct, tau: TrilinearForm) -> complex:
@@ -353,9 +386,9 @@ def cubic_stage_box(f: GroupFn, sigma: TrilinearForm, theta, lam) -> tuple[Group
 
 def symmetry_ranks(tau: TrilinearForm):
     """(perm_ranks, residual_rank) as `symmetry_pipeline` reports them, one
-    `analytic_rank_tri` call per form."""
+    `analytic_rank` per form."""
     _, residual = symmetrize(tau)
     perm_ranks = tuple(
-        (perm, analytic_rank_tri(tau - tau.permute_args(perm))) for perm in itertools.permutations(range(3))
+        (perm, analytic_rank(tau - tau.permute_args(perm))) for perm in itertools.permutations(range(3))
     )
-    return perm_ranks, analytic_rank_tri(residual)
+    return perm_ranks, analytic_rank(residual)
